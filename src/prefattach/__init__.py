@@ -41,11 +41,8 @@ from .graph import (
     DegreeLedger,
     ModelConfig,
     RunResult,
-    StepOutcome,
-    attach_step,
     choose_vertex,
     group_vertices,
-    init_graph,
     run_chain,
 )
 from .laws import (
@@ -96,11 +93,9 @@ __all__ = [
     "ReportDocument",
     "RunResult",
     "ScaledTrajectory",
-    "StepOutcome",
     "TailFit",
     "TauDiagnostics",
     "VerifySession",
-    "attach_step",
     "choose_vertex",
     "deterministic",
     "distribution_distance",
@@ -111,7 +106,6 @@ __all__ = [
     "functional_lln",
     "geometric",
     "group_vertices",
-    "init_graph",
     "max_degree_check",
     "mix64",
     "moment_profile",

@@ -7,11 +7,11 @@ this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
 import numpy as np
-from scipy import stats
 
 from .errors import (
     DegenerateBinning,
@@ -366,7 +366,7 @@ def embedding_equivalence_test(
     ea, eb = tot_a * pool, tot_b * pool
     statistic = float(np.sum((oa - ea) ** 2 / ea) + np.sum((ob - eb) ** 2 / eb))
     dof = len(bins) - 1
-    p = float(stats.chi2.sf(statistic, dof))
+    p = chi2_sf(statistic, dof)
     return ChiSquareResult(statistic=statistic, dof=dof, p_value=p, bins=tuple(bins))
 
 
@@ -400,6 +400,33 @@ def split_half_pvalues(
     return pvals
 
 
+def chi2_sf(x: float, dof: int) -> float:
+    """P(chi-square with integer ``dof`` degrees of freedom > x).
+
+    With y = x/2 this is a finite sum: e^{-y} y^i / i! over i < dof/2 for even
+    dof; erfc(sqrt(y)) plus e^{-y} y^(i+1/2) / Gamma(i+3/2) over i < (dof-1)/2
+    for odd dof.  Terms are formed in log space, so none underflows alone.
+    """
+    if x <= 0.0:
+        return 1.0
+    y = x / 2.0
+    log_y = math.log(y)
+    if dof % 2 == 0:
+        terms = [math.exp(i * log_y - y - math.lgamma(i + 1)) for i in range(dof // 2)]
+        return math.fsum(terms)
+    terms = [
+        math.exp((i + 0.5) * log_y - y - math.lgamma(i + 1.5)) for i in range((dof - 1) // 2)
+    ]
+    return min(1.0, math.erfc(math.sqrt(y)) + math.fsum(terms))
+
+
 def uniformity_ks(pvalues: np.ndarray) -> float:
-    """Kolmogorov-Smirnov statistic of a p-value sample against Uniform(0,1)."""
-    return float(stats.kstest(pvalues, "uniform").statistic)
+    """Kolmogorov-Smirnov statistic of a p-value sample against Uniform(0,1).
+
+    For the sorted sample x_(1) <= ... <= x_(n) it is the larger of
+    max_i i/n - x_(i) and max_i x_(i) - (i-1)/n.
+    """
+    x = np.sort(np.clip(np.asarray(pvalues, dtype=float), 0.0, 1.0))
+    n = x.shape[0]
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - x), np.max(x - (i - 1) / n)))

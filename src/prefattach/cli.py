@@ -82,7 +82,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             name, _, value = item.partition("=")
             if not _ or not name:
                 raise PrefattachError(f"--threshold needs NAME=VALUE, got {item!r}")
-            thresholds[name] = float(value)
+            thresholds[name] = value
     overrides = {
         "law": args.law,
         "beta": args.beta,

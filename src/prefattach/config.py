@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import ParseError, RangeError
 from .graph import ModelConfig
 from .laws import validate_edge_law
+from .verify import validate_thresholds
 
 _PROFILES = ("quick", "full", "theory")
 
@@ -133,6 +134,7 @@ def parse_config(
     thresholds = merged["thresholds"]
     if not isinstance(thresholds, Mapping):
         raise ParseError("thresholds must be a mapping of check name to bound")
+    thresholds = validate_thresholds(thresholds)
 
     return ExperimentConfig(
         model=model,
@@ -146,10 +148,5 @@ def parse_config(
         fit_j_max=int(merged["fit_j_max"]),
         horizon=horizon,
         profile=profile,
-        thresholds=dict(thresholds),
+        thresholds=thresholds,
     )
-
-
-def with_model(config: ExperimentConfig, **model_fields) -> ExperimentConfig:
-    """A copy of ``config`` with some model fields replaced."""
-    return replace(config, model=replace(config.model, **model_fields))

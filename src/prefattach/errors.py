@@ -43,10 +43,6 @@ class NonPositiveMean(PrefattachError):
     """An operation needs a strictly positive mean edge count."""
 
 
-class OverflowGuard(PrefattachError):
-    """A counter would leave the exactly-representable integer range."""
-
-
 class BetaNotZero(PrefattachError):
     """The grouped-degree construction is only defined for beta = 0."""
 

@@ -1,29 +1,39 @@
-"""The growing multigraph: degree ledger, attachment steps, full runs.
+"""The growing multigraph: degree ledger and full chain runs.
 
-The graph starts as two vertices joined by one edge.  Step n -> n+1 creates
-vertex n+3 and joins it to a single existing vertex i, chosen with probability
-proportional to d_i(n) + beta, by X parallel edges (X from the configured
-edge-count law).  The chosen vertex gains X degree, the new vertex starts with
-degree X.
+The graph starts as two vertices joined by one edge.  Step k creates vertex
+k + 2 and joins it to a single existing vertex i, chosen with probability
+proportional to d_i(k - 1) + beta, by X_k parallel edges (X_k from the
+configured edge-count law).
 
-Selection is done in two stages that together realize the weights exactly:
-with probability T / (T + (n+2) beta), where T is the current total degree,
-pick a uniform entry of the edge-endpoint multiset (each vertex appears d_i
-times, so this lands on i with probability d_i / T); otherwise pick a vertex
-uniformly.  Mixing the two gives (d_i + beta) / (T + (n+2) beta) for every i.
+Selection mixes two routes that together realize the weights exactly: with
+probability T / (T + (k+1) beta), T the total degree and k + 1 the vertex
+count, pick a uniform entry of the edge-endpoint list (vertex i appears d_i
+times); otherwise pick a vertex uniformly.
+
+``run_chain`` samples a whole run in one vectorised pass (the endpoint-list
+method of Batagelj & Brandes, pointers resolved in parallel as in Sanders &
+Schulz).  The list holds edge e as entries 2e, 2e + 1: the target and the new
+vertex of the step that made it (edge 0 is the seed pair 1, 2).  Once all X
+are drawn, T before every step is known, so all coins and picks are drawn up
+front.  An odd entry names a new vertex outright; an even entry means "the
+same target as that earlier step", a pointer resolved by pointer jumping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BetaNotZero, OverflowGuard, RangeError
+from .errors import BetaNotZero, RangeError
 from .laws import EdgeCountDistribution, GroupingLaw, validate_edge_law
 
-_INT_GUARD = 2**62  # stay far inside exact int64 territory
+# Vertex labels and step indices are packed into 32-bit halves of one int64
+# sort key, and endpoint totals must stay exact as floats, since the mixture
+# coins compare against them.
+_MAX_LABEL = 2**31 - 1
+_MAX_ENDPOINTS = 2**53
 
 
 @dataclass(frozen=True)
@@ -50,46 +60,37 @@ class ModelConfig:
         object.__setattr__(self, "probe_vertices", tuple(int(v) for v in self.probe_vertices))
 
 
-class StepOutcome(NamedTuple):
-    """What one attachment step did."""
-
-    chosen_vertex: int
-    x: int
-    new_vertex: int
+def _degree_counts(degrees: np.ndarray) -> dict[int, int]:
+    """{degree j: number of vertices of degree j} for a degree sequence."""
+    hist = np.bincount(degrees)
+    seen = np.flatnonzero(hist)
+    return dict(zip(seen.tolist(), hist[seen].tolist()))
 
 
 class DegreeLedger:
-    """Mutable degree bookkeeping for the growing graph.
+    """Degree bookkeeping of one graph state.
 
-    Vertices are labelled from 1.  ``degrees`` is the live degree sequence,
+    Vertices are labelled from 1.  ``degrees`` is the degree sequence,
     ``endpoints`` the edge-endpoint multiset (vertex i appears d_i times),
     ``counts`` maps degree j to the number of vertices of that degree, and
-    ``max_degree`` / ``argmax`` track the current maximum and the smallest
-    vertex attaining it.
+    ``max_degree`` / ``argmax`` give the maximum and the smallest vertex
+    attaining it.
     """
 
     __slots__ = (
-        "_deg",
-        "_ends",
-        "_ends_len",
-        "counts",
-        "total_degree",
-        "step",
-        "max_degree",
-        "argmax",
-        "x_total",
+        "_deg", "endpoints", "counts", "total_degree", "step", "max_degree", "argmax", "x_total"
     )
 
-    def __init__(self, capacity_vertices: int, capacity_endpoints: int):
-        self._deg = np.zeros(capacity_vertices + 1, dtype=np.int64)  # slot 0 unused
-        self._ends = np.empty(capacity_endpoints, dtype=np.int64)
-        self._ends_len = 0
-        self.counts: dict[int, int] = {}
-        self.total_degree = 0
-        self.step = 0
-        self.max_degree = 0
-        self.argmax = 0
-        self.x_total = 0
+    def __init__(self, degrees: np.ndarray, endpoints: np.ndarray):
+        """``degrees[v]`` is the degree of vertex v (entry 0 is unused)."""
+        self._deg = degrees
+        self.endpoints = endpoints
+        self.counts = _degree_counts(degrees[1:])
+        self.total_degree = int(endpoints.shape[0])
+        self.step = degrees.shape[0] - 3
+        self.argmax = int(np.argmax(degrees))  # the first maximum: smallest label
+        self.max_degree = int(degrees[self.argmax])
+        self.x_total = (self.total_degree - 2) // 2
 
     @property
     def n_vertices(self) -> int:
@@ -98,38 +99,7 @@ class DegreeLedger:
     @property
     def degrees(self) -> np.ndarray:
         """Degrees of vertices 1..n+2 (index 0 of the view is vertex 1)."""
-        return self._deg[1 : self.n_vertices + 1]
-
-    @property
-    def endpoints(self) -> np.ndarray:
-        """The live prefix of the endpoint multiset."""
-        return self._ends[: self._ends_len]
-
-    def degree_of(self, vertex: int) -> int:
-        return int(self._deg[vertex]) if vertex <= self.n_vertices else 0
-
-    def _ensure_endpoint_capacity(self, extra: int) -> None:
-        need = self._ends_len + extra
-        if need > self._ends.shape[0]:
-            grown = np.empty(max(need, int(self._ends.shape[0] * 1.6) + 16), dtype=np.int64)
-            grown[: self._ends_len] = self._ends[: self._ends_len]
-            self._ends = grown
-
-    def _ensure_vertex_capacity(self, vertex: int) -> None:
-        if vertex >= self._deg.shape[0]:
-            grown = np.zeros(max(vertex + 1, int(self._deg.shape[0] * 1.6) + 16), dtype=np.int64)
-            grown[: self._deg.shape[0]] = self._deg
-            self._deg = grown
-
-    def _count_move(self, old: int, new: int) -> None:
-        counts = self.counts
-        if old:
-            left = counts[old] - 1
-            if left:
-                counts[old] = left
-            else:
-                del counts[old]
-        counts[new] = counts.get(new, 0) + 1
+        return self._deg[1:]
 
     @classmethod
     def from_degrees(cls, degrees: Sequence[int]) -> "DegreeLedger":
@@ -144,94 +114,23 @@ class DegreeLedger:
             raise RangeError("degrees", "need at least one vertex")
         if np.any(seq < 1):
             raise RangeError("degrees", "degrees must be >= 1")
-        total = int(seq.sum())
-        ledger = cls(capacity_vertices=seq.shape[0], capacity_endpoints=total)
-        ledger._deg[1 : seq.shape[0] + 1] = seq
-        ledger._ends_len = total
-        ledger._ends[:] = np.repeat(np.arange(1, seq.shape[0] + 1, dtype=np.int64), seq)
-        vals, cnts = np.unique(seq, return_counts=True)
-        ledger.counts = {int(v): int(c) for v, c in zip(vals, cnts)}
-        ledger.total_degree = total
-        ledger.step = seq.shape[0] - 2
-        ledger.max_degree = int(seq.max())
-        ledger.argmax = int(np.argmax(seq)) + 1
-        ledger.x_total = (total - 2) // 2
-        return ledger
-
-
-def init_graph(config: ModelConfig) -> DegreeLedger:
-    """The two-vertex, one-edge starting graph, sized for config.n steps."""
-    mean_x = config.edge_law.mean
-    hint = 2 + int(2.2 * mean_x * config.n) + 64
-    ledger = DegreeLedger(capacity_vertices=config.n + 2, capacity_endpoints=hint)
-    ledger._deg[1] = 1
-    ledger._deg[2] = 1
-    ledger._ends[0] = 1
-    ledger._ends[1] = 2
-    ledger._ends_len = 2
-    ledger.counts = {1: 2}
-    ledger.total_degree = 2
-    ledger.max_degree = 1
-    ledger.argmax = 1
-    return ledger
+        ends = np.repeat(np.arange(1, seq.shape[0] + 1, dtype=np.int64), seq)
+        return cls(np.concatenate(([0], seq)), ends)
 
 
 def choose_vertex(ledger: DegreeLedger, beta: float, rng: np.random.Generator) -> int:
-    """Draw the attachment target from the current state, without mutating.
+    """Draw the attachment target from a ledger's state, without mutating it.
 
-    Implements the two-stage mixture described in the module docstring; for
-    beta = 0 it always takes the endpoint route.
+    Implements the two-stage mixture described in the module docstring, one
+    draw at a time (for beta = 0 always the endpoint route): the exact-law
+    oracle, on a frozen ledger, for the routes ``run_chain`` takes in bulk.
     """
     total = ledger.total_degree
     if beta > 0.0:
         n_vert = ledger.step + 2
         if rng.random() * (total + n_vert * beta) >= total:
             return 1 + int(rng.random() * n_vert)
-    return int(ledger._ends[int(rng.random() * total)])
-
-
-def attach_step(
-    ledger: DegreeLedger,
-    beta: float,
-    edge_law: EdgeCountDistribution,
-    rng: np.random.Generator,
-) -> StepOutcome:
-    """Advance the graph by one step, mutating the ledger."""
-    if ledger.total_degree > _INT_GUARD:
-        raise OverflowGuard("total degree would exceed the exact integer range")
-    i = choose_vertex(ledger, beta, rng)
-    x = edge_law.sample_one(rng)
-    v = ledger.step + 3
-
-    ledger._ensure_vertex_capacity(v)
-    ledger._ensure_endpoint_capacity(2 * x)
-    ends, pos = ledger._ends, ledger._ends_len
-    if x == 1:
-        ends[pos] = i
-        ends[pos + 1] = v
-    else:
-        ends[pos : pos + x] = i
-        ends[pos + x : pos + 2 * x] = v
-    ledger._ends_len = pos + 2 * x
-
-    deg = ledger._deg
-    old = int(deg[i])
-    new = old + x
-    deg[i] = new
-    deg[v] = x
-    ledger._count_move(old, new)
-    ledger._count_move(0, x)
-    ledger.total_degree += 2 * x
-    ledger.step += 1
-    ledger.x_total += x
-
-    # Max/argmax update: degrees never decrease, so only the two touched
-    # vertices can change the maximum; ties resolve to the smaller label.
-    if new > ledger.max_degree or (new == ledger.max_degree and i < ledger.argmax):
-        ledger.max_degree, ledger.argmax = new, i
-    if x > ledger.max_degree:
-        ledger.max_degree, ledger.argmax = x, v
-    return StepOutcome(chosen_vertex=i, x=x, new_vertex=v)
+    return int(ledger.endpoints[int(rng.random() * total)])
 
 
 @dataclass(frozen=True)
@@ -247,47 +146,151 @@ class RunResult:
     snapshots: dict[int, dict[int, int]] = field(default_factory=dict)
 
 
+def _check_size(config: ModelConfig) -> None:
+    """Refuse a run whose labels or endpoint count leave the exact range."""
+    n = config.n
+    endpoints = 2 + 2.2 * config.edge_law.mean * n  # 10% over the expected count
+    if n + 2 > _MAX_LABEL or endpoints >= _MAX_ENDPOINTS:
+        msg = f"{n} steps need labels up to {n + 2} and ~{endpoints:.3g} endpoints"
+        raise RangeError("model.n", msg + f" (limits {_MAX_LABEL} and 2**53)")
+
+
+def _draw_steps(
+    config: ModelConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All draws of a run, made up front.
+
+    Returns ``x`` (x[k] edges at step k, x[0] = 1 for the seed edge), and per
+    step k = 1..n at index k - 1: ``uniform`` (the step took the uniform-vertex
+    route) and ``pick`` (the vertex index in [0, k + 1) on that route, else
+    the endpoint index in [0, T) with T the total degree before the step).
+    """
+    n, beta = config.n, config.beta
+    x = np.concatenate(([1], config.edge_law.sample(rng, n)))
+    before = np.cumsum(x[:-1])
+    before *= 2
+    vertices = np.arange(2, n + 2)
+    uniform = np.zeros(n, dtype=bool)
+    if beta > 0.0:
+        weight = beta * vertices
+        weight += before
+        weight *= rng.random(n)
+        uniform = weight >= before
+        del weight
+    pick = rng.integers(0, np.where(uniform, vertices, before))
+    return x, uniform, pick
+
+
+def _resolve_targets(x: np.ndarray, uniform: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """The target of every step (entry 0: vertex 1, the seed edge's first end).
+
+    Entry 2e of the endpoint list is the target of the step that made edge e
+    and entry 2e + 1 its new vertex.  An unresolved target is stored as the
+    pointer ~s to the step s whose target it shares.
+    """
+    n = pick.shape[0]
+    step_of_edge = np.repeat(np.arange(n + 1, dtype=np.int32), x)
+    owner = step_of_edge[pick >> 1]
+    del step_of_edge
+    # Odd entry: owner's new vertex, owner + 2.  Even: pointer ~owner.
+    body = np.where(pick & 1, owner + 2, ~owner)
+    body[uniform] = pick[uniform] + 1
+    del owner
+    targets = np.insert(body, 0, 1)
+    todo = np.flatnonzero(targets < 0)
+    while todo.shape[0]:
+        # Pointer jumping: take what the pointed-to step holds, a label or its
+        # own pointer, so the span of every remaining pointer doubles.
+        held = targets[~targets[todo]]
+        targets[todo] = held
+        todo = todo[held < 0]
+    return targets
+
+
+def _probe_degrees(x: np.ndarray, targets: np.ndarray, v: int, steps: np.ndarray) -> np.ndarray:
+    """Degree of vertex v at the recorded steps, 0 before it is born."""
+    gain = np.where(targets == v, x, 0)  # x[0] = 1 is vertex 1's seed end
+    if 2 <= v < x.shape[0] + 2:
+        gain[v - 2] += x[v - 2]  # its ends as the new vertex of step v - 2
+    return np.cumsum(gain)[steps]
+
+
+def _max_series(x: np.ndarray, targets: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """M_n and I_n at the recorded steps."""
+    n = x.shape[0] - 1
+    # Sort the steps by (target, step), packed as target << 32 | step: each
+    # vertex's attachments form one run, in time order.
+    key = targets[1:].astype(np.int64)
+    key <<= 32
+    key |= np.arange(1, n + 1)
+    key.sort()
+    order = key & 0xFFFFFFFF
+    key >>= 32
+    first = np.flatnonzero(np.diff(key, prepend=0))
+    # Degree of the target just after each step: a cumulative sum of x along
+    # the run, started at the vertex's degree at birth (x[0] = 1 for both
+    # roots) and cut off from the previous run by subtracting its total.
+    reached = x[order]
+    reached[first] += x[np.maximum(key[first] - 2, 0)]
+    del key
+    reached[first[1:]] -= np.add.reduceat(reached, first)[:-1]
+    np.cumsum(reached, out=reached)
+
+    after = np.empty(n + 1, dtype=np.int64)
+    after[0] = 1  # step 0: vertex 1 holds the maximum, degree 1
+    after[order] = reached
+    del order, reached
+
+    peak = np.maximum.accumulate(after)
+    hits = np.flatnonzero(after == peak)
+    del after
+    # I_n is the smallest label at the running maximum: a running minimum over
+    # the steps whose target reaches the maximum, restarted whenever it rises.
+    # Later levels get smaller offsets, so one minimum.accumulate restarts.
+    level = np.cumsum(np.diff(peak[hits], prepend=0) > 0)
+    offset = (level[-1] - level) * (n + 3)
+    best = np.minimum.accumulate(offset + targets[hits]) - offset
+    argmax_series = best[np.searchsorted(hits, steps, side="right") - 1]
+    return peak[steps], argmax_series
+
+
 def run_chain(config: ModelConfig, snapshot_steps: Iterable[int] = ()) -> RunResult:
-    """Run the chain for config.n steps, deterministically in config.seed."""
-    rng = np.random.default_rng(config.seed)
-    ledger = init_graph(config)
-    n, stride, beta, law = config.n, config.record_stride, config.beta, config.edge_law
-    wanted = sorted(set(int(s) for s in snapshot_steps))
-    snap_iter = iter(wanted + [-1])
-    next_snap = next(snap_iter)
+    """Run the chain for config.n steps, deterministically in config.seed.
 
-    probes = {v: [] for v in config.probe_vertices}
-    steps_rec: list[int] = []
-    max_rec: list[int] = []
-    arg_rec: list[int] = []
+    ``snapshot_steps`` lists steps in 0..n at which to record the degree
+    counts; other values are ignored.
+    """
+    _check_size(config)
+    n = config.n
+    x, uniform, pick = _draw_steps(config, np.random.default_rng(config.seed))
+    targets = _resolve_targets(x, uniform, pick)
+    del uniform, pick
 
-    def record(k: int) -> None:
-        steps_rec.append(k)
-        max_rec.append(ledger.max_degree)
-        arg_rec.append(ledger.argmax)
-        for v, series in probes.items():
-            series.append(ledger.degree_of(v))
+    steps = np.arange(0, n + 1, config.record_stride)
+    if steps[-1] != n:
+        steps = np.append(steps, n)
+    probes = {v: _probe_degrees(x, targets, v, steps) for v in config.probe_vertices}
+    max_series, argmax_series = _max_series(x, targets, steps)
 
-    snapshots: dict[int, dict[int, int]] = {}
-    if next_snap == 0:
-        snapshots[0] = dict(ledger.counts)
-        next_snap = next(snap_iter)
-    record(0)
-    for k in range(1, n + 1):
-        attach_step(ledger, beta, law, rng)
-        if k % stride == 0 or k == n:
-            record(k)
-        if k == next_snap:
-            snapshots[k] = dict(ledger.counts)
-            next_snap = next(snap_iter)
-
+    # Edge e is endpoint pair (2e, 2e + 1); the edges of steps 0..s fill a prefix.
+    ends = np.empty(2 * int(x.sum()), dtype=np.int64)
+    ends[0::2] = np.repeat(targets, x)
+    del targets
+    ends[1::2] = np.repeat(np.arange(2, n + 3, dtype=np.int32), x)
+    snapshots = {
+        s: _degree_counts(np.bincount(ends[: 2 * int(x[: s + 1].sum())], minlength=s + 3)[1:])
+        for s in sorted({int(s) for s in snapshot_steps})
+        if 0 <= s <= n
+    }
+    del x
+    degrees = np.bincount(ends, minlength=n + 3)
     return RunResult(
         config=config,
-        ledger=ledger,
-        steps=np.asarray(steps_rec, dtype=np.int64),
-        probes={v: np.asarray(s, dtype=np.int64) for v, s in probes.items()},
-        max_series=np.asarray(max_rec, dtype=np.int64),
-        argmax_series=np.asarray(arg_rec, dtype=np.int64),
+        ledger=DegreeLedger(degrees, ends),
+        steps=steps,
+        probes=probes,
+        max_series=max_series,
+        argmax_series=argmax_series,
         snapshots=snapshots,
     )
 
@@ -316,22 +319,3 @@ def group_vertices(
         grouped.append(int(degrees[pos : pos + size].sum()))
         pos += size
     return DegreeLedger.from_degrees(grouped)
-
-
-def validate_ledger(ledger: DegreeLedger) -> None:
-    """Check the ledger's internal invariants; raises AssertionError."""
-    deg = ledger.degrees
-    assert np.all(deg >= 1), "every vertex keeps degree >= 1"
-    assert int(deg.sum()) == ledger.total_degree
-    assert ledger.total_degree == 2 * (1 + ledger.x_total), "handshake identity"
-    counted = {}
-    for d in deg.tolist():
-        counted[d] = counted.get(d, 0) + 1
-    assert counted == ledger.counts, "degree counts mirror the degree sequence"
-    assert sum(ledger.counts.values()) == ledger.step + 2
-    ends = ledger.endpoints
-    assert ends.shape[0] == ledger.total_degree
-    mult = np.bincount(ends, minlength=deg.shape[0] + 1)[1:]
-    assert np.array_equal(mult, deg), "endpoint multiplicities equal degrees"
-    assert ledger.max_degree == int(deg.max())
-    assert int(deg[ledger.argmax - 1]) == ledger.max_degree

@@ -91,14 +91,6 @@ class EdgeCountDistribution:
                 return i + 1
         return len(self.probs)
 
-    def support_upper(self) -> int | None:
-        """Largest support point, or None when the support is unbounded."""
-        if self.kind == "deterministic":
-            return self.x0
-        if self.kind == "explicit":
-            return len(self.probs)
-        return None
-
     def label(self) -> str:
         """CLI-form string round-tripping through validate_edge_law."""
         if self.kind == "deterministic":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import EmpiricalDistribution
 from .branching import TauDiagnostics
-from .theory import LimitSpectrum
+from .theory import LimitSpectrum, pi_explicit
 
 
 def _fmt6(x) -> str:
@@ -124,8 +124,6 @@ def write_pi(
     The explicit column is filled only when the law is a fixed edge count
     (pass its x0); the quadrature column is blank when not computed.
     """
-    from .theory import pi_explicit  # local import to keep module deps one-way
-
     with _open_for_write(path) as fh:
         w = csv.writer(fh)
         w.writerow(["j", "pi_recursive", "pi_quadrature", "pi_explicit_or_blank"])

@@ -103,10 +103,9 @@ def pi_explicit(x0: int, beta: float, j: int) -> float:
     if j < 1 or j % x0 != 0:
         return 0.0
     l = j // x0
-    value = (2.0 * x0 + beta) / ((l + 2.0) * x0 + 2.0 * beta)
-    for k in range(1, l):
-        value *= (k * x0 + beta) / ((k + 2.0) * x0 + 2.0 * beta)
-    return value
+    k = np.arange(1.0, l)
+    ratios = (k * x0 + beta) / ((k + 2.0) * x0 + 2.0 * beta)
+    return (2.0 * x0 + beta) / ((l + 2.0) * x0 + 2.0 * beta) * float(np.prod(ratios))
 
 
 def pi_recursive(

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -67,18 +68,43 @@ _PROFILE_CHECKS = {
     "full": None,
 }
 
-ALL_CHECKS = (
-    "explicit-spectrum-crosscheck",
-    "dual-route-pi",
-    "degree-lln",
-    "tail-exponent",
-    "moment-dichotomy",
-    "growth-exponents",
-    "index-freezing",
-    "embedding-equivalence",
-    "event-time-asymptotics",
-    "scaled-size-limit",
-)
+# The checks in report order, each with the sub-parameters that a dotted
+# threshold override "<check>.<param>" may move.
+THRESHOLD_PARAMS = {
+    "explicit-spectrum-crosscheck": ("runtime",),
+    "dual-route-pi": ("runtime",),
+    "degree-lln": ("r1", "runtime"),
+    "tail-exponent": ("band_beta0", "band_beta1"),
+    "moment-dichotomy": (),
+    "growth-exponents": ("trajectory_osc", "max_osc", "runtime"),
+    "index-freezing": (),
+    "embedding-equivalence": ("calibration_ks",),
+    "event-time-asymptotics": ("tau1_sigmas", "drift_osc", "sn", "runtime"),
+    "scaled-size-limit": ("osc",),
+}
+
+ALL_CHECKS = tuple(THRESHOLD_PARAMS)
+
+
+def validate_thresholds(thresholds: Mapping) -> dict[str, float]:
+    """Threshold overrides as floats, keyed "<check>" or "<check>.<param>".
+
+    Raises RangeError, naming the offending "thresholds.<key>", for an unknown
+    check, an unknown parameter, or a value that is not a number.
+    """
+    out = {}
+    for key, value in thresholds.items():
+        field_path = f"thresholds.{key}"
+        head, dot, param = str(key).partition(".")
+        if head not in THRESHOLD_PARAMS:
+            raise RangeError(field_path, f"unknown check {head!r}")
+        if dot and param not in THRESHOLD_PARAMS[head]:
+            raise RangeError(field_path, f"unknown parameter {param!r} of {head}")
+        try:
+            out[str(key)] = float(value)
+        except (TypeError, ValueError):
+            raise RangeError(field_path, f"not a number: {value!r}") from None
+    return out
 
 
 @dataclass
@@ -151,7 +177,7 @@ class VerifySession:
         self.profile = profile
         self.master_seed = int(master_seed)
         self.parallelism = max(1, int(parallelism))
-        self.thresholds = dict(thresholds or {})
+        self.thresholds = validate_thresholds(thresholds or {})
         self._cache: dict[str, object] = {}
         # profile scales
         full = profile != "quick"
@@ -164,7 +190,9 @@ class VerifySession:
         self.tau1_reps = 10**5 if full else 5000
         self.drift_reps = 100 if full else 20
         self.drift_n = 10**4 if full else 2000
-        self.sn_n = 10**5 if full else 10**4
+        # S_n/n has sd 2 sqrt(Var X / n), 0.0115 for geom:0.5 at 6 * 10^4,
+        # so its 0.05 bound stays above 4 sd at quick too.
+        self.sn_n = 10**5 if full else 60_000
         self.zeta_runs = 10**4 if full else 500
         self.moment_j_max = 5000 if full else 2000
         # quick keeps the same thresholds where the property is scale-free
@@ -182,12 +210,7 @@ class VerifySession:
 
     def _thr(self, key: str, default: float) -> float:
         """Threshold for ``key`` ("check" or "check.param"), override-aware."""
-        if key in self.thresholds:
-            return float(self.thresholds[key])
-        head = key.split(".", 1)[0]
-        if head in self.thresholds and "." not in key:
-            return float(self.thresholds[head])
-        return default
+        return self.thresholds.get(key, default)
 
     def _rng(self, stream: int) -> np.random.Generator:
         return substream(self.master_seed, stream)
@@ -665,23 +688,11 @@ class VerifySession:
 
     def run(self, names: tuple[str, ...] | None = None) -> ReportDocument:
         chosen = names or _PROFILE_CHECKS[self.profile] or ALL_CHECKS
-        methods = {
-            "explicit-spectrum-crosscheck": self.check_explicit_spectrum_crosscheck,
-            "dual-route-pi": self.check_dual_route_pi,
-            "degree-lln": self.check_degree_lln,
-            "tail-exponent": self.check_tail_exponent,
-            "moment-dichotomy": self.check_moment_dichotomy,
-            "growth-exponents": self.check_growth_exponents,
-            "index-freezing": self.check_index_freezing,
-            "embedding-equivalence": self.check_embedding_equivalence,
-            "event-time-asymptotics": self.check_event_time_asymptotics,
-            "scaled-size-limit": self.check_scaled_size_limit,
-        }
         checks = []
         for name in chosen:
-            if name not in methods:
+            if name not in THRESHOLD_PARAMS:
                 raise RangeError("check", f"unknown check {name!r}")
-            result = methods[name]()
+            result = getattr(self, "check_" + name.replace("-", "_"))()
             result.detail = _json_safe(result.detail)
             result.value = float(result.value)
             result.passed = bool(result.passed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prefattach.analysis import (
+    chi2_sf,
     distribution_distance,
     embedding_equivalence_test,
     empirical_distribution,
@@ -230,3 +231,26 @@ class TestTwoSampleComparison:
     def test_lopsided_pvalues_fail_the_uniformity_score(self):
         ks = uniformity_ks(np.full(100, 0.5))
         assert ks >= 0.4
+
+    @pytest.mark.parametrize(
+        ("dof", "critical"),
+        [
+            (1, 3.8414588206941285),
+            (2, 5.991464547107983),
+            (5, 11.070497693516355),
+            (10, 18.30703805327515),
+        ],
+    )
+    def test_chi_square_tail_at_the_five_percent_critical_values(self, dof, critical):
+        assert chi2_sf(critical, dof) == pytest.approx(0.05, rel=1e-12)
+
+    def test_two_degree_tail_is_an_exponential(self):
+        for x in (0.3, 5.991464547107983, 40.0):
+            assert chi2_sf(x, 2) == pytest.approx(np.exp(-x / 2), rel=1e-15)
+        assert chi2_sf(0.0, 3) == 1.0
+
+    def test_ks_statistic_on_a_hand_sample(self):
+        # sorted 0.1, 0.4, 0.7: i/n - x peaks at 1 - 0.7 = 0.3,
+        # x - (i-1)/n peaks at 0.1
+        assert uniformity_ks(np.array([0.7, 0.1, 0.4])) == pytest.approx(0.3, abs=1e-15)
+        assert uniformity_ks(np.array([0.9])) == pytest.approx(0.9, abs=1e-15)

@@ -138,3 +138,17 @@ class TestUsageErrors:
             ["verify", "--profile", "theory", "--threshold", "nocolon", "--out", str(tmp_path)]
         )
         assert code == 2
+
+    def test_non_numeric_threshold_names_its_field(self, tmp_path, capsys):
+        code = main(
+            ["verify", "--profile", "theory", "--threshold", "degree-lln=abc", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "thresholds.degree-lln" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("item", ["dual-rout-pi=0", "degree-lln.bogus=1", "moment-dichotomy.x=1"])
+    def test_unknown_threshold_names_are_rejected(self, tmp_path, capsys, item):
+        code = main(["verify", "--profile", "theory", "--threshold", item, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"thresholds.{item.partition('=')[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()

@@ -5,19 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefattach.errors import BetaNotZero, OverflowGuard, RangeError
+from prefattach.analysis import distribution_distance, empirical_distribution
+from prefattach.errors import BetaNotZero, RangeError
 from prefattach.graph import (
     DegreeLedger,
     ModelConfig,
-    attach_step,
+    _draw_steps,
     choose_vertex,
     group_vertices,
-    init_graph,
     run_chain,
-    validate_ledger,
 )
-from prefattach.laws import deterministic, explicit, geometric
+from prefattach.laws import EdgeCountDistribution, deterministic, explicit, geometric
 from prefattach.streams import substream
+from prefattach.theory import pi_recursive
+
+
+def validate_ledger(ledger):
+    """Assert the ledger's internal invariants."""
+    deg = ledger.degrees
+    assert np.all(deg >= 1), "every vertex keeps degree >= 1"
+    assert int(deg.sum()) == ledger.total_degree
+    assert ledger.total_degree == 2 * (1 + ledger.x_total), "handshake identity"
+    counted = {}
+    for d in deg.tolist():
+        counted[d] = counted.get(d, 0) + 1
+    assert counted == ledger.counts, "degree counts mirror the degree sequence"
+    assert sum(ledger.counts.values()) == ledger.step + 2
+    ends = ledger.endpoints
+    assert ends.shape[0] == ledger.total_degree
+    mult = np.bincount(ends, minlength=deg.shape[0] + 1)[1:]
+    assert np.array_equal(mult, deg), "endpoint multiplicities equal degrees"
+    assert ledger.max_degree == int(deg.max())
+    assert int(deg[ledger.argmax - 1]) == ledger.max_degree
 
 
 def _selection_frequencies(ledger, beta, n_draws, rng):
@@ -28,9 +47,13 @@ def _selection_frequencies(ledger, beta, n_draws, rng):
     return hits[1:] / n_draws
 
 
+def _starting_ledger():
+    return run_chain(ModelConfig(beta=0.0, edge_law=deterministic(1), n=0)).ledger
+
+
 class TestStartingState:
     def test_two_vertices_one_edge(self):
-        led = init_graph(ModelConfig(beta=0.0, edge_law=deterministic(1), n=5))
+        led = _starting_ledger()
         assert led.total_degree == 2
         assert led.degrees.tolist() == [1, 1]
         assert led.endpoints.tolist() == [1, 2]
@@ -38,14 +61,14 @@ class TestStartingState:
         assert sum(led.counts.values()) == 2
 
     def test_maximum_starts_at_smallest_label(self):
-        led = init_graph(ModelConfig(beta=0.0, edge_law=deterministic(1), n=5))
+        led = _starting_ledger()
         assert led.max_degree == 1
         assert led.argmax == 1
 
 
 class TestSelection:
     def test_both_roots_equally_likely_at_the_start(self):
-        led = init_graph(ModelConfig(beta=0.0, edge_law=deterministic(1), n=5))
+        led = _starting_ledger()
         freq = _selection_frequencies(led, 0.0, 200_000, substream(31, 0))
         sigma = np.sqrt(0.25 / 200_000)
         assert abs(freq[0] - 0.5) < 4 * sigma
@@ -163,11 +186,116 @@ class TestChainRuns:
         cfg = ModelConfig(beta=0.0, edge_law=deterministic(1), n=500, seed=9)
         validate_ledger(run_chain(cfg).ledger)
 
-    def test_guard_refuses_to_grow_past_the_exact_integer_range(self):
-        led = DegreeLedger.from_degrees([3, 1])
-        led.total_degree = 2**62 + 2
-        with pytest.raises(OverflowGuard):
-            attach_step(led, 0.0, deterministic(1), substream(0, 0))
+    def test_guard_refuses_to_grow_past_the_exact_integer_range(self, monkeypatch):
+        def no_draws(self, rng, size):
+            raise AssertionError(f"asked to draw {size} edge counts")
+
+        # the edge counts are the run's first n-sized allocation
+        monkeypatch.setattr(EdgeCountDistribution, "sample", no_draws)
+        cfg = ModelConfig(beta=0.0, edge_law=deterministic(1), n=10**16)
+        with pytest.raises(RangeError) as err:
+            run_chain(cfg)
+        assert err.value.field == "model.n"
+        # the endpoint bound alone also trips: few labels, huge edge counts
+        with pytest.raises(RangeError):
+            run_chain(ModelConfig(beta=0.0, edge_law=deterministic(10**9), n=10**7))
+
+    def test_a_tied_maximum_goes_to_the_smaller_label(self):
+        # Two steps of det:1, beta = 0: the targets are (2, 1) for some seeds
+        # and (1, 2) for others; either way both roots end at degree 2.
+        seen = {}
+        for seed in range(64):
+            run = run_chain(ModelConfig(beta=0.0, edge_law=deterministic(1), n=2, seed=seed))
+            seen.setdefault(tuple(run.ledger.endpoints[2::2].tolist()), run)
+        late, early = seen[(2, 1)], seen[(1, 2)]
+        # vertex 2 leads after step 1; vertex 1 ties it at step 2 and takes I_n
+        assert late.max_series.tolist() == [1, 2, 2]
+        assert late.argmax_series.tolist() == [1, 2, 1]
+        # vertex 1 leads; vertex 2 ties it but does not take I_n
+        assert early.argmax_series.tolist() == [1, 1, 1]
+
+
+def _reference_loop(cfg, snapshot_steps):
+    """One step at a time, from the sampler's own up-front draws.
+
+    Keeps the endpoint list (edge e as entries 2e, 2e + 1: target, new
+    vertex), the degrees and the running maximum with its smallest-label
+    tie-break, exactly as a per-step chain would.
+    """
+    x, uniform, pick = _draw_steps(cfg, np.random.default_rng(cfg.seed))
+    ends, deg = [1, 2], [0, 1, 1]
+    peak, arg = 1, 1
+    rec = {"steps": [], "max": [], "arg": [], "probes": {v: [] for v in cfg.probe_vertices}}
+    snaps = {}
+
+    def record(k):
+        rec["steps"].append(k)
+        rec["max"].append(peak)
+        rec["arg"].append(arg)
+        for v in cfg.probe_vertices:
+            rec["probes"][v].append(deg[v] if v < len(deg) else 0)
+
+    def snapshot(k):
+        if k in snapshot_steps:
+            counts = {}
+            for d in deg[1:]:
+                counts[d] = counts.get(d, 0) + 1
+            snaps[k] = counts
+
+    record(0)
+    snapshot(0)
+    for k in range(1, cfg.n + 1):
+        xk, p = int(x[k]), int(pick[k - 1])
+        i = p + 1 if uniform[k - 1] else ends[p]
+        ends.extend([i, k + 2] * xk)
+        deg[i] += xk
+        deg.append(xk)
+        if deg[i] > peak or (deg[i] == peak and i < arg):
+            peak, arg = deg[i], i
+        if xk > peak:
+            peak, arg = xk, k + 2
+        if k % cfg.record_stride == 0 or k == cfg.n:
+            record(k)
+        snapshot(k)
+    return ends, deg, rec, snaps
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize(
+        "law", [deterministic(1), deterministic(3), geometric(0.5), explicit([0.5, 0.3, 0.2])]
+    )
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 2.0])
+    def test_vectorised_pass_matches_the_step_loop_exactly(self, law, beta):
+        for seed, n in enumerate((0, 1, 2, 7, 60, 600)):
+            cfg = ModelConfig(
+                beta=beta,
+                edge_law=law,
+                n=n,
+                probe_vertices=(1, 2, 3, 9, 10**6),
+                record_stride=1 if seed % 2 else 3,
+                seed=seed,
+            )
+            wanted = (0, n // 3, n)
+            run = run_chain(cfg, snapshot_steps=wanted + (-1, n + 1))
+            ends, deg, rec, snaps = _reference_loop(cfg, wanted)
+            assert run.ledger.endpoints.tolist() == ends
+            assert run.ledger.degrees.tolist() == deg[1:]
+            assert run.steps.tolist() == rec["steps"]
+            assert run.max_series.tolist() == rec["max"]
+            assert run.argmax_series.tolist() == rec["arg"]
+            assert {v: s.tolist() for v, s in run.probes.items()} == rec["probes"]
+            assert run.snapshots == snaps
+            assert (run.ledger.max_degree, run.ledger.argmax) == (rec["max"][-1], rec["arg"][-1])
+
+    @pytest.mark.parametrize(
+        ("law", "beta"), [(deterministic(1), 0.0), (geometric(0.5), 1.0)]
+    )
+    def test_degree_frequencies_approach_the_limit_spectrum(self, law, beta):
+        # the sampling noise at this n is about 0.003 in TV; the spectrum of
+        # the other offset (beta = 1 vs 0) is 0.04-0.07 away
+        run = run_chain(ModelConfig(beta=beta, edge_law=law, n=200_000, seed=12))
+        dist = distribution_distance(empirical_distribution(run.ledger), pi_recursive(law, beta, 60))
+        assert dist.tv_core < 0.008
 
 
 class TestConfigValidation:

@@ -6,7 +6,7 @@ import numpy as np
 
 from prefattach.analysis import empirical_distribution
 from prefattach.branching import run_embedding, tau_diagnostics
-from prefattach.graph import ModelConfig, init_graph
+from prefattach.graph import DegreeLedger
 from prefattach.laws import deterministic, geometric
 from prefattach.outputs import (
     write_degree_distribution,
@@ -22,7 +22,7 @@ from prefattach.theory import pi_quadrature, pi_recursive
 
 class TestDegreeDistributionFile:
     def test_starting_graph_row_is_rendered_exactly(self, tmp_path):
-        led = init_graph(ModelConfig(beta=0.0, edge_law=deterministic(1), n=4))
+        led = DegreeLedger.from_degrees([1, 1])
         emp = empirical_distribution(led.counts, n=0)
         spec = pi_recursive(deterministic(1), 0.0, 1)
         path = tmp_path / "dd.csv"
@@ -33,7 +33,7 @@ class TestDegreeDistributionFile:
         )
 
     def test_rows_extend_to_the_spectrum_even_without_counts(self, tmp_path):
-        led = init_graph(ModelConfig(beta=0.0, edge_law=deterministic(1), n=4))
+        led = DegreeLedger.from_degrees([1, 1])
         emp = empirical_distribution(led.counts, n=0)
         spec = pi_recursive(deterministic(1), 0.0, 3)
         path = tmp_path / "dd.csv"

@@ -27,6 +27,15 @@ def test_unknown_check_name_is_rejected():
         VerifySession(profile="theory").run(names=("not-a-check",))
 
 
+@pytest.mark.parametrize(
+    "thresholds", [{"not-a-check": 1.0}, {"degree-lln.bogus": 1.0}, {"degree-lln": "x"}]
+)
+def test_bad_threshold_overrides_are_rejected(thresholds):
+    with pytest.raises(RangeError) as err:
+        VerifySession(profile="theory", thresholds=thresholds)
+    assert err.value.field == f"thresholds.{next(iter(thresholds))}"
+
+
 class TestTheoryProfile:
     def test_runs_only_the_deterministic_checks(self):
         report = VerifySession(profile="theory").run()
