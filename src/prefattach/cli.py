@@ -18,7 +18,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -32,7 +31,7 @@ from .analysis import (
     tail_fit,
     trajectory_limit_check,
 )
-from .branching import run_embedding, tau_diagnostics
+from .branching import tau_diagnostics
 from .config import ExperimentConfig, parse_config
 from .errors import InsufficientBins, PrefattachError
 from .outputs import (
@@ -44,9 +43,8 @@ from .outputs import (
     write_trajectories,
 )
 from .replicate import replicate
-from .streams import substream
-from .theory import pi_quadrature, pi_recursive, theta
-from .verify import VerifySession
+from .theory import pi_quadrature, pi_recursive
+from .verify import PROFILES, VerifySession
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -58,13 +56,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, help="master seed")
     sub.add_argument("--jmax", type=int, help="spectrum truncation degree")
     sub.add_argument("--out", help="output directory (default: results)")
-    sub.add_argument(
-        "--profile", choices=("quick", "full", "theory"), help="verification profile"
-    )
+    sub.add_argument("--profile", choices=PROFILES, help="verification profile")
     sub.add_argument("--parallelism", type=int, help="max concurrent workers")
     sub.add_argument("--stride", type=int, help="trajectory recording stride")
     sub.add_argument("--probes", help="comma-separated probe vertex labels")
-    sub.add_argument("--horizon", type=float, help="time horizon for size processes")
     sub.add_argument(
         "--threshold",
         action="append",
@@ -95,7 +90,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         "parallelism": args.parallelism,
         "stride": args.stride,
         "probes": args.probes,
-        "horizon": args.horizon,
         "thresholds": thresholds,
     }
     return parse_config(args.config, overrides)
@@ -103,6 +97,24 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _spectrum_for(cfg: ExperimentConfig):
     return pi_recursive(cfg.model.edge_law, cfg.model.beta, cfg.j_max)
+
+
+def _write_chain_files(out: str, emp, spectrum, first) -> None:
+    """degree_distribution.csv for the pooled runs; trajectories.csv and
+    max_degree.csv for the first replicate."""
+    write_degree_distribution(
+        os.path.join(out, "degree_distribution.csv"), emp, spectrum
+    )
+    write_trajectories(
+        os.path.join(out, "trajectories.csv"), first.steps, first.probes, spectrum.theta
+    )
+    write_max_degree(
+        os.path.join(out, "max_degree.csv"),
+        first.steps,
+        first.max_series,
+        first.argmax_series,
+        spectrum.theta,
+    )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -118,21 +130,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         agg.pooled_counts, n=cfg.model.n * cfg.replications
     )
     out = cfg.out_dir
-    write_degree_distribution(
-        os.path.join(out, "degree_distribution.csv"), emp, spectrum
-    )
-    first = agg.replicates[0]
-    expo = spectrum.theta
-    write_trajectories(
-        os.path.join(out, "trajectories.csv"), first.steps, first.probes, expo
-    )
-    write_max_degree(
-        os.path.join(out, "max_degree.csv"),
-        first.steps,
-        first.max_series,
-        first.argmax_series,
-        expo,
-    )
+    _write_chain_files(out, emp, spectrum, agg.replicates[0])
     print(
         f"simulate: {cfg.replications} run(s) of n={cfg.model.n}, "
         f"law={cfg.model.edge_law.label()}, beta={cfg.model.beta:g} -> {out}/"
@@ -204,7 +202,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     spectrum = _spectrum_for(cfg)
     emp = empirical_distribution(agg.pooled_counts, n=cfg.model.n * cfg.replications)
     dist = distribution_distance(emp, spectrum)
-    first = agg.replicates[0]
     expo = spectrum.theta
     summary: dict = {
         "law": cfg.model.edge_law.label(),
@@ -242,24 +239,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     summary["runs"] = per_run
 
     out = cfg.out_dir
-    write_degree_distribution(
-        os.path.join(out, "degree_distribution.csv"), emp, spectrum
-    )
-    write_trajectories(
-        os.path.join(out, "trajectories.csv"), first.steps, first.probes, expo
-    )
-    write_max_degree(
-        os.path.join(out, "max_degree.csv"),
-        first.steps,
-        first.max_series,
-        first.argmax_series,
-        expo,
-    )
-    path = os.path.join(out, "analysis.json")
-    os.makedirs(out, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_chain_files(out, emp, spectrum, agg.replicates[0])
+    write_report(os.path.join(out, "analysis.json"), summary)
     print(
         f"analyze: tv_core={dist.tv_core:.4g} (+{dist.remainder:.2g} remainder), "
         f"theta={expo:.4g} -> {out}/analysis.json"

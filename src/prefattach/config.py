@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import ParseError, RangeError
 from .graph import ModelConfig
 from .laws import validate_edge_law
-from .verify import validate_thresholds
-
-_PROFILES = ("quick", "full", "theory")
+from .theory import MIN_QUAD_STEPS
+from .verify import PROFILES, validate_thresholds
 
 # JSON/flag keys understood by parse_config, with their defaults.
 _DEFAULTS: dict[str, Any] = {
@@ -29,7 +29,6 @@ _DEFAULTS: dict[str, Any] = {
     "quad_steps": 20000,
     "fit_j_min": 3,
     "fit_j_max": 30,
-    "horizon": 8.0,
     "profile": "full",
     "thresholds": {},
 }
@@ -48,26 +47,8 @@ class ExperimentConfig:
     quad_steps: int = 20000
     fit_j_min: int = 3
     fit_j_max: int = 30
-    horizon: float = 8.0
     profile: str = "full"
     thresholds: dict = field(default_factory=dict)
-
-    def describe(self) -> dict:
-        """JSON-ready summary (used in report.json)."""
-        return {
-            "law": self.model.edge_law.label(),
-            "beta": self.model.beta,
-            "n": self.model.n,
-            "seed": self.model.seed,
-            "probes": list(self.model.probe_vertices),
-            "stride": self.model.record_stride,
-            "reps": self.replications,
-            "parallelism": self.parallelism,
-            "out": self.out_dir,
-            "jmax": self.j_max,
-            "profile": self.profile,
-            "thresholds": dict(self.thresholds),
-        }
 
 
 def parse_config(
@@ -125,12 +106,20 @@ def parse_config(
     j_max = int(merged["jmax"])
     if j_max < 1:
         raise RangeError("run.jmax", "must be >= 1")
+    y_max = None if merged["ymax"] is None else float(merged["ymax"])
+    if y_max is not None and not (math.isfinite(y_max) and y_max >= 0):
+        raise RangeError("run.ymax", "must be finite and >= 0")
+    quad_steps = int(merged["quad_steps"])
+    if quad_steps < MIN_QUAD_STEPS:
+        raise RangeError("run.quad_steps", f"need at least {MIN_QUAD_STEPS} steps")
+    fit_j_min, fit_j_max = int(merged["fit_j_min"]), int(merged["fit_j_max"])
+    if fit_j_min < 1:
+        raise RangeError("run.fit_j_min", "must be >= 1")
+    if fit_j_max <= fit_j_min:
+        raise RangeError("run.fit_j_max", f"must exceed fit_j_min = {fit_j_min}")
     profile = str(merged["profile"])
-    if profile not in _PROFILES:
-        raise RangeError("run.profile", f"must be one of {_PROFILES}")
-    horizon = float(merged["horizon"])
-    if horizon < 0:
-        raise RangeError("run.horizon", "must be >= 0")
+    if profile not in PROFILES:
+        raise RangeError("run.profile", f"must be one of {PROFILES}")
     thresholds = merged["thresholds"]
     if not isinstance(thresholds, Mapping):
         raise ParseError("thresholds must be a mapping of check name to bound")
@@ -142,11 +131,10 @@ def parse_config(
         parallelism=par,
         out_dir=str(merged["out"]),
         j_max=j_max,
-        y_max=None if merged["ymax"] is None else float(merged["ymax"]),
-        quad_steps=int(merged["quad_steps"]),
-        fit_j_min=int(merged["fit_j_min"]),
-        fit_j_max=int(merged["fit_j_max"]),
-        horizon=horizon,
+        y_max=y_max,
+        quad_steps=quad_steps,
+        fit_j_min=fit_j_min,
+        fit_j_max=fit_j_max,
         profile=profile,
         thresholds=thresholds,
     )

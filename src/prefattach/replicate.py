@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -130,7 +131,8 @@ def replicate(
     """Run ``replications`` independent chains (or embeddings) and merge.
 
     ``master_seed`` defaults to the model's seed; replicate r actually runs
-    with seed mix64(master_seed, r).
+    with seed mix64(master_seed, r).  At most min(parallelism, replications,
+    cpu count) worker processes run; with one, everything runs in-process.
     """
     if task not in ("simulate", "embed"):
         raise RangeError("task", f"unknown task {task!r}")
@@ -140,9 +142,10 @@ def replicate(
     worker = _chain_worker if task == "simulate" else _embed_worker
     jobs = [(model, seed, r) for r in range(replications)]
 
-    if parallelism > 1 and replications > 1:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(worker, jobs, chunksize=max(1, replications // (4 * parallelism))))
+    workers = min(parallelism, replications, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(worker, jobs, chunksize=max(1, replications // (4 * workers))))
     else:
         results = [worker(job) for job in jobs]
     results.sort(key=lambda s: s.index)

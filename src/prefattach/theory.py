@@ -47,6 +47,7 @@ from .errors import (
 from .laws import EdgeCountDistribution, validate_edge_law
 
 _Y_MAX_MASS = 1e-12  # default domain cutoff: exp(-rate * y_max) below this
+MIN_QUAD_STEPS = 1000  # fewest integration steps pi_quadrature accepts
 
 
 def theta(m: float, beta: float) -> float:
@@ -174,8 +175,8 @@ def pi_quadrature(
     law = validate_edge_law(edge_law)
     if j_max < 1:
         raise RangeError("j_max", "must be >= 1")
-    if steps < 1000:
-        raise RangeError("steps", "need at least 1000 integration steps")
+    if steps < MIN_QUAD_STEPS:
+        raise RangeError("steps", f"need at least {MIN_QUAD_STEPS} integration steps")
     if not np.isfinite(beta) or beta < 0:
         raise RangeError("beta", f"must be finite and >= 0, got {beta}")
     m = law.mean

@@ -1,30 +1,23 @@
 """The acceptance-check suite: every headline limit theorem, desk-scale.
 
-Each check produces a CheckResult with a self-describing claim, the measured
-value, the bound it is held to, and pass/fail.  VerifySession owns the
-expensive shared artifacts (the large chain run, the run ensembles) so
-checks can share them; all randomness derives from one master seed through
-fixed substream indices, so a report is reproducible byte-for-byte.
+``CATALOGUE`` lists the checks in report order, one ``Check`` record each:
+name, claim, comparison, threshold defaults and the dotted sub-parameters a
+threshold override may move.  ``ALL_CHECKS``, the profiles and their check
+lists, and the accepted threshold keys all derive from it.
 
-Check names and their headline thresholds (override via the thresholds
-mapping, key "<check-name>" or "<check-name>.<param>"):
-
-  explicit-spectrum-crosscheck   recursion vs closed form      1e-12
-  dual-route-pi                  recursion vs quadrature       1e-6
-  degree-lln                     TV(frequencies, spectrum)     0.01
-  tail-exponent                  log-log slope bands           0.15/0.2/0.4
-  moment-dichotomy               verdict agreement fraction    1.0
-  growth-exponents               plateau pass fraction         0.85
-  index-freezing                 frozen-run fraction           0.85
-  embedding-equivalence          chi-square p floor            0.001
-  event-time-asymptotics         tau_1 mean / drift / S_n      3 sigma / 0.1 / 0.05
-  scaled-size-limit              plateau pass fraction         0.90
+VerifySession owns the expensive shared artifacts (the large chain run, the
+run ensembles) so checks can share them, and its ``run`` is the one runner:
+it calls each ``check_<name>`` with its thresholds, times it, applies the
+catalogue's runtime bound and builds the CheckResult.  All randomness
+derives from one master seed through fixed substream indices, so a report
+is reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -57,33 +50,99 @@ from .theory import moment_profile, pi_explicit, pi_quadrature, pi_recursive
 
 DEFAULT_MASTER_SEED = 20260815
 
-_PROFILE_CHECKS = {
-    "theory": (
+
+@dataclass(frozen=True)
+class Check:
+    """One catalogue entry: what a check claims and the bounds it starts from.
+
+    A default is one number for every profile, or a pair (full, quick) where
+    the quick profile relaxes it; the theory profile uses the full defaults.
+    ``params`` maps each sub-parameter, overridden as "<name>.<param>", to
+    its default; a "runtime" entry holds the check to that many seconds.
+    """
+
+    name: str
+    claim: str
+    comparison: str
+    threshold: float | tuple[float, float]
+    params: Mapping[str, float | tuple[float, float]] = field(default_factory=dict)
+    theory: bool = False  # part of the theory profile
+
+    def defaults(self, quick: bool) -> dict[str, float]:
+        """Every threshold key of this check with its default at one scale."""
+
+        def pick(value):
+            return value[quick] if isinstance(value, tuple) else value
+
+        out = {self.name: pick(self.threshold)}
+        out.update({f"{self.name}.{p}": pick(v) for p, v in self.params.items()})
+        return out
+
+
+CATALOGUE = (
+    Check(
         "explicit-spectrum-crosscheck",
-        "dual-route-pi",
-        "tail-exponent",
-        "moment-dichotomy",
+        "recursion reproduces the closed-form spectrum for fixed edge counts",
+        "<=", 1e-12, {"runtime": 1.0}, theory=True,
     ),
-    "quick": None,  # None -> all
-    "full": None,
-}
+    Check(
+        "dual-route-pi",
+        "recursion and direct quadrature agree on the limit spectrum",
+        "<=", 1e-6, {"runtime": 30.0}, theory=True,
+    ),
+    Check(
+        "degree-lln",
+        "degree frequencies converge to the limit spectrum",
+        "<=", (0.01, 0.06), {"r1": (0.01, 0.04), "runtime": 60.0},
+    ),
+    # The headline key bounds the empirical slope gap; the reported value is
+    # the largest gap-to-band ratio, held to 1.
+    Check(
+        "tail-exponent",
+        "tail decay exponent matches 3 + beta/m",
+        "<=", (0.4, 0.7), {"band_beta0": 0.15, "band_beta1": 0.2}, theory=True,
+    ),
+    Check(
+        "moment-dichotomy",
+        "moment partial sums split at s = 2 + beta/m (boundary diverges)",
+        ">=", 1.0, theory=True,
+    ),
+    Check(
+        "growth-exponents",
+        "fixed-vertex and maximum degrees grow like n^theta with a plateau",
+        ">=", (0.85, 0.7), {"trajectory_osc": 0.2, "max_osc": 0.25, "runtime": 300.0},
+    ),
+    Check(
+        "index-freezing",
+        "the maximal-degree vertex index eventually freezes",
+        ">=", (0.85, 0.7),
+    ),
+    Check(
+        "embedding-equivalence",
+        "discrete chain and event-clock construction share one degree law",
+        ">", 0.001, {"calibration_ks": (0.1, 0.25)},
+    ),
+    Check(
+        "event-time-asymptotics",
+        "event times follow the 1/S drift and alpha log n asymptotics",
+        ">=", (0.90, 0.8),
+        {"tau1_sigmas": 3.0, "drift_osc": 0.1, "sn": 0.05, "runtime": 300.0},
+    ),
+    Check(
+        "scaled-size-limit",
+        "scaled size D(t)e^{-mt} settles on a positive limit",
+        ">=", (0.90, 0.8), {"osc": 0.05},
+    ),
+)
 
-# The checks in report order, each with the sub-parameters that a dotted
-# threshold override "<check>.<param>" may move.
-THRESHOLD_PARAMS = {
-    "explicit-spectrum-crosscheck": ("runtime",),
-    "dual-route-pi": ("runtime",),
-    "degree-lln": ("r1", "runtime"),
-    "tail-exponent": ("band_beta0", "band_beta1"),
-    "moment-dichotomy": (),
-    "growth-exponents": ("trajectory_osc", "max_osc", "runtime"),
-    "index-freezing": (),
-    "embedding-equivalence": ("calibration_ks",),
-    "event-time-asymptotics": ("tau1_sigmas", "drift_osc", "sn", "runtime"),
-    "scaled-size-limit": ("osc",),
+_BY_NAME = {c.name: c for c in CATALOGUE}
+ALL_CHECKS = tuple(_BY_NAME)
+PROFILE_CHECKS = {
+    "quick": ALL_CHECKS,
+    "full": ALL_CHECKS,
+    "theory": tuple(c.name for c in CATALOGUE if c.theory),
 }
-
-ALL_CHECKS = tuple(THRESHOLD_PARAMS)
+PROFILES = tuple(PROFILE_CHECKS)
 
 
 def validate_thresholds(thresholds: Mapping) -> dict[str, float]:
@@ -96,9 +155,9 @@ def validate_thresholds(thresholds: Mapping) -> dict[str, float]:
     for key, value in thresholds.items():
         field_path = f"thresholds.{key}"
         head, dot, param = str(key).partition(".")
-        if head not in THRESHOLD_PARAMS:
+        if head not in _BY_NAME:
             raise RangeError(field_path, f"unknown check {head!r}")
-        if dot and param not in THRESHOLD_PARAMS[head]:
+        if dot and param not in _BY_NAME[head].params:
             raise RangeError(field_path, f"unknown parameter {param!r} of {head}")
         try:
             out[str(key)] = float(value)
@@ -172,15 +231,19 @@ class VerifySession:
         parallelism: int = 1,
         thresholds: dict | None = None,
     ):
-        if profile not in _PROFILE_CHECKS:
+        if profile not in PROFILE_CHECKS:
             raise RangeError("profile", f"unknown profile {profile!r}")
         self.profile = profile
         self.master_seed = int(master_seed)
         self.parallelism = max(1, int(parallelism))
         self.thresholds = validate_thresholds(thresholds or {})
         self._cache: dict[str, object] = {}
-        # profile scales
         full = profile != "quick"
+        # every threshold key with its default at this profile's scale
+        self.defaults = {
+            key: value for c in CATALOGUE for key, value in c.defaults(not full).items()
+        }
+        # profile scales
         self.lln_n = 10**6 if full else 10**4
         self.ensemble_reps = 100 if full else 20
         self.ensemble_n = 10**5 if full else 10**4
@@ -195,22 +258,18 @@ class VerifySession:
         self.sn_n = 10**5 if full else 60_000
         self.zeta_runs = 10**4 if full else 500
         self.moment_j_max = 5000 if full else 2000
-        # quick keeps the same thresholds where the property is scale-free
-        # (pass fractions, slopes bands widened) and relaxes the LLN gaps.
-        self.lln_tv_tol = 0.01 if full else 0.06
-        self.lln_r1_tol = 0.01 if full else 0.04
-        self.emp_slope_tol = 0.4 if full else 0.7
-        self.pass_rate_growth = 0.85 if full else 0.7
-        self.pass_rate_freeze = 0.85 if full else 0.7
-        self.pass_rate_drift = 0.90 if full else 0.8
-        self.pass_rate_zeta = 0.90 if full else 0.8
-        self.calib_ks_tol = 0.1 if full else 0.25
 
     # -- helpers ---------------------------------------------------------
 
-    def _thr(self, key: str, default: float) -> float:
-        """Threshold for ``key`` ("check" or "check.param"), override-aware."""
-        return self.thresholds.get(key, default)
+    def _limits(self, check: Check) -> SimpleNamespace:
+        """A check's thresholds after overrides: ``headline`` plus one
+        attribute per sub-parameter."""
+
+        def get(key):
+            return self.thresholds.get(key, self.defaults[key])
+
+        params = {p: get(f"{check.name}.{p}") for p in check.params}
+        return SimpleNamespace(headline=get(check.name), **params)
 
     def _rng(self, stream: int) -> np.random.Generator:
         return substream(self.master_seed, stream)
@@ -257,11 +316,11 @@ class VerifySession:
             )
         return self._cache["ensemble"]
 
-    # -- checks ------------------------------------------------------------
+    # -- checks: each takes its thresholds (see _limits) and returns
+    # (value, threshold, passed, detail) -----------------------------------
 
-    def check_explicit_spectrum_crosscheck(self) -> CheckResult:
-        t0 = time.perf_counter()
-        tol = self._thr("explicit-spectrum-crosscheck", 1e-12)
+    def check_explicit_spectrum_crosscheck(self, thr):
+        tol = thr.headline
         worst = 0.0
         per_combo = {}
         for x0 in (1, 2, 3):
@@ -273,26 +332,11 @@ class VerifySession:
                 gap = float(np.max(np.abs(spec.pi - closed)))
                 per_combo[f"x0={x0},beta={beta:g}"] = gap
                 worst = max(worst, gap)
-        elapsed = time.perf_counter() - t0
-        runtime_bound = self._thr("explicit-spectrum-crosscheck.runtime", 1.0)
-        return CheckResult(
-            name="explicit-spectrum-crosscheck",
-            claim="recursion reproduces the closed-form spectrum for fixed edge counts",
-            value=worst,
-            threshold=tol,
-            comparison="<=",
-            passed=worst <= tol and elapsed < runtime_bound,
-            detail={
-                "per_combo_max_abs_gap": per_combo,
-                "j_max": 300,
-                "elapsed_s": elapsed,
-                "runtime_bound_s": runtime_bound,
-            },
-        )
+        detail = {"per_combo_max_abs_gap": per_combo, "j_max": 300}
+        return worst, tol, worst <= tol, detail
 
-    def check_dual_route_pi(self) -> CheckResult:
-        t0 = time.perf_counter()
-        tol = self._thr("dual-route-pi", 1e-6)
+    def check_dual_route_pi(self, thr):
+        tol = thr.headline
         laws = [deterministic(1), deterministic(2), explicit([0.5, 0.5]), geometric(0.5)]
         worst = 0.0
         per_combo = {}
@@ -303,25 +347,10 @@ class VerifySession:
                 gap = float(np.max(np.abs(spec.pi - quad)))
                 per_combo[f"{law.label()},beta={beta:g}"] = gap
                 worst = max(worst, gap)
-        elapsed = time.perf_counter() - t0
-        runtime_bound = self._thr("dual-route-pi.runtime", 30.0)
-        return CheckResult(
-            name="dual-route-pi",
-            claim="recursion and direct quadrature agree on the limit spectrum",
-            value=worst,
-            threshold=tol,
-            comparison="<=",
-            passed=worst <= tol and elapsed < runtime_bound,
-            detail={
-                "per_combo_max_abs_gap": per_combo,
-                "j_max": 100,
-                "elapsed_s": elapsed,
-                "runtime_bound_s": runtime_bound,
-            },
-        )
+        detail = {"per_combo_max_abs_gap": per_combo, "j_max": 100}
+        return worst, tol, worst <= tol, detail
 
-    def check_degree_lln(self) -> CheckResult:
-        t0 = time.perf_counter()
+    def check_degree_lln(self, thr):
         run = self.lln_run()
         n = run.config.n
         spec = pi_recursive(deterministic(1), 0.0, 50)
@@ -333,41 +362,25 @@ class VerifySession:
             tvs.append(distribution_distance(emp, spec).tv_core)
         r1_over_n = run.ledger.counts.get(1, 0) / n
         r1_gap = abs(r1_over_n - 2.0 / 3.0)
-        tv_tol = self._thr("degree-lln", self.lln_tv_tol)
-        r1_tol = self._thr("degree-lln.r1", self.lln_r1_tol)
+        tv_tol = thr.headline
+        r1_tol = thr.r1
         decreasing = all(a > b for a, b in zip(tvs, tvs[1:]))
-        elapsed = time.perf_counter() - t0
-        runtime_bound = self._thr("degree-lln.runtime", 60.0)
-        return CheckResult(
-            name="degree-lln",
-            claim="degree frequencies converge to the limit spectrum",
-            value=tvs[-1],
-            threshold=tv_tol,
-            comparison="<=",
-            passed=(
-                tvs[-1] <= tv_tol
-                and r1_gap <= r1_tol
-                and decreasing
-                and elapsed < runtime_bound
-            ),
-            detail={
-                "tv_by_scale": dict(zip(map(str, scales), tvs)),
-                "tv_strictly_decreasing": decreasing,
-                "r1_over_n": r1_over_n,
-                "r1_gap": r1_gap,
-                "r1_tol": r1_tol,
-                "elapsed_s": elapsed,
-                "runtime_bound_s": runtime_bound,
-            },
-        )
+        passed = tvs[-1] <= tv_tol and r1_gap <= r1_tol and decreasing
+        return tvs[-1], tv_tol, passed, {
+            "tv_by_scale": dict(zip(map(str, scales), tvs)),
+            "tv_strictly_decreasing": decreasing,
+            "r1_over_n": r1_over_n,
+            "r1_gap": r1_gap,
+            "r1_tol": r1_tol,
+        }
 
-    def check_tail_exponent(self) -> CheckResult:
+    def check_tail_exponent(self, thr):
         spec0 = pi_recursive(deterministic(1), 0.0, 500)
         spec1 = pi_recursive(deterministic(1), 1.0, 500)
         fit0 = tail_fit(spec0, 20, 500)
         fit1 = tail_fit(spec1, 20, 500)
-        band0 = self._thr("tail-exponent.band_beta0", 0.15)
-        band1 = self._thr("tail-exponent.band_beta1", 0.2)
+        band0 = thr.band_beta0
+        band1 = thr.band_beta1
         gap0 = abs(fit0.slope - (-3.0))
         gap1 = abs(fit1.slope - (-4.0))
         detail = {
@@ -384,7 +397,7 @@ class VerifySession:
             emp = empirical_distribution(run.ledger)
             emp_fit = tail_fit(emp, 3, 30)
             th_fit = tail_fit(spec0, 3, 30)
-            emp_tol = self._thr("tail-exponent", self.emp_slope_tol)
+            emp_tol = thr.headline
             emp_gap = abs(emp_fit.slope - th_fit.slope)
             detail.update(
                 {
@@ -397,55 +410,34 @@ class VerifySession:
             )
             ok = ok and emp_gap <= emp_tol
             value = max(value, emp_gap / emp_tol)
+        return value, 1.0, ok, detail
 
-        return CheckResult(
-            name="tail-exponent",
-            claim="tail decay exponent matches 3 + beta/m",
-            value=value,
-            threshold=1.0,
-            comparison="<=",
-            passed=ok,
-            detail=detail,
-        )
-
-    def check_moment_dichotomy(self) -> CheckResult:
-        t0 = time.perf_counter()
+    def check_moment_dichotomy(self, thr):
         spec = pi_recursive(deterministic(1), 0.0, self.moment_j_max)
         s_values = (0.0, 1.0, 1.9, 2.0, 2.5)
         expected = ("plateauing", "plateauing", "plateauing", "diverging", "diverging")
         curves = moment_profile(spec, s_values)
         got = tuple(c.verdict for c in curves)
         agree = sum(g == e for g, e in zip(got, expected)) / len(expected)
-        tol = self._thr("moment-dichotomy", 1.0)
-        elapsed = time.perf_counter() - t0
-        return CheckResult(
-            name="moment-dichotomy",
-            claim="moment partial sums split at s = 2 + beta/m (boundary diverges)",
-            value=agree,
-            threshold=tol,
-            comparison=">=",
-            passed=agree >= tol,
-            detail={
-                "j_max": self.moment_j_max,
-                "verdicts": {
-                    str(c.s): {
-                        "verdict": c.verdict,
-                        "expected": e,
-                        "increment_slope": c.increment_slope,
-                        "last_decade_increase": c.last_decade_increase,
-                    }
-                    for c, e in zip(curves, expected)
-                },
-                "elapsed_s": elapsed,
+        tol = thr.headline
+        return agree, tol, agree >= tol, {
+            "j_max": self.moment_j_max,
+            "verdicts": {
+                str(c.s): {
+                    "verdict": c.verdict,
+                    "expected": e,
+                    "increment_slope": c.increment_slope,
+                    "last_decade_increase": c.last_decade_increase,
+                }
+                for c, e in zip(curves, expected)
             },
-        )
+        }
 
-    def check_growth_exponents(self) -> CheckResult:
-        t0 = time.perf_counter()
+    def check_growth_exponents(self, thr):
         agg = self.ensemble()
-        osc_traj = self._thr("growth-exponents.trajectory_osc", 0.2)
-        osc_max = self._thr("growth-exponents.max_osc", 0.25)
-        rate = self._thr("growth-exponents", self.pass_rate_growth)
+        osc_traj = thr.trajectory_osc
+        osc_max = thr.max_osc
+        rate = thr.headline
         traj_pass = max_pass = 0
         levels_ok = True
         worst_level = float("inf")
@@ -462,33 +454,19 @@ class VerifySession:
         frac_traj = traj_pass / n_rep
         frac_max = max_pass / n_rep
         value = min(frac_traj, frac_max)
-        elapsed = time.perf_counter() - t0
-        runtime_bound = self._thr("growth-exponents.runtime", 300.0)
-        return CheckResult(
-            name="growth-exponents",
-            claim="fixed-vertex and maximum degrees grow like n^theta with a plateau",
-            value=value,
-            threshold=rate,
-            comparison=">=",
-            passed=(
-                value >= rate and levels_ok and elapsed < runtime_bound
-            ),
-            detail={
-                "runs": n_rep,
-                "n": self.ensemble_n,
-                "trajectory_pass_fraction": frac_traj,
-                "max_degree_pass_fraction": frac_max,
-                "oscillation_bounds": [osc_traj, osc_max],
-                "all_levels_positive": levels_ok,
-                "worst_level": worst_level,
-                "elapsed_s": elapsed,
-                "runtime_bound_s": runtime_bound,
-            },
-        )
+        return value, rate, value >= rate and levels_ok, {
+            "runs": n_rep,
+            "n": self.ensemble_n,
+            "trajectory_pass_fraction": frac_traj,
+            "max_degree_pass_fraction": frac_max,
+            "oscillation_bounds": [osc_traj, osc_max],
+            "all_levels_positive": levels_ok,
+            "worst_level": worst_level,
+        }
 
-    def check_index_freezing(self) -> CheckResult:
+    def check_index_freezing(self, thr):
         agg = self.ensemble()
-        rate = self._thr("index-freezing", self.pass_rate_freeze)
+        rate = thr.headline
         frozen = 0
         fractions = []
         for rep in agg.replicates:
@@ -496,21 +474,12 @@ class VerifySession:
             fractions.append(rep_frozen)
             frozen += rep_frozen >= 0.5
         frac = frozen / len(agg.replicates)
-        return CheckResult(
-            name="index-freezing",
-            claim="the maximal-degree vertex index eventually freezes",
-            value=frac,
-            threshold=rate,
-            comparison=">=",
-            passed=frac >= rate,
-            detail={
-                "runs": len(agg.replicates),
-                "median_frozen_fraction": float(np.median(fractions)),
-            },
-        )
+        return frac, rate, frac >= rate, {
+            "runs": len(agg.replicates),
+            "median_frozen_fraction": float(np.median(fractions)),
+        }
 
-    def check_embedding_equivalence(self) -> CheckResult:
-        t0 = time.perf_counter()
+    def check_embedding_equivalence(self, thr):
         model = ModelConfig(
             beta=0.0,
             edge_law=deterministic(1),
@@ -533,35 +502,25 @@ class VerifySession:
             parallelism=self.parallelism,
         )
         result = embedding_equivalence_test(chains.pooled_counts, embeds.pooled_counts)
-        p_floor = self._thr("embedding-equivalence", 0.001)
+        p_floor = thr.headline
         pvals = split_half_pvalues(
             chains.pooled_counts, self.calib_trials, self._rng(888)
         )
         ks = uniformity_ks(pvals)
-        ks_tol = self._thr("embedding-equivalence.calibration_ks", self.calib_ks_tol)
-        elapsed = time.perf_counter() - t0
-        return CheckResult(
-            name="embedding-equivalence",
-            claim="discrete chain and event-clock construction share one degree law",
-            value=result.p_value,
-            threshold=p_floor,
-            comparison=">",
-            passed=result.p_value > p_floor and ks <= ks_tol,
-            detail={
-                "chi_square": result.statistic,
-                "dof": result.dof,
-                "bins": len(result.bins),
-                "replications": self.embed_eq_reps,
-                "n": self.embed_eq_n,
-                "calibration_trials": self.calib_trials,
-                "calibration_ks": ks,
-                "calibration_ks_tol": ks_tol,
-                "elapsed_s": elapsed,
-            },
-        )
+        ks_tol = thr.calibration_ks
+        passed = result.p_value > p_floor and ks <= ks_tol
+        return result.p_value, p_floor, passed, {
+            "chi_square": result.statistic,
+            "dof": result.dof,
+            "bins": len(result.bins),
+            "replications": self.embed_eq_reps,
+            "n": self.embed_eq_n,
+            "calibration_trials": self.calib_trials,
+            "calibration_ks": ks,
+            "calibration_ks_tol": ks_tol,
+        }
 
-    def check_event_time_asymptotics(self) -> CheckResult:
-        t0 = time.perf_counter()
+    def check_event_time_asymptotics(self, thr):
         law = deterministic(1)
         # (a) mean of tau_1 against 1/S_0 = 1/2, to 3 standard errors.
         rng = self._rng(9)
@@ -572,12 +531,12 @@ class VerifySession:
         mean_tau1 = float(tau1.mean())
         sigma = 0.5 / np.sqrt(reps)  # sd of Exp(2) is 1/2
         tau1_gap = abs(mean_tau1 - 0.5)
-        tau1_tol = self._thr("event-time-asymptotics.tau1_sigmas", 3.0) * sigma
+        tau1_tol = thr.tau1_sigmas * sigma
 
         # (b) tau_n - alpha log n settles: trailing oscillation < 0.1
         # in >= 90% of runs (alpha = 1/2 for X=1, beta=0).
         rng_b = self._rng(99)
-        osc_tol = self._thr("event-time-asymptotics.drift_osc", 0.1)
+        osc_tol = thr.drift_osc
         hits = 0
         oscs = []
         for _ in range(self.drift_reps):
@@ -586,62 +545,49 @@ class VerifySession:
             oscs.append(diag.log_drift_tail_osc)
             hits += diag.log_drift_tail_osc < osc_tol
         drift_frac = hits / self.drift_reps
-        drift_rate = self._thr("event-time-asymptotics", self.pass_rate_drift)
+        drift_rate = thr.headline
 
         # (c) S_n / n near 2m + beta at the large scale; X=1 beta=0 is the
         # pinned case (exact up to 2/n), geometric beta=1 exercises it with
         # real randomness.
-        sn_tol = self._thr("event-time-asymptotics.sn", 0.05)
+        sn_tol = thr.sn
         res1 = run_embedding(law, 0.0, self.sn_n, self._rng(999))
         sn_gap1 = abs(res1.s_values[-1] / self.sn_n - 2.0)
         res2 = run_embedding(geometric(0.5), 1.0, self.sn_n, self._rng(9999))
         sn_gap2 = abs(res2.s_values[-1] / self.sn_n - 5.0)
-        elapsed = time.perf_counter() - t0
-        runtime_bound = self._thr("event-time-asymptotics.runtime", 300.0)
 
         passed = (
             tau1_gap <= tau1_tol
             and drift_frac >= drift_rate
             and sn_gap1 <= sn_tol
             and sn_gap2 <= sn_tol
-            and elapsed < runtime_bound
         )
-        return CheckResult(
-            name="event-time-asymptotics",
-            claim="event times follow the 1/S drift and alpha log n asymptotics",
-            value=drift_frac,
-            threshold=drift_rate,
-            comparison=">=",
-            passed=passed,
-            detail={
-                "tau1_mean": mean_tau1,
-                "tau1_expected": 0.5,
-                "tau1_gap": tau1_gap,
-                "tau1_tol_3sigma": tau1_tol,
-                "tau1_runs": reps,
-                "drift_runs": self.drift_reps,
-                "drift_n": self.drift_n,
-                "drift_osc_bound": osc_tol,
-                "drift_median_osc": float(np.median(oscs)),
-                "sn_gap_det1_beta0": sn_gap1,
-                "sn_gap_geom_beta1": sn_gap2,
-                "sn_tol": sn_tol,
-                "elapsed_s": elapsed,
-                "runtime_bound_s": runtime_bound,
-            },
-        )
+        return drift_frac, drift_rate, passed, {
+            "tau1_mean": mean_tau1,
+            "tau1_expected": 0.5,
+            "tau1_gap": tau1_gap,
+            "tau1_tol_3sigma": tau1_tol,
+            "tau1_runs": reps,
+            "drift_runs": self.drift_reps,
+            "drift_n": self.drift_n,
+            "drift_osc_bound": osc_tol,
+            "drift_median_osc": float(np.median(oscs)),
+            "sn_gap_det1_beta0": sn_gap1,
+            "sn_gap_geom_beta1": sn_gap2,
+            "sn_tol": sn_tol,
+        }
 
-    def check_scaled_size_limit(self) -> CheckResult:
-        t0 = time.perf_counter()
+    def check_scaled_size_limit(self, thr):
         law = deterministic(1)
         horizon = 8.0
         initial = 10  # start away from the zeta ~ 0 mass; see claim detail
-        osc_tol = self._thr("scaled-size-limit.osc", 0.05)
-        rate = self._thr("scaled-size-limit", self.pass_rate_zeta)
+        osc_tol = thr.osc
+        rate = thr.headline
         detail = {
             "runs_per_beta": self.zeta_runs,
             "horizon": horizon,
             "initial_size": initial,
+            "osc_bound": osc_tol,
             "note": (
                 "relative plateau oscillation scales like 1/sqrt(limit); the "
                 "fixed initial size keeps the limit away from 0 so the stated "
@@ -671,32 +617,41 @@ class VerifySession:
             }
             value = min(value, frac)
             all_positive = all_positive and pos_frac == 1.0
-        elapsed = time.perf_counter() - t0
-        detail["elapsed_s"] = elapsed
-        detail["osc_bound"] = osc_tol
-        return CheckResult(
-            name="scaled-size-limit",
-            claim="scaled size D(t)e^{-mt} settles on a positive limit",
-            value=value,
-            threshold=rate,
-            comparison=">=",
-            passed=value >= rate and all_positive,
-            detail=detail,
-        )
+        return value, rate, value >= rate and all_positive, detail
 
     # -- driver ------------------------------------------------------------
 
     def run(self, names: tuple[str, ...] | None = None) -> ReportDocument:
-        chosen = names or _PROFILE_CHECKS[self.profile] or ALL_CHECKS
-        checks = []
-        for name in chosen:
-            if name not in THRESHOLD_PARAMS:
+        """Run the named checks (default: the profile's) in the given order.
+
+        The runner times each ``check_<name>`` call into ``elapsed_s``, holds
+        it to the "<name>.runtime" bound where the catalogue declares one,
+        and builds the JSON-safe CheckResult from the catalogue entry.
+        """
+        results = []
+        for name in names or PROFILE_CHECKS[self.profile]:
+            if name not in _BY_NAME:
                 raise RangeError("check", f"unknown check {name!r}")
-            result = getattr(self, "check_" + name.replace("-", "_"))()
-            result.detail = _json_safe(result.detail)
-            result.value = float(result.value)
-            result.passed = bool(result.passed)
-            checks.append(result)
+            check = _BY_NAME[name]
+            thr = self._limits(check)
+            t0 = time.perf_counter()
+            method = getattr(self, "check_" + name.replace("-", "_"))
+            value, threshold, passed, detail = method(thr)
+            detail["elapsed_s"] = elapsed = time.perf_counter() - t0
+            if "runtime" in check.params:
+                detail["runtime_bound_s"] = thr.runtime
+                passed = passed and elapsed < thr.runtime
+            results.append(
+                CheckResult(
+                    name,
+                    check.claim,
+                    float(value),
+                    float(threshold),
+                    check.comparison,
+                    bool(passed),
+                    _json_safe(detail),
+                )
+            )
         return ReportDocument(
             config={
                 "profile": self.profile,
@@ -704,5 +659,5 @@ class VerifySession:
                 "parallelism": self.parallelism,
                 "thresholds": dict(self.thresholds),
             },
-            checks=checks,
+            checks=results,
         )

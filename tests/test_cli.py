@@ -152,3 +152,17 @@ class TestUsageErrors:
         assert code == 2
         assert f"thresholds.{item.partition('=')[0]}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    def test_horizon_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--horizon", "123", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_reversed_fit_range_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"fit_j_min": 40, "fit_j_max": 30}))
+        out = tmp_path / "res"
+        code = main(["analyze", "--config", str(cfg), "--n", "200", "--out", str(out)])
+        assert code == 2
+        assert "run.fit_j_max" in capsys.readouterr().err
+        assert not out.exists()

@@ -19,7 +19,6 @@ class TestDefaults:
         assert cfg.out_dir == "results"
         assert cfg.j_max == 200
         assert cfg.profile == "full"
-        assert cfg.horizon == 8.0
 
     def test_stride_default_scales_with_run_length(self):
         cfg = parse_config(None, {"law": "det:1", "n": 5000})
@@ -69,6 +68,35 @@ class TestValidation:
         with pytest.raises(RangeError) as err:
             parse_config(None, {"law": "det:1", "profile": "nope"})
         assert err.value.field == "run.profile"
+
+    @pytest.mark.parametrize(
+        ("overrides", "field"),
+        [
+            ({"quad_steps": 5}, "run.quad_steps"),
+            ({"quad_steps": 999}, "run.quad_steps"),
+            ({"ymax": -0.5}, "run.ymax"),
+            ({"ymax": float("nan")}, "run.ymax"),
+            ({"fit_j_min": 0}, "run.fit_j_min"),
+            ({"fit_j_min": 40, "fit_j_max": 30}, "run.fit_j_max"),
+            ({"fit_j_min": 30, "fit_j_max": 30}, "run.fit_j_max"),
+        ],
+    )
+    def test_out_of_range_run_keys_name_their_field(self, overrides, field):
+        with pytest.raises(RangeError) as err:
+            parse_config(None, {"law": "det:1", **overrides})
+        assert err.value.field == field
+
+    def test_range_edges_are_accepted(self):
+        cfg = parse_config(
+            None, {"quad_steps": 1000, "ymax": 0, "fit_j_min": 1, "fit_j_max": 2}
+        )
+        assert (cfg.quad_steps, cfg.y_max, cfg.fit_j_min, cfg.fit_j_max) == (1000, 0.0, 1, 2)
+
+    def test_horizon_is_no_longer_a_config_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"law": "det:1", "horizon": 8.0}))
+        with pytest.raises(ParseError):
+            parse_config(str(path), {})
 
     def test_bad_law_string_propagates(self):
         with pytest.raises(ParseError):

@@ -1,13 +1,18 @@
 """Replication fan-out: determinism, pooling, and parallel equivalence."""
 
+import importlib
+import os
+
 import numpy as np
 import pytest
 
+from prefattach.cli import main
 from prefattach.errors import RangeError
 from prefattach.graph import ModelConfig, run_chain
 from prefattach.laws import deterministic
 from prefattach.replicate import replicate
 from prefattach.streams import mix64
+from prefattach.verify import VerifySession
 
 
 def _model(n=300, **kw):
@@ -80,3 +85,61 @@ class TestEmbedTask:
     def test_unknown_task_is_rejected(self):
         with pytest.raises(RangeError):
             replicate(_model(), 2, task="nope")
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap in a pool that records max_workers and maps in-process, on 4 CPUs."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    module = importlib.import_module("prefattach.replicate")
+    monkeypatch.setattr(module, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return sizes
+
+
+class TestPoolCap:
+    @pytest.mark.parametrize(
+        ("parallelism", "replications", "workers"),
+        [(10**9, 3, 3), (10**9, 10, 4), (2, 10, 2), (3, 3, 3)],
+    )
+    def test_pool_size_is_the_smallest_of_the_three(
+        self, pool_sizes, parallelism, replications, workers
+    ):
+        agg = replicate(_model(n=50), replications, master_seed=4, parallelism=parallelism)
+        assert pool_sizes == [workers]
+        assert agg.digest() == replicate(_model(n=50), replications, master_seed=4).digest()
+
+    @pytest.mark.parametrize(("parallelism", "replications"), [(10**9, 1), (1, 10)])
+    def test_one_worker_runs_in_process(self, pool_sizes, parallelism, replications):
+        replicate(_model(n=50), replications, parallelism=parallelism)
+        assert pool_sizes == []
+
+    def test_unknown_cpu_count_runs_in_process(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        replicate(_model(n=50), 5, parallelism=8)
+        assert pool_sizes == []
+
+    def test_cli_parallelism_is_capped(self, pool_sizes, tmp_path):
+        args = ["simulate", "--n", "50", "--reps", "3", "--parallelism", str(10**9)]
+        assert main(args + ["--out", str(tmp_path)]) == 0
+        assert pool_sizes == [3]
+
+    def test_verify_session_parallelism_is_capped(self, pool_sizes):
+        session = VerifySession(profile="quick", parallelism=10**9)
+        session.ensemble_n = 100
+        session.ensemble()
+        assert pool_sizes == [4]

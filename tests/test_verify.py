@@ -5,16 +5,67 @@ here we exercise the machinery itself at the cheap profiles.
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from prefattach.errors import RangeError
 from prefattach.verify import ALL_CHECKS, DEFAULT_MASTER_SEED, VerifySession
 
+# Every threshold key with its default, as (full, quick); theory uses full.
+REFERENCE_DEFAULTS = {
+    "explicit-spectrum-crosscheck": (1e-12, 1e-12),
+    "explicit-spectrum-crosscheck.runtime": (1.0, 1.0),
+    "dual-route-pi": (1e-6, 1e-6),
+    "dual-route-pi.runtime": (30.0, 30.0),
+    "degree-lln": (0.01, 0.06),
+    "degree-lln.r1": (0.01, 0.04),
+    "degree-lln.runtime": (60.0, 60.0),
+    "tail-exponent": (0.4, 0.7),
+    "tail-exponent.band_beta0": (0.15, 0.15),
+    "tail-exponent.band_beta1": (0.2, 0.2),
+    "moment-dichotomy": (1.0, 1.0),
+    "growth-exponents": (0.85, 0.7),
+    "growth-exponents.trajectory_osc": (0.2, 0.2),
+    "growth-exponents.max_osc": (0.25, 0.25),
+    "growth-exponents.runtime": (300.0, 300.0),
+    "index-freezing": (0.85, 0.7),
+    "embedding-equivalence": (0.001, 0.001),
+    "embedding-equivalence.calibration_ks": (0.1, 0.25),
+    "event-time-asymptotics": (0.90, 0.8),
+    "event-time-asymptotics.tau1_sigmas": (3.0, 3.0),
+    "event-time-asymptotics.drift_osc": (0.1, 0.1),
+    "event-time-asymptotics.sn": (0.05, 0.05),
+    "event-time-asymptotics.runtime": (300.0, 300.0),
+    "scaled-size-limit": (0.90, 0.8),
+    "scaled-size-limit.osc": (0.05, 0.05),
+}
+
 
 def test_the_check_catalogue_has_ten_entries():
     assert len(ALL_CHECKS) == 10
     assert len(set(ALL_CHECKS)) == 10
+
+
+@pytest.mark.parametrize(("profile", "column"), [("full", 0), ("theory", 0), ("quick", 1)])
+def test_threshold_defaults_match_the_reference_table(profile, column):
+    expected = {key: pair[column] for key, pair in REFERENCE_DEFAULTS.items()}
+    assert VerifySession(profile=profile).defaults == expected
+
+
+def test_every_catalogue_name_has_its_traced_method():
+    # An outside tracer wraps these methods by name.
+    names = {"check_" + c.replace("-", "_") for c in ALL_CHECKS}
+    names |= {"lln_run", "ensemble", "run"}
+    assert names <= set(vars(VerifySession))
+
+
+def test_readme_check_table_lists_the_catalogue_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| *(\d+) *\| *`([a-z-]+)` *\|", readme, flags=re.MULTILINE)
+    assert [int(number) for number, _ in rows] == list(range(1, len(ALL_CHECKS) + 1))
+    assert tuple(name for _, name in rows) == ALL_CHECKS
 
 
 def test_unknown_profile_is_rejected():
@@ -47,6 +98,7 @@ class TestTheoryProfile:
             "moment-dichotomy",
         ]
         assert report.passed
+        assert all(c.detail["elapsed_s"] > 0 for c in report.checks)
 
     def test_report_serializes_to_plain_json(self):
         report = VerifySession(profile="theory").run()
@@ -75,13 +127,12 @@ class TestTheoryProfile:
         assert not report.passed
         assert report.checks[0].threshold == 0.0
 
-    def test_dotted_threshold_overrides_reach_sub_parameters(self):
-        session = VerifySession(
-            profile="theory",
-            thresholds={"explicit-spectrum-crosscheck.runtime": 1e-9},
-        )
-        report = session.run(names=("explicit-spectrum-crosscheck",))
+    @pytest.mark.parametrize("name", ["explicit-spectrum-crosscheck", "dual-route-pi"])
+    def test_dotted_threshold_overrides_reach_sub_parameters(self, name):
+        session = VerifySession(profile="theory", thresholds={f"{name}.runtime": 1e-9})
+        report = session.run(names=(name,))
         assert not report.passed  # no computation finishes in a nanosecond
+        assert report.checks[0].detail["runtime_bound_s"] == 1e-9
 
 
 class TestSessionMechanics:
@@ -92,6 +143,7 @@ class TestSessionMechanics:
         report = VerifySession(profile="quick").run(names=("moment-dichotomy",))
         assert [c.name for c in report.checks] == ["moment-dichotomy"]
         assert report.checks[0].passed
+        assert report.checks[0].detail["elapsed_s"] > 0
 
     def test_quick_profile_passes_end_to_end(self):
         report = VerifySession(profile="quick", master_seed=DEFAULT_MASTER_SEED).run()
