@@ -18,6 +18,8 @@ step of the discrete chain.
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,25 +30,25 @@ from .laws import EdgeCountDistribution, validate_edge_law
 
 @dataclass(frozen=True)
 class BranchingConfig:
-    """One size process: edge-count law, immigration rate, starting size.
-
-    ``initial`` is the fixed starting size; pass None to draw it from the
-    edge-count law instead.
-    """
+    """One size process: edge-count law, immigration rate, starting size."""
 
     edge_law: EdgeCountDistribution
     beta: float = 0.0
-    initial: int | None = 1
+    initial: int = 1
 
     def __post_init__(self):
         if not np.isfinite(self.beta) or self.beta < 0:
             raise RangeError("branching.beta", f"must be finite and >= 0, got {self.beta}")
-        if self.initial is not None and self.initial < 1:
-            raise RangeError("branching.initial", "starting size must be >= 1")
+        if (
+            isinstance(self.initial, bool)
+            or not isinstance(self.initial, numbers.Integral)
+            or self.initial < 1
+        ):
+            raise RangeError(
+                "branching.initial", f"starting size must be an integer >= 1, got {self.initial!r}"
+            )
+        object.__setattr__(self, "initial", int(self.initial))
         object.__setattr__(self, "edge_law", validate_edge_law(self.edge_law))
-
-    def draw_initial(self, rng: np.random.Generator) -> int:
-        return self.initial if self.initial is not None else self.edge_law.sample_one(rng)
 
 
 @dataclass(frozen=True)
@@ -82,65 +84,54 @@ class JumpPath:
         return self.initial if k == 0 else int(self.values[k - 1])
 
 
+_BLOCK_MARGIN = 64  # variates drawn beyond the expected event count
+_BLOCK_CAP = 1 << 16
+_MAX_EXPONENT = 700.0  # keeps math.expm1 below float overflow
+
+
 def _jump_chain(
     initial: int,
     beta: float,
     law: EdgeCountDistribution,
     horizon: float,
     rng: np.random.Generator,
-    max_events: int | None = None,
 ) -> JumpPath:
-    """Draw the jump chain directly: wait Exp(size + beta), jump by X."""
+    """Draw the jump chain directly: wait Exp(size + beta), jump by X.
+
+    Variates come in blocks.  Each block holds the number of events still
+    expected before the horizon from the current state, (size + beta)
+    (e^{m(horizon - t)} - 1) / m, plus a small margin; the first block past
+    the horizon is cut there.
+    """
+    m = law.mean
     t = 0.0
-    size = int(initial)
+    size = initial
     times_parts: list[np.ndarray] = []
     value_parts: list[np.ndarray] = []
-    remaining = max_events
-    block = 256
-    while remaining is None or remaining > 0:
-        b = block if remaining is None else min(block, remaining)
+    while True:
+        expected = (size + beta) * math.expm1(min(m * (horizon - t), _MAX_EXPONENT)) / m
+        b = int(min(expected + _BLOCK_MARGIN, _BLOCK_CAP))
         xs = law.sample(rng, b)
         post = size + np.cumsum(xs)
         rates = (post - xs) + beta
         ts = t + np.cumsum(rng.standard_exponential(b) / rates)
         cut = int(np.searchsorted(ts, horizon, side="right"))
+        times_parts.append(ts[:cut])
+        value_parts.append(post[:cut])
         if cut < b:
-            times_parts.append(ts[:cut])
-            value_parts.append(post[:cut])
             break
-        times_parts.append(ts)
-        value_parts.append(post)
         t = float(ts[-1])
         size = int(post[-1])
-        if remaining is not None:
-            remaining -= b
-        block = min(block * 4, 1 << 16)
-    if times_parts:
-        times = np.concatenate(times_parts)
-        values = np.concatenate(value_parts)
-    else:
-        times = np.empty(0)
-        values = np.empty(0, dtype=np.int64)
-    return JumpPath(initial=int(initial), times=times, values=values)
+    return JumpPath(
+        initial=initial, times=np.concatenate(times_parts), values=np.concatenate(value_parts)
+    )
 
 
-def simulate_mbp(
-    config: BranchingConfig,
-    horizon: float,
-    rng: np.random.Generator,
-    max_events: int | None = None,
-) -> JumpPath:
-    """One pure (no-immigration) size process up to ``horizon``.
-
-    ``max_events`` optionally truncates the path after that many events,
-    which keeps first-event studies cheap.
-    """
+def simulate_mbp(config: BranchingConfig, horizon: float, rng: np.random.Generator) -> JumpPath:
+    """One pure (no-immigration) size process up to ``horizon``."""
     if config.beta != 0.0:
         raise RangeError("branching.beta", "pure process needs beta = 0")
-    if horizon < 0:
-        raise RangeError("horizon", "must be >= 0")
-    initial = config.draw_initial(rng)
-    return _jump_chain(initial, 0.0, config.edge_law, horizon, rng, max_events)
+    return simulate_mbpi(config, horizon, rng)
 
 
 def simulate_mbpi(
@@ -148,7 +139,6 @@ def simulate_mbpi(
     horizon: float,
     rng: np.random.Generator,
     representation: str = "jump-chain",
-    max_events: int | None = None,
 ) -> JumpPath:
     """A size process with immigration at rate beta, up to ``horizon``.
 
@@ -161,20 +151,15 @@ def simulate_mbpi(
 
     The two constructions have the same law; drawing both with independent
     generators and comparing marginals is one of the package's self-checks.
-    ``max_events`` is only supported for the jump-chain form.
     """
-    if horizon < 0:
-        raise RangeError("horizon", "must be >= 0")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise RangeError("horizon", f"must be finite and >= 0, got {horizon}")
+    law, initial = config.edge_law, config.initial
     if representation == "jump-chain":
-        initial = config.draw_initial(rng)
-        return _jump_chain(initial, config.beta, config.edge_law, horizon, rng, max_events)
+        return _jump_chain(initial, config.beta, law, horizon, rng)
     if representation != "superposition":
         raise RangeError("representation", f"unknown representation {representation!r}")
-    if max_events is not None:
-        raise RangeError("max_events", "only the jump-chain form supports max_events")
 
-    law = config.edge_law
-    initial = config.draw_initial(rng)
     arrivals: list[float] = []
     if config.beta > 0.0:
         t = 0.0
@@ -184,25 +169,20 @@ def simulate_mbpi(
             if t > horizon:
                 break
             arrivals.append(t)
+    founders = law.sample(rng, len(arrivals))
 
-    all_times = [np.empty(0)]
-    all_jumps = [np.empty(0, dtype=np.int64)]
     base = _jump_chain(initial, 0.0, law, horizon, rng)
-    all_times.append(base.times)
-    all_jumps.append(np.diff(base.values, prepend=base.initial).astype(np.int64))
-    for t_i in arrivals:
-        x_i = law.sample_one(rng)
+    all_times = [base.times]
+    all_jumps = [np.diff(base.values, prepend=initial)]
+    for t_i, x_i in zip(arrivals, founders.tolist()):
         branch = _jump_chain(x_i, 0.0, law, horizon - t_i, rng)
         all_times.append(np.concatenate(([t_i], t_i + branch.times)))
-        jumps = np.diff(branch.values, prepend=branch.initial).astype(np.int64)
-        all_jumps.append(np.concatenate(([x_i], jumps)))
+        all_jumps.append(np.diff(branch.values, prepend=[0, x_i]))
 
     times = np.concatenate(all_times)
     jumps = np.concatenate(all_jumps)
     order = np.argsort(times, kind="stable")
-    times = times[order]
-    values = initial + np.cumsum(jumps[order])
-    return JumpPath(initial=initial, times=times, values=values)
+    return JumpPath(initial=initial, times=times[order], values=initial + np.cumsum(jumps[order]))
 
 
 @dataclass(frozen=True)
@@ -236,7 +216,8 @@ def run_embedding(
     earliest clock fires, its owner gains X, and a new process of size X is
     born at that instant.  Reading off the owners and the X's reproduces the
     discrete chain's attachment steps, and the event times carry the
-    continuous-time information.
+    continuous-time information.  All n jumps and the 2n + 2 unit clocks are
+    drawn up front; a clock is scaled by its rate when it is pushed.
     """
     if n < 0:
         raise RangeError("n", "must be >= 0")
@@ -244,42 +225,36 @@ def run_embedding(
     if not np.isfinite(beta) or beta < 0:
         raise RangeError("beta", f"must be finite and >= 0, got {beta}")
 
-    sizes = [1, 1]
-    start_times = [0.0, 0.0]
-    rate0 = 1.0 + beta
-    heap = [(rng.exponential(1.0 / rate0), 1), (rng.exponential(1.0 / rate0), 2)]
+    xs = law.sample(rng, n)
+    jumps = xs.tolist()
+    clock = iter(rng.standard_exponential(2 * n + 2).tolist()).__next__
+    # sizes[i] is process i's size; a newborn's entry already holds its X
+    sizes = [0, 1, 1] + jumps
+    heap = [(clock() / (1.0 + beta), 1), (clock() / (1.0 + beta), 2)]
     heapq.heapify(heap)
-
-    taus = np.empty(n)
-    chosen = np.empty(n, dtype=np.int64)
-    xs = np.empty(n, dtype=np.int64)
-    s_values = np.empty(n + 1)
+    taus = []
+    chosen = []
     size_sum = 2
-    s_values[0] = size_sum + 2 * beta
+    s_values = [size_sum + 2 * beta]
 
     pop, push = heapq.heappop, heapq.heappush
-    exp = rng.exponential
-    for k in range(n):
+    for j, x in enumerate(jumps, start=3):
         t, i = pop(heap)
-        x = law.sample_one(rng)
-        sizes[i - 1] += x
-        push(heap, (t + exp(1.0 / (sizes[i - 1] + beta)), i))
-        sizes.append(x)
-        start_times.append(t)
-        push(heap, (t + exp(1.0 / (x + beta)), len(sizes)))
+        sizes[i] += x
+        push(heap, (t + clock() / (sizes[i] + beta), i))
+        push(heap, (t + clock() / (x + beta), j))
         size_sum += 2 * x
-        taus[k] = t
-        chosen[k] = i
-        xs[k] = x
-        s_values[k + 1] = size_sum + (k + 3) * beta
+        taus.append(t)
+        chosen.append(i)
+        s_values.append(size_sum + j * beta)
 
     return EmbeddingResult(
-        sizes=np.asarray(sizes, dtype=np.int64),
-        start_times=np.asarray(start_times),
-        taus=taus,
-        chosen=chosen,
+        sizes=np.array(sizes[1:], dtype=np.int64),
+        start_times=np.array([0.0, 0.0] + taus),
+        taus=np.array(taus, dtype=float),
+        chosen=np.array(chosen, dtype=np.int64),
         xs=xs,
-        s_values=s_values,
+        s_values=np.array(s_values, dtype=float),
     )
 
 

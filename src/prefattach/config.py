@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -32,6 +33,10 @@ _DEFAULTS: dict[str, Any] = {
     "profile": "full",
     "thresholds": {},
 }
+_INTEGER_KEYS = (
+    "n", "seed", "stride", "reps", "parallelism", "jmax", "quad_steps", "fit_j_min", "fit_j_max"
+)
+_REAL_KEYS = ("beta", "ymax")
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,28 @@ class ExperimentConfig:
     fit_j_max: int = 30
     profile: str = "full"
     thresholds: dict = field(default_factory=dict)
+
+
+def _number(key: str, value: Any, integer: bool = True) -> int | float:
+    """``value`` as an int (or a float), else RangeError naming ``run.<key>``.
+
+    A string is read as a number.  A bool, a non-number and, for an integer
+    key, a fractional value are refused rather than truncated.
+    """
+    if isinstance(value, str):
+        for parse in (int, float):
+            try:
+                value = parse(value)
+                break
+            except ValueError:
+                pass
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise RangeError(f"run.{key}", f"must be a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise RangeError(f"run.{key}", f"must be an integer, got {value!r}")
+    return int(value)
 
 
 def parse_config(
@@ -81,38 +108,43 @@ def parse_config(
             raise ParseError(f"unknown option {key!r}")
         merged[key] = value
 
+    for key in _INTEGER_KEYS + _REAL_KEYS:
+        if merged[key] is not None:
+            merged[key] = _number(key, merged[key], integer=key in _INTEGER_KEYS)
     law = validate_edge_law(merged["law"])
-    n = int(merged["n"])
+    n = merged["n"]
     stride = merged["stride"]
-    stride = max(1, n // 1000) if stride is None else int(stride)
+    stride = max(1, n // 1000) if stride is None else stride
     probes = merged["probes"]
     if isinstance(probes, str):
-        probes = [int(p) for p in probes.split(",") if p.strip()]
+        probes = [p for p in probes.split(",") if p.strip()]
+    if not isinstance(probes, (list, tuple)):
+        raise RangeError("run.probes", f"must be a list of vertex labels, got {probes!r}")
     model = ModelConfig(
-        beta=float(merged["beta"]),
+        beta=merged["beta"],
         edge_law=law,
         n=n,
-        probe_vertices=tuple(int(p) for p in probes),
+        probe_vertices=tuple(_number("probes", p) for p in probes),
         record_stride=stride,
-        seed=int(merged["seed"]),
+        seed=merged["seed"],
     )
 
-    reps = int(merged["reps"])
+    reps = merged["reps"]
     if reps < 1:
         raise RangeError("run.reps", "need at least one replication")
-    par = int(merged["parallelism"])
+    par = merged["parallelism"]
     if par < 1:
         raise RangeError("run.parallelism", "need at least one worker")
-    j_max = int(merged["jmax"])
+    j_max = merged["jmax"]
     if j_max < 1:
         raise RangeError("run.jmax", "must be >= 1")
-    y_max = None if merged["ymax"] is None else float(merged["ymax"])
+    y_max = merged["ymax"]
     if y_max is not None and not (math.isfinite(y_max) and y_max >= 0):
         raise RangeError("run.ymax", "must be finite and >= 0")
-    quad_steps = int(merged["quad_steps"])
+    quad_steps = merged["quad_steps"]
     if quad_steps < MIN_QUAD_STEPS:
         raise RangeError("run.quad_steps", f"need at least {MIN_QUAD_STEPS} steps")
-    fit_j_min, fit_j_max = int(merged["fit_j_min"]), int(merged["fit_j_max"])
+    fit_j_min, fit_j_max = merged["fit_j_min"], merged["fit_j_max"]
     if fit_j_min < 1:
         raise RangeError("run.fit_j_min", "must be >= 1")
     if fit_j_max <= fit_j_min:

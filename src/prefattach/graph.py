@@ -310,12 +310,9 @@ def group_vertices(
         raise BetaNotZero("grouped degrees are only defined for beta = 0")
     grouping = validate_edge_law(grouping)
     degrees = run.ledger.degrees
-    grouped = [int(degrees[0]), int(degrees[1])]
-    pos = 2
-    while pos < degrees.shape[0]:
-        size = grouping.sample_one(rng)
-        if pos + size > degrees.shape[0]:
-            break
-        grouped.append(int(degrees[pos : pos + size].sum()))
-        pos += size
-    return DegreeLedger.from_degrees(grouped)
+    rest = degrees.shape[0] - 2
+    # at most ``rest`` blocks fit; keep the ends of the complete ones
+    ends = np.cumsum(grouping.sample(rng, rest))
+    ends = ends[: np.searchsorted(ends, rest, side="right")]
+    bounds = np.concatenate(([0, 1, 2], 2 + ends))
+    return DegreeLedger.from_degrees(np.add.reduceat(degrees[: bounds[-1]], bounds[:-1]))

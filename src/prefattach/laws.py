@@ -77,20 +77,6 @@ class EdgeCountDistribution:
         u = rng.random(size)
         return (np.searchsorted(cum, u, side="right") + 1).astype(np.int64)
 
-    def sample_one(self, rng: np.random.Generator) -> int:
-        """Draw a single copy of X."""
-        if self.kind == "deterministic":
-            return self.x0
-        if self.kind == "geometric":
-            return int(rng.geometric(self.q))
-        u = rng.random()
-        acc = 0.0
-        for i, p in enumerate(self.probs):
-            acc += p
-            if u < acc:
-                return i + 1
-        return len(self.probs)
-
     def label(self) -> str:
         """CLI-form string round-tripping through validate_edge_law."""
         if self.kind == "deterministic":

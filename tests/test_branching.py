@@ -1,8 +1,11 @@
 """Continuous-time growth processes and the event-time construction."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from prefattach.analysis import embedding_equivalence_test
 from prefattach.branching import (
     BranchingConfig,
     JumpPath,
@@ -13,6 +16,7 @@ from prefattach.branching import (
     zeta_trajectory,
 )
 from prefattach.errors import MismatchedLengths, RangeError
+from prefattach.graph import ModelConfig, run_chain
 from prefattach.laws import deterministic, explicit, geometric
 from prefattach.streams import substream
 
@@ -46,6 +50,74 @@ class TestJumpPath:
         assert path.final == 3
 
 
+WAIT_REPS = 50_000
+
+
+def _capped_wait(rate, horizon):
+    """E min(tau, h) for tau ~ Exp(rate)."""
+    return -np.expm1(-rate * horizon) / rate
+
+
+def _mean_first_wait(cfg, horizon, rng):
+    """Mean of min(first event time, horizon) over WAIT_REPS paths."""
+    paths = (simulate_mbpi(cfg, horizon, rng) for _ in range(WAIT_REPS))
+    return np.mean([p.times[0] if p.times.size else horizon for p in paths])
+
+
+class CountingGenerator:
+    """A generator that counts the exponential variates drawn through it."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.exponentials = 0
+
+    def standard_exponential(self, size):
+        self.exponentials += size
+        return self.rng.standard_exponential(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("initial", [0, -3, 2.5, 2.0, True, None, "2"])
+    def test_initial_size_must_be_an_integer_of_at_least_one(self, initial):
+        with pytest.raises(RangeError) as err:
+            BranchingConfig(edge_law=deterministic(1), initial=initial)
+        assert err.value.field == "branching.initial"
+
+    def test_numpy_integer_initial_size_is_accepted(self):
+        cfg = BranchingConfig(edge_law=deterministic(1), initial=np.int64(4))
+        assert cfg.initial == 4 and type(cfg.initial) is int
+
+
+class TestHorizon:
+    @pytest.mark.parametrize("horizon", [np.inf, -np.inf, np.nan, -1.0])
+    @pytest.mark.parametrize("representation", ["jump-chain", "superposition"])
+    def test_horizon_must_be_finite_and_nonnegative(self, horizon, representation):
+        cfg = BranchingConfig(edge_law=deterministic(1), beta=1.0, initial=1)
+        with pytest.raises(RangeError) as err:
+            simulate_mbpi(cfg, horizon, substream(40, 0), representation=representation)
+        assert err.value.field == "horizon"
+
+    def test_pure_process_refuses_an_infinite_horizon(self):
+        cfg = BranchingConfig(edge_law=deterministic(1), beta=0.0, initial=1)
+        with pytest.raises(RangeError) as err:
+            simulate_mbp(cfg, np.inf, substream(40, 1))
+        assert err.value.field == "horizon"
+
+
+class TestBlockSizes:
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_blocks_sized_from_the_expected_count_draw_little_past_the_horizon(self, beta):
+        # the size-limit check's scale: about 30,000 events per path
+        cfg = BranchingConfig(edge_law=deterministic(1), beta=beta, initial=10)
+        rng = CountingGenerator(substream(40, 2 + int(beta)))
+        kept = sum(simulate_mbpi(cfg, 8.0, rng).times.size for _ in range(100))
+        assert kept > 100 * 20_000
+        assert rng.exponentials <= 1.5 * kept
+
+
 class TestPureGrowth:
     def test_zero_horizon_means_no_events(self):
         cfg = BranchingConfig(edge_law=deterministic(1), beta=0.0, initial=1)
@@ -66,17 +138,11 @@ class TestPureGrowth:
         assert abs(finals.mean() - np.e) < 3 * sigma / np.sqrt(reps)
 
     def test_first_wait_from_size_three_has_rate_three(self):
+        # E min(tau_1, h) = (1 - e^{-rh}) / r at rate r = 3; its sd is below 1/r
         cfg = BranchingConfig(edge_law=deterministic(1), beta=0.0, initial=3)
-        rng = substream(41, 1)
-        reps = 100_000
-        waits = np.fromiter(
-            (
-                simulate_mbp(cfg, np.inf, rng, max_events=1).times[0]
-                for _ in range(reps)
-            ),
-            dtype=float,
+        assert abs(_mean_first_wait(cfg, 0.5, substream(41, 1)) - _capped_wait(3.0, 0.5)) < (
+            3 * (1 / 3) / np.sqrt(WAIT_REPS)
         )
-        assert abs(waits.mean() - 1 / 3) < 3 * (1 / 3) / np.sqrt(reps)
 
     def test_path_values_record_cumulative_jumps(self):
         cfg = BranchingConfig(edge_law=explicit([0.5, 0.5]), beta=0.0, initial=2)
@@ -99,16 +165,9 @@ class TestGrowthWithArrivals:
     def test_first_wait_combines_size_and_arrival_rates(self):
         # from size 2 with arrival rate 1.5 the next event has rate 3.5
         cfg = BranchingConfig(edge_law=deterministic(1), beta=1.5, initial=2)
-        rng = substream(42, 1)
-        reps = 100_000
-        waits = np.fromiter(
-            (
-                simulate_mbpi(cfg, np.inf, rng, max_events=1).times[0]
-                for _ in range(reps)
-            ),
-            dtype=float,
+        assert abs(_mean_first_wait(cfg, 0.5, substream(42, 1)) - _capped_wait(3.5, 0.5)) < (
+            3 * (1 / 3.5) / np.sqrt(WAIT_REPS)
         )
-        assert abs(waits.mean() - 1 / 3.5) < 3 * (1 / 3.5) / np.sqrt(reps)
 
     @pytest.mark.parametrize("representation", ["jump-chain", "superposition"])
     def test_mean_growth_with_arrivals_solves_the_rate_equation(self, representation):
@@ -126,6 +185,22 @@ class TestGrowthWithArrivals:
             dtype=np.int64,
         )
         expected = 2 * np.e - 1
+        assert abs(finals.mean() - expected) < 4 * finals.std() / np.sqrt(reps)
+
+    @pytest.mark.parametrize("representation", ["jump-chain", "superposition"])
+    def test_mean_growth_with_a_non_unit_mean_jump(self, representation):
+        # geom:0.5 has m = 2, so E D(t) = (D0 + beta) e^{mt} - beta
+        cfg = BranchingConfig(edge_law=geometric(0.5), beta=1.0, initial=1)
+        rng = substream(42, 6 if representation == "jump-chain" else 7)
+        reps = 10_000
+        finals = np.fromiter(
+            (
+                simulate_mbpi(cfg, 1.0, rng, representation=representation).final
+                for _ in range(reps)
+            ),
+            dtype=np.int64,
+        )
+        expected = 2 * np.exp(2.0) - 1
         assert abs(finals.mean() - expected) < 4 * finals.std() / np.sqrt(reps)
 
     def test_both_representations_draw_the_same_distribution(self):
@@ -173,6 +248,17 @@ class TestEventTimeConstruction:
         assert np.all(np.diff(emb.taus) > 0)
         assert np.all(emb.chosen >= 1)
         assert np.all(emb.chosen <= np.arange(2, n + 2))
+
+    @pytest.mark.parametrize("law", [deterministic(1), geometric(0.5)])
+    def test_sizes_match_the_chain_degrees_with_arrivals(self, law):
+        # every clock runs at size + beta; at beta = 0 a wrong offset would not show
+        beta, n, reps = 1.0, 100, 300
+        rng = substream(43, 9)
+        chain, clocks = Counter(), Counter()
+        for r in range(reps):
+            chain.update(run_chain(ModelConfig(beta=beta, edge_law=law, n=n, seed=r)).ledger.counts)
+            clocks.update(run_embedding(law, beta, n, rng).sizes.tolist())
+        assert embedding_equivalence_test(chain, clocks).p_value > 0.001
 
     def test_process_count_grows_by_one_per_event(self):
         emb = run_embedding(geometric(0.5), 1.0, 25, substream(43, 3))

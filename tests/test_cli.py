@@ -153,6 +153,15 @@ class TestUsageErrors:
         assert f"thresholds.{item.partition('=')[0]}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_mistyped_config_value_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": "abc"}))
+        out = tmp_path / "res"
+        code = main(["theory", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "run.n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_horizon_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--horizon", "123", "--out", str(tmp_path)])

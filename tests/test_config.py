@@ -86,6 +86,52 @@ class TestValidation:
             parse_config(None, {"law": "det:1", **overrides})
         assert err.value.field == field
 
+    @pytest.mark.parametrize(
+        ("overrides", "field"),
+        [
+            ({"n": "abc"}, "run.n"),
+            ({"n": True}, "run.n"),
+            ({"n": 10.5}, "run.n"),
+            ({"n": [10]}, "run.n"),
+            ({"parallelism": 2.7}, "run.parallelism"),
+            ({"reps": True}, "run.reps"),
+            ({"stride": "2x"}, "run.stride"),
+            ({"jmax": 100.5}, "run.jmax"),
+            ({"quad_steps": {}}, "run.quad_steps"),
+            ({"fit_j_min": "3.5"}, "run.fit_j_min"),
+            ({"fit_j_max": 30.01}, "run.fit_j_max"),
+            ({"beta": "one"}, "run.beta"),
+            ({"beta": True}, "run.beta"),
+            ({"ymax": "high"}, "run.ymax"),
+            ({"probes": [1, 2.5]}, "run.probes"),
+            ({"probes": [1, True]}, "run.probes"),
+            ({"probes": "1,x"}, "run.probes"),
+            ({"probes": 3}, "run.probes"),
+        ],
+    )
+    def test_mistyped_numbers_name_their_field(self, overrides, field):
+        with pytest.raises(RangeError) as err:
+            parse_config(None, {"law": "det:1", **overrides})
+        assert err.value.field == field
+
+    def test_mistyped_file_values_name_their_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"law": "det:1", "parallelism": 2.7}))
+        with pytest.raises(RangeError) as err:
+            parse_config(str(path), {})
+        assert err.value.field == "run.parallelism"
+
+    def test_integral_numbers_convert_exactly(self):
+        cfg = parse_config(
+            None,
+            {"n": 2000.0, "seed": "7", "reps": "1e1", "beta": 1, "ymax": "0.5", "probes": [3.0, 4]},
+        )
+        assert (cfg.model.n, cfg.model.seed, cfg.replications) == (2000, 7, 10)
+        assert type(cfg.model.n) is int and type(cfg.replications) is int
+        assert (cfg.model.beta, cfg.y_max) == (1.0, 0.5)
+        assert type(cfg.model.beta) is float
+        assert cfg.model.probe_vertices == (3, 4)
+
     def test_range_edges_are_accepted(self):
         cfg = parse_config(
             None, {"quad_steps": 1000, "ymax": 0, "fit_j_min": 1, "fit_j_max": 2}

@@ -336,14 +336,21 @@ class TestGrouping:
         with pytest.raises(BetaNotZero):
             group_vertices(run, deterministic(2), substream(1, 3))
 
-    def test_random_block_sizes_preserve_summed_degrees(self):
-        run = run_chain(ModelConfig(beta=0.0, edge_law=deterministic(1), n=50, seed=8))
-        grouped = group_vertices(run, explicit([0.5, 0.5]), substream(1, 4))
-        # every grouped degree is a sum of consecutive input degrees,
-        # so the grouped total can only drop by the dropped tail
-        assert grouped.total_degree <= run.ledger.total_degree
-        assert grouped.degrees[0] == run.ledger.degrees[0]
-        assert grouped.degrees[1] == run.ledger.degrees[1]
+    @pytest.mark.parametrize("law", [explicit([0.5, 0.5]), explicit([0.2, 0.0, 0.8])])
+    def test_random_blocks_are_consecutive_slices_with_sizes_in_the_support(self, law):
+        run = run_chain(ModelConfig(beta=0.0, edge_law=deterministic(1), n=200, seed=8))
+        d = run.ledger.degrees
+        grouped = group_vertices(run, law, substream(1, 4)).degrees
+        support = [j for j in range(1, len(law.probs) + 1) if law.pmf(j) > 0]
+        assert grouped[:2].tolist() == d[:2].tolist()
+        pos = 2
+        for total in grouped[2:].tolist():
+            # degrees are >= 1, so at most one slice length can match
+            sizes = [j for j in support if pos + j <= d.size and d[pos : pos + j].sum() == total]
+            assert len(sizes) == 1
+            pos += sizes[0]
+        # only an incomplete trailing block is dropped
+        assert d.size - pos < max(support)
 
 
 @settings(max_examples=25)

@@ -131,11 +131,13 @@ class TestSampling:
         assert abs(draws.mean() - 2.0) < 4 * np.sqrt(2.0 / draws.size)
         assert draws.min() >= 1
 
-    def test_sample_one_agrees_with_vector_sampling_distribution(self):
+    def test_three_point_explicit_sample_matches_its_table(self):
         law = explicit([0.25, 0.5, 0.25])
-        rng = substream(7, 3)
-        singles = np.array([law.sample_one(rng) for _ in range(50_000)])
-        assert abs((singles == 2).mean() - 0.5) < 0.01
+        draws = law.sample(substream(7, 3), 50_000)
+        freqs = np.bincount(draws, minlength=4)[1:] / draws.size
+        # sd of each frequency is at most 0.5 / sqrt(N) ~ 0.0022
+        assert np.abs(freqs - [0.25, 0.5, 0.25]).max() < 0.01
+        assert draws.dtype == np.int64
 
 
 @given(

@@ -4,12 +4,15 @@ The full-scale run of every numbered criterion lives in test_acceptance.py;
 here we exercise the machinery itself at the cheap profiles.
 """
 
+import dataclasses
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+from prefattach import verify
+from prefattach.branching import JumpPath
 from prefattach.errors import RangeError
 from prefattach.verify import ALL_CHECKS, DEFAULT_MASTER_SEED, VerifySession
 
@@ -150,3 +153,35 @@ class TestSessionMechanics:
         assert [c.name for c in report.checks] == list(ALL_CHECKS)
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == []
+
+
+class TestNegativeControls:
+    """A check fed a deliberately wrong sampler goes red at the quick profile."""
+
+    def test_size_limit_fails_on_paths_grown_at_half_the_rate(self, monkeypatch):
+        def half_rate(draw):
+            # a real path to horizon/2, stretched over the whole horizon
+            def wrong(cfg, horizon, rng):
+                path = draw(cfg, horizon / 2, rng)
+                return JumpPath(initial=path.initial, times=2 * path.times, values=path.values)
+
+            return wrong
+
+        monkeypatch.setattr(verify, "simulate_mbp", half_rate(verify.simulate_mbp))
+        monkeypatch.setattr(verify, "simulate_mbpi", half_rate(verify.simulate_mbpi))
+        (check,) = VerifySession(profile="quick").run(("scaled-size-limit",)).checks
+        assert not check.passed
+        assert check.value < check.threshold
+
+    def test_event_times_fail_when_the_clocks_run_at_half_the_rate(self, monkeypatch):
+        real = verify.run_embedding
+
+        def slow_clocks(*args):
+            res = real(*args)
+            return dataclasses.replace(res, taus=2 * res.taus)
+
+        monkeypatch.setattr(verify, "run_embedding", slow_clocks)
+        (check,) = VerifySession(profile="quick").run(("event-time-asymptotics",)).checks
+        assert not check.passed
+        assert check.detail["tau1_gap"] > check.detail["tau1_tol_3sigma"]
+        assert check.value < check.threshold
