@@ -65,23 +65,18 @@ class JumpPath:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.times.shape != self.values.shape:
+        times, values = self.times, self.values
+        if times.shape != values.shape:
             raise MismatchedLengths("times and values differ in length")
-        if self.times.shape[0]:
-            if not np.all(np.diff(self.times) > 0) or self.times[0] <= 0:
+        if times.shape[0]:
+            if not (times[0] > 0 and (times[1:] > times[:-1]).all()):
                 raise RangeError("path.times", "event times must be strictly increasing")
-            jumps = np.diff(self.values, prepend=self.initial)
-            if not np.all(jumps >= 1):
+            if not (values[0] >= self.initial + 1 and (values[1:] >= values[:-1] + 1).all()):
                 raise RangeError("path.values", "every jump must be >= 1")
 
     @property
     def final(self) -> int:
         return int(self.values[-1]) if self.values.shape[0] else self.initial
-
-    def value_at(self, t: float) -> int:
-        """Size at time t (right-continuous)."""
-        k = int(np.searchsorted(self.times, t, side="right"))
-        return self.initial if k == 0 else int(self.values[k - 1])
 
 
 _BLOCK_MARGIN = 64  # variates drawn beyond the expected event count
@@ -89,42 +84,79 @@ _BLOCK_CAP = 1 << 16
 _MAX_EXPONENT = 700.0  # keeps math.expm1 below float overflow
 
 
-def _jump_chain(
-    initial: int,
-    beta: float,
-    law: EdgeCountDistribution,
-    horizon: float,
-    rng: np.random.Generator,
-) -> JumpPath:
-    """Draw the jump chain directly: wait Exp(size + beta), jump by X.
+class _PathBuffers:
+    """Jump chains drawn into arrays that one caller reuses from path to path.
 
-    Variates come in blocks.  Each block holds the number of events still
-    expected before the horizon from the current state, (size + beta)
-    (e^{m(horizon - t)} - 1) / m, plus a small margin; the first block past
-    the horizon is cut there.
+    After ``draw`` returns n, ``times[:n + 1]`` and ``sizes[:n + 1]`` hold the
+    path with its t = 0 point first.  The arrays grow as needed and are never
+    shrunk, so a run of similar paths allocates once.
     """
-    m = law.mean
-    t = 0.0
-    size = initial
-    times_parts: list[np.ndarray] = []
-    value_parts: list[np.ndarray] = []
-    while True:
-        expected = (size + beta) * math.expm1(min(m * (horizon - t), _MAX_EXPONENT)) / m
-        b = int(min(expected + _BLOCK_MARGIN, _BLOCK_CAP))
-        xs = law.sample(rng, b)
-        post = size + np.cumsum(xs)
-        rates = (post - xs) + beta
-        ts = t + np.cumsum(rng.standard_exponential(b) / rates)
-        cut = int(np.searchsorted(ts, horizon, side="right"))
-        times_parts.append(ts[:cut])
-        value_parts.append(post[:cut])
-        if cut < b:
-            break
-        t = float(ts[-1])
-        size = int(post[-1])
-    return JumpPath(
-        initial=initial, times=np.concatenate(times_parts), values=np.concatenate(value_parts)
-    )
+
+    def __init__(self):
+        self.times = np.empty(1)
+        self.sizes = np.empty(1, dtype=np.int64)
+        self._work = np.empty(1)  # exponentials while drawing, scaled sizes after
+
+    def _reserve(self, length: int, keep: int) -> None:
+        if length > self.times.shape[0]:
+            length = max(length, 2 * self.times.shape[0])
+            times, sizes = np.empty(length), np.empty(length, dtype=np.int64)
+            times[:keep], sizes[:keep] = self.times[:keep], self.sizes[:keep]
+            self.times, self.sizes, self._work = times, sizes, np.empty(length)
+
+    def draw(
+        self,
+        initial: int,
+        beta: float,
+        law: EdgeCountDistribution,
+        horizon: float,
+        rng: np.random.Generator,
+    ) -> int:
+        """Draw the jump chain directly: wait Exp(size + beta), jump by X.
+
+        Variates come in blocks.  Each block holds the number of events still
+        expected before the horizon from the current state, (size + beta)
+        (e^{m(horizon - t)} - 1) / m, plus a small margin; the first block past
+        the horizon is cut there.  Returns the number of events kept.
+        """
+        m, t, size, n = law.mean, 0.0, initial, 0
+        self.times[0], self.sizes[0] = 0.0, initial
+        while True:
+            expected = (size + beta) * math.expm1(min(m * (horizon - t), _MAX_EXPONENT)) / m
+            b = int(min(expected + _BLOCK_MARGIN, _BLOCK_CAP))
+            self._reserve(n + 1 + b, n + 1)
+            xs = law.sample(rng, b)
+            post = self.sizes[n + 1 : n + 1 + b]
+            np.add.accumulate(xs, out=post)
+            post += size
+            ts = self.times[n + 1 : n + 1 + b]
+            np.subtract(post, xs, out=ts)  # the rates, until the times overwrite them
+            ts += beta
+            waits = self._work[:b]
+            rng.standard_exponential(b, out=waits)
+            waits /= ts
+            np.add.accumulate(waits, out=ts)
+            ts += t
+            cut = int(np.searchsorted(ts, horizon, side="right"))
+            n += cut
+            if cut < b:
+                break
+            t, size = float(ts[-1]), int(post[-1])
+        times = self.times[: n + 1]
+        if not (times[1:] > times[:-1]).all():
+            raise RangeError("path.times", "event times must be strictly increasing")
+        return n
+
+    def plateau(self, n: int, m: float, tail_fraction: float) -> tuple[float, float]:
+        """(tail oscillation, last scaled value) of the n-event path just drawn."""
+        scaled = self._work[: n + 1]
+        osc, _ = _tail_plateau(self.times[: n + 1], self.sizes[: n + 1], m, tail_fraction, scaled)
+        return osc, float(scaled[n])
+
+    def path(self, initial, beta, law, horizon, rng) -> JumpPath:
+        """A path drawn as by ``draw``, copied out of the buffers."""
+        n = self.draw(initial, beta, law, horizon, rng)
+        return JumpPath(initial, self.times[1 : n + 1].copy(), self.sizes[1 : n + 1].copy())
 
 
 def simulate_mbp(config: BranchingConfig, horizon: float, rng: np.random.Generator) -> JumpPath:
@@ -155,8 +187,9 @@ def simulate_mbpi(
     if not (math.isfinite(horizon) and horizon >= 0):
         raise RangeError("horizon", f"must be finite and >= 0, got {horizon}")
     law, initial = config.edge_law, config.initial
+    buffers = _PathBuffers()
     if representation == "jump-chain":
-        return _jump_chain(initial, config.beta, law, horizon, rng)
+        return buffers.path(initial, config.beta, law, horizon, rng)
     if representation != "superposition":
         raise RangeError("representation", f"unknown representation {representation!r}")
 
@@ -171,11 +204,11 @@ def simulate_mbpi(
             arrivals.append(t)
     founders = law.sample(rng, len(arrivals))
 
-    base = _jump_chain(initial, 0.0, law, horizon, rng)
+    base = buffers.path(initial, 0.0, law, horizon, rng)
     all_times = [base.times]
     all_jumps = [np.diff(base.values, prepend=initial)]
     for t_i, x_i in zip(arrivals, founders.tolist()):
-        branch = _jump_chain(x_i, 0.0, law, horizon - t_i, rng)
+        branch = buffers.path(x_i, 0.0, law, horizon - t_i, rng)
         all_times.append(np.concatenate(([t_i], t_i + branch.times)))
         all_jumps.append(np.diff(branch.values, prepend=[0, x_i]))
 
@@ -315,6 +348,26 @@ class ScaledTrajectory:
     tail_mean: float
 
 
+def _tail_plateau(times, sizes, m, tail_fraction, scaled, whole=False) -> tuple[float, float]:
+    """Write sizes * e^{-mt} into ``scaled`` and measure the tail plateau.
+
+    ``times`` and ``sizes`` start with the t = 0 point.  The window holds every
+    point at or after (1 - tail_fraction) of the last time; only the window is
+    scaled unless ``whole``.  Returns the window's relative oscillation
+    (max - min) / mean and its mean.
+    """
+    start = int(np.searchsorted(times, (1.0 - tail_fraction) * times[-1]))
+    lo = 0 if whole else start
+    out = scaled[lo:]
+    np.multiply(times[lo:], -m, out=out)
+    np.exp(out, out=out)
+    out *= sizes[lo:]
+    window = scaled[start:]
+    mean = float(window.mean())
+    osc = float((window.max() - window.min()) / mean) if mean > 0 else float("inf")
+    return osc, mean
+
+
 def zeta_trajectory(path: JumpPath, m: float, tail_fraction: float = 0.25) -> ScaledTrajectory:
     """Scale a path by its exponential growth and measure the tail plateau.
 
@@ -327,9 +380,6 @@ def zeta_trajectory(path: JumpPath, m: float, tail_fraction: float = 0.25) -> Sc
         raise RangeError("tail_fraction", "must be in (0, 1]")
     times = np.concatenate(([0.0], path.times))
     sizes = np.concatenate(([path.initial], path.values)).astype(float)
-    scaled = sizes * np.exp(-m * times)
-    t_end = times[-1]
-    window = scaled[times >= (1.0 - tail_fraction) * t_end]
-    mean = float(window.mean())
-    osc = float((window.max() - window.min()) / mean) if mean > 0 else float("inf")
+    scaled = np.empty_like(times)
+    osc, mean = _tail_plateau(times, sizes, m, tail_fraction, scaled, whole=True)
     return ScaledTrajectory(times=times, scaled=scaled, tail_oscillation=osc, tail_mean=mean)

@@ -170,7 +170,7 @@ def pi_quadrature(
     propagation at half the step feeds a step-doubling error estimate, and
     the refined values are returned.  Raises StepTooCoarse when the domain
     cutoff keeps >= tol of the mass (in particular for y_max = 0) or when
-    the error estimate exceeds tol.
+    the error estimate exceeds tol or is not a number.
     """
     law = validate_edge_law(edge_law)
     if j_max < 1:
@@ -206,37 +206,38 @@ def pi_quadrature(
         if p[k] != 0.0:
             col = np.arange(1, j_max - k + 1, dtype=float)
             gen += np.diag((col + beta) * p[k], -k)
-    # Augmented system: v = [R; Q], dQ/dy = rate * R.
-    big = np.zeros((2 * j_max, 2 * j_max))
-    big[:j_max, :j_max] = gen
-    big[j_max:, :j_max] = rate * np.eye(j_max)
+    # The augmented system v = [R; Q], dQ/dy = rate * R, has an RK4 step of
+    # the block form [[S, 0], [B, I]], and so has every power of it: the
+    # product of (S1, B1) and (S2, B2) is (S1 S2, B1 S2 + B2).  Only the pair
+    # (S, B) is powered, and each power is applied to (R, Q) as it is made.
+    eye = np.eye(j_max)
 
     def propagate(n_steps: int) -> np.ndarray:
         h = y_max / n_steps
-        hb = h * big
-        one_step = np.eye(2 * j_max)
-        term = np.eye(2 * j_max)
-        for order in range(1, 5):
-            term = term @ hb / order
-            one_step = one_step + term
-        # v(y_max) = one_step^n_steps @ v(0), by binary powering.
-        power = one_step
-        result = None
+        hg = h * gen
+        term_s, term_b = hg, rate * h * eye  # the blocks of the first Taylor term
+        step_s, step_b = eye + term_s, term_b
+        for order in range(2, 5):
+            term_s = term_s @ hg / order
+            term_b = term_b @ hg / order
+            step_s = step_s + term_s
+            step_b = step_b + term_b
+        # (R, Q)(y_max) = step^n_steps (R, Q)(0), by binary powering.
+        r, q = p[1:], np.zeros(j_max)
         k = n_steps
         while k:
             if k & 1:
-                result = power if result is None else result @ power
+                r, q = step_s @ r, step_b @ r + q
             k >>= 1
             if k:
-                power = power @ power
-        v0 = np.concatenate((p[1:], np.zeros(j_max)))
-        return result @ v0
+                step_s, step_b = step_s @ step_s, step_b @ step_s + step_b
+        return q
 
-    coarse = propagate(steps)[j_max:]
-    fine = propagate(2 * steps)[j_max:]
+    coarse = propagate(steps)
+    fine = propagate(2 * steps)
     estimate = float(np.max(np.abs(fine - coarse))) / 15.0
     pi_hat = np.concatenate(([0.0], fine))
-    if estimate > tol:
+    if not estimate <= tol:  # also a NaN estimate from an overflowing step
         raise StepTooCoarse(
             f"step-doubling error estimate {estimate:.3e} exceeds tolerance {tol:g}",
             values=pi_hat,

@@ -33,14 +33,7 @@ from .analysis import (
     trajectory_limit_check,
     uniformity_ks,
 )
-from .branching import (
-    BranchingConfig,
-    run_embedding,
-    simulate_mbp,
-    simulate_mbpi,
-    tau_diagnostics,
-    zeta_trajectory,
-)
+from .branching import BranchingConfig, _PathBuffers, run_embedding, tau_diagnostics
 from .errors import RangeError
 from .graph import ModelConfig, run_chain
 from .laws import deterministic, explicit, geometric
@@ -596,19 +589,17 @@ class VerifySession:
         }
         value = 1.0
         all_positive = True
+        paths = _PathBuffers()  # one set of arrays for every path of this call
         for beta in (0.0, 1.0):
             cfg = BranchingConfig(edge_law=law, beta=beta, initial=initial)
             rng = self._rng(10 + int(beta))
             hits = 0
             positive = 0
             for _ in range(self.zeta_runs):
-                if beta == 0.0:
-                    path = simulate_mbp(cfg, horizon, rng)
-                else:
-                    path = simulate_mbpi(cfg, horizon, rng)
-                traj = zeta_trajectory(path, m=1.0, tail_fraction=0.25)
-                positive += traj.scaled[-1] > 0
-                hits += traj.tail_oscillation < osc_tol
+                n = paths.draw(cfg.initial, cfg.beta, cfg.edge_law, horizon, rng)
+                osc, last = paths.plateau(n, m=1.0, tail_fraction=0.25)
+                positive += last > 0
+                hits += osc < osc_tol
             frac = hits / self.zeta_runs
             pos_frac = positive / self.zeta_runs
             detail[f"beta={beta:g}"] = {

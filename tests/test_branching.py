@@ -1,5 +1,6 @@
 """Continuous-time growth processes and the event-time construction."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -9,6 +10,7 @@ from prefattach.analysis import embedding_equivalence_test
 from prefattach.branching import (
     BranchingConfig,
     JumpPath,
+    _PathBuffers,
     run_embedding,
     simulate_mbp,
     simulate_mbpi,
@@ -40,14 +42,13 @@ class TestJumpPath:
         with pytest.raises(RangeError):
             JumpPath(initial=1, times=np.array([1.0]), values=np.array([1], np.int64))
 
-    def test_value_lookup_is_right_continuous(self):
+    def test_final_size_is_the_last_value_or_the_start(self):
         path = JumpPath(
             initial=1, times=np.array([1.0, 2.0]), values=np.array([2, 3], np.int64)
         )
-        assert path.value_at(0.5) == 1
-        assert path.value_at(1.0) == 2
-        assert path.value_at(3.0) == 3
         assert path.final == 3
+        empty = JumpPath(initial=4, times=np.empty(0), values=np.empty(0, np.int64))
+        assert empty.final == 4
 
 
 WAIT_REPS = 50_000
@@ -65,15 +66,18 @@ def _mean_first_wait(cfg, horizon, rng):
 
 
 class CountingGenerator:
-    """A generator that counts the exponential variates drawn through it."""
+    """A generator that counts the exponential variates drawn through it and
+    the calls (one per block of a size path) that drew them."""
 
     def __init__(self, rng):
         self.rng = rng
         self.exponentials = 0
+        self.calls = 0
 
-    def standard_exponential(self, size):
+    def standard_exponential(self, size, out=None):
         self.exponentials += size
-        return self.rng.standard_exponential(size)
+        self.calls += 1
+        return self.rng.standard_exponential(size, out=out)
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -177,9 +181,7 @@ class TestGrowthWithArrivals:
         reps = 30_000
         finals = np.fromiter(
             (
-                simulate_mbpi(cfg, 1.0, rng, representation=representation).value_at(
-                    1.0
-                )
+                simulate_mbpi(cfg, 1.0, rng, representation=representation).final
                 for _ in range(reps)
             ),
             dtype=np.int64,
@@ -209,8 +211,8 @@ class TestGrowthWithArrivals:
         rng_a, rng_b = substream(42, 4), substream(42, 5)
         counts_a, counts_b = {}, {}
         for _ in range(reps):
-            va = simulate_mbpi(cfg, 1.0, rng_a, representation="jump-chain").value_at(1.0)
-            vb = simulate_mbpi(cfg, 1.0, rng_b, representation="superposition").value_at(1.0)
+            va = simulate_mbpi(cfg, 1.0, rng_a, representation="jump-chain").final
+            vb = simulate_mbpi(cfg, 1.0, rng_b, representation="superposition").final
             counts_a[va] = counts_a.get(va, 0) + 1
             counts_b[vb] = counts_b.get(vb, 0) + 1
         from prefattach.analysis import embedding_equivalence_test
@@ -308,3 +310,83 @@ class TestScaledTrajectory:
         traj = zeta_trajectory(path, m=1.0, tail_fraction=0.25)
         assert traj.tail_mean > 0
         assert traj.tail_oscillation >= 0
+
+
+def concatenated_jump_chain(initial, beta, law, horizon, rng):
+    """The jump chain with a fresh array per block, concatenated at the end:
+    the same draws and arithmetic as the package's in-place kernel."""
+    m, t, size = law.mean, 0.0, initial
+    times_parts, value_parts = [], []
+    while True:
+        expected = (size + beta) * math.expm1(min(m * (horizon - t), 700.0)) / m
+        b = int(min(expected + 64, 1 << 16))
+        xs = law.sample(rng, b)
+        post = size + np.cumsum(xs)
+        rates = (post - xs) + beta
+        ts = t + np.cumsum(rng.standard_exponential(b) / rates)
+        cut = int(np.searchsorted(ts, horizon, side="right"))
+        times_parts.append(ts[:cut])
+        value_parts.append(post[:cut])
+        if cut < b:
+            return np.concatenate(times_parts), np.concatenate(value_parts)
+        t, size = float(ts[-1]), int(post[-1])
+
+
+class TestPathKernel:
+    """The size-limit check's in-place kernel against the public route."""
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "law, horizon", [(deterministic(1), 8.0), (geometric(0.5), 4.0)], ids=["det:1", "geom:0.5"]
+    )
+    def test_public_paths_equal_the_concatenated_block_loop(self, law, horizon, beta):
+        cfg = BranchingConfig(edge_law=law, beta=beta, initial=10)
+        rng_a = CountingGenerator(substream(45, int(beta)))
+        rng_b = substream(45, int(beta))
+        for _ in range(6):
+            path = simulate_mbpi(cfg, horizon, rng_a)
+            times, values = concatenated_jump_chain(10, beta, law, horizon, rng_b)
+            assert np.array_equal(path.times, times)
+            assert np.array_equal(path.values, values)
+        assert rng_a.calls > 6  # some path took two blocks or more
+
+    @staticmethod
+    def _pairs(law, beta, initial, horizon, tail_fraction, stream, paths):
+        """(kernel, public) statistics per path on identical substreams, and
+        the largest number of blocks a kernel path took."""
+        cfg = BranchingConfig(edge_law=law, beta=beta, initial=initial)
+        public_rng = substream(44, stream)
+        kernel_rng = CountingGenerator(substream(44, stream))
+        buffers = _PathBuffers()
+        pairs, most_blocks = [], 0
+        for _ in range(paths):
+            traj = zeta_trajectory(
+                simulate_mbpi(cfg, horizon, public_rng), m=law.mean, tail_fraction=tail_fraction
+            )
+            calls = kernel_rng.calls
+            n = buffers.draw(cfg.initial, cfg.beta, cfg.edge_law, horizon, kernel_rng)
+            most_blocks = max(most_blocks, kernel_rng.calls - calls)
+            kernel = buffers.plateau(n, law.mean, tail_fraction)
+            pairs.append((kernel, (traj.tail_oscillation, float(traj.scaled[-1]))))
+        return pairs, most_blocks
+
+    # horizon 8 in units of 1/m: det:1 runs to t = 8 (about 30,000 events
+    # from size 10), geom:0.5 (m = 2) to t = 4 (about 16,000)
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize(
+        "law, horizon", [(deterministic(1), 8.0), (geometric(0.5), 4.0)], ids=["det:1", "geom:0.5"]
+    )
+    def test_kernel_statistic_equals_the_public_trajectory(self, law, horizon, beta):
+        pairs, most_blocks = self._pairs(law, beta, 10, horizon, 0.25, int(beta), 12)
+        assert most_blocks >= 2
+        for kernel, public in pairs:
+            assert kernel == public
+
+    def test_eventless_path_at_horizon_zero(self):
+        ((kernel, public),), _ = self._pairs(deterministic(1), 1.0, 10, 0.0, 0.25, 2, 1)
+        assert kernel == public == (0.0, 10.0)
+
+    def test_whole_path_window_includes_the_start(self):
+        pairs, _ = self._pairs(geometric(0.5), 1.0, 10, 2.0, 1.0, 3, 12)
+        for kernel, public in pairs:
+            assert kernel == public

@@ -124,7 +124,90 @@ def test_recursion_agrees_with_the_closed_form_for_any_parameters(x0, beta):
     assert np.max(np.abs(spec.pi - closed)) < 1e-11
 
 
+def dense_pi_quadrature(law, beta, j_max, y_max=None, steps=20000, tol=1e-6):
+    """The quadrature by powering the dense (2 j_max)^2 augmented matrix.
+
+    The augmented system v = [R; Q] with dQ/dy = rate * R is stepped as one
+    matrix, [[G, 0], [rate * I, 0]], without using its block structure.
+    Raises StepTooCoarse under the same rules as ``pi_quadrature``.
+    """
+    m = law.mean
+    rate = 2.0 * m + beta
+    if y_max is None:
+        y_max = -np.log(1e-12) / rate
+    cutoff_mass = float(np.exp(-rate * y_max))
+    if cutoff_mass >= tol:
+        raise StepTooCoarse("cutoff", values=np.zeros(j_max + 1), estimate=cutoff_mass)
+    p = law.pmf_vector(j_max)
+    j_idx = np.arange(1, j_max + 1, dtype=float)
+    gen = np.zeros((j_max, j_max))
+    gen[np.diag_indices(j_max)] = -(rate + j_idx + beta)
+    for k in range(1, j_max):
+        if p[k] != 0.0:
+            col = np.arange(1, j_max - k + 1, dtype=float)
+            gen += np.diag((col + beta) * p[k], -k)
+    big = np.zeros((2 * j_max, 2 * j_max))
+    big[:j_max, :j_max] = gen
+    big[j_max:, :j_max] = rate * np.eye(j_max)
+
+    def propagate(n_steps):
+        hb = y_max / n_steps * big
+        one_step = np.eye(2 * j_max)
+        term = np.eye(2 * j_max)
+        for order in range(1, 5):
+            term = term @ hb / order
+            one_step = one_step + term
+        power = one_step
+        result = None
+        k = n_steps
+        while k:
+            if k & 1:
+                result = power if result is None else result @ power
+            k >>= 1
+            if k:
+                power = power @ power
+        return (result @ np.concatenate((p[1:], np.zeros(j_max))))[j_max:]
+
+    coarse = propagate(steps)
+    fine = propagate(2 * steps)
+    estimate = float(np.max(np.abs(fine - coarse))) / 15.0
+    pi_hat = np.concatenate(([0.0], fine))
+    if estimate > tol:
+        raise StepTooCoarse("step doubling", values=pi_hat, estimate=estimate)
+    return pi_hat
+
+
+DUAL_ROUTE_LAWS = (deterministic(1), deterministic(2), explicit([0.5, 0.5]), geometric(0.5))
+
+
 class TestQuadrature:
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("law", DUAL_ROUTE_LAWS, ids=lambda law: law.label())
+    def test_block_pair_powering_matches_the_dense_route(self, law, beta):
+        quad = pi_quadrature(law, beta, 100)
+        assert np.max(np.abs(quad - dense_pi_quadrature(law, beta, 100))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"y_max": 0.0},
+            # h (rate + j_max + beta) = 2.8 lies just outside RK4's stability
+            # interval, so the coarse run grows and step doubling trips
+            {"y_max": 87.5, "steps": 1000},
+        ],
+        ids=["zero-domain", "step-doubling"],
+    )
+    def test_too_coarse_reports_the_dense_route_estimate(self, kwargs):
+        law = deterministic(1)
+        with pytest.raises(StepTooCoarse) as dense:
+            dense_pi_quadrature(law, 0.0, 30, **kwargs)
+        with pytest.raises(StepTooCoarse) as err:
+            pi_quadrature(law, 0.0, 30, **kwargs)
+        # rounding grows with the unstable modes, so the two routes agree to
+        # about 1e-12 relative there
+        assert err.value.estimate == pytest.approx(dense.value.estimate, rel=1e-9)
+        assert np.allclose(err.value.values, dense.value.values, rtol=1e-9, atol=1e-15)
+
     def test_quadrature_agrees_with_the_recursion(self):
         for law, beta in (
             (deterministic(1), 0.0),
@@ -147,6 +230,14 @@ class TestQuadrature:
     def test_short_domain_leaves_too_much_mass_outside(self):
         with pytest.raises(StepTooCoarse):
             pi_quadrature(deterministic(1), 0.0, 20, y_max=1.0)
+
+    @pytest.mark.filterwarnings("ignore:.*encountered in matmul:RuntimeWarning")
+    def test_overflowing_steps_are_too_coarse(self):
+        # h (rate + j_max + beta) = 9.6 is far outside RK4's stability
+        # interval: the powers overflow and the estimate is NaN
+        with pytest.raises(StepTooCoarse) as err:
+            pi_quadrature(deterministic(1), 0.0, 30, y_max=300.0, steps=1000)
+        assert np.isnan(err.value.estimate)
 
     def test_step_count_floor(self):
         with pytest.raises(RangeError):

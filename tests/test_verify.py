@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from prefattach import verify
-from prefattach.branching import JumpPath
+from prefattach.branching import _PathBuffers
 from prefattach.errors import RangeError
 from prefattach.verify import ALL_CHECKS, DEFAULT_MASTER_SEED, VerifySession
 
@@ -159,16 +159,15 @@ class TestNegativeControls:
     """A check fed a deliberately wrong sampler goes red at the quick profile."""
 
     def test_size_limit_fails_on_paths_grown_at_half_the_rate(self, monkeypatch):
-        def half_rate(draw):
+        real = _PathBuffers.draw
+
+        def half_rate(self, initial, beta, law, horizon, rng):
             # a real path to horizon/2, stretched over the whole horizon
-            def wrong(cfg, horizon, rng):
-                path = draw(cfg, horizon / 2, rng)
-                return JumpPath(initial=path.initial, times=2 * path.times, values=path.values)
+            n = real(self, initial, beta, law, horizon / 2, rng)
+            self.times[: n + 1] *= 2
+            return n
 
-            return wrong
-
-        monkeypatch.setattr(verify, "simulate_mbp", half_rate(verify.simulate_mbp))
-        monkeypatch.setattr(verify, "simulate_mbpi", half_rate(verify.simulate_mbpi))
+        monkeypatch.setattr(_PathBuffers, "draw", half_rate)
         (check,) = VerifySession(profile="quick").run(("scaled-size-limit",)).checks
         assert not check.passed
         assert check.value < check.threshold
