@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .branching import tau_diagnostics
 from .config import ExperimentConfig, parse_config
-from .errors import InsufficientBins, PrefattachError
+from .errors import InsufficientBins, PrefattachError, RangeError
 from .outputs import (
     write_degree_distribution,
     write_max_degree,
@@ -140,6 +140,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    if cfg.model.n < 1:
+        raise RangeError("run.n", "embed needs at least one event")
     agg = replicate(
         cfg.model,
         replications=cfg.replications,
@@ -193,6 +195,13 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    n, stride = cfg.model.n, cfg.model.record_stride
+    points = -(-n // stride)  # recorded steps with n >= 1, which the plateau checks use
+    if points < 10:
+        raise RangeError(
+            "run.n" if n < 10 else "run.stride",
+            f"analyze needs >= 10 recorded steps; n = {n} at stride {stride} records {points}",
+        )
     agg = replicate(
         cfg.model,
         replications=cfg.replications,

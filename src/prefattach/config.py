@@ -11,7 +11,8 @@ from typing import Any, Mapping
 from .errors import ParseError, RangeError
 from .graph import ModelConfig
 from .laws import validate_edge_law
-from .theory import MIN_QUAD_STEPS
+from .streams import checked_seed
+from .theory import MAX_J_MAX, MIN_QUAD_STEPS
 from .verify import PROFILES, validate_thresholds
 
 # JSON/flag keys understood by parse_config, with their defaults.
@@ -126,7 +127,7 @@ def parse_config(
         n=n,
         probe_vertices=tuple(_number("probes", p) for p in probes),
         record_stride=stride,
-        seed=merged["seed"],
+        seed=checked_seed("run.seed", merged["seed"]),
     )
 
     reps = merged["reps"]
@@ -136,8 +137,8 @@ def parse_config(
     if par < 1:
         raise RangeError("run.parallelism", "need at least one worker")
     j_max = merged["jmax"]
-    if j_max < 1:
-        raise RangeError("run.jmax", "must be >= 1")
+    if not 1 <= j_max <= MAX_J_MAX:
+        raise RangeError("run.jmax", f"must be in [1, {MAX_J_MAX}], got {j_max}")
     y_max = merged["ymax"]
     if y_max is not None and not (math.isfinite(y_max) and y_max >= 0):
         raise RangeError("run.ymax", "must be finite and >= 0")

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import BetaNotZero, RangeError
 from .laws import EdgeCountDistribution, GroupingLaw, validate_edge_law
+from .streams import checked_seed
 
 # Vertex labels and step indices are packed into 32-bit halves of one int64
 # sort key, and endpoint totals must stay exact as floats, since the mixture
@@ -56,6 +57,7 @@ class ModelConfig:
             raise RangeError("model.record_stride", "must be >= 1")
         if any(v < 1 for v in self.probe_vertices):
             raise RangeError("model.probe_vertices", "vertex labels start at 1")
+        object.__setattr__(self, "seed", checked_seed("model.seed", self.seed))
         object.__setattr__(self, "edge_law", validate_edge_law(self.edge_law))
         object.__setattr__(self, "probe_vertices", tuple(int(v) for v in self.probe_vertices))
 

@@ -1,13 +1,13 @@
 """CSV and JSON emission.
 
-All writers overwrite their target idempotently.  degree_distribution.csv
-rounds probabilities to six decimals (diff-friendly); the other tables use
-12-significant-digit general format so small residuals stay visible.
+All writers overwrite their target idempotently.  CSV rows end in CRLF, as
+csv.writer writes them.  degree_distribution.csv rounds probabilities to six
+decimals (diff-friendly); the other tables use 12-significant-digit general
+format so small residuals stay visible.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from typing import Mapping
@@ -18,23 +18,52 @@ from .analysis import EmpiricalDistribution
 from .branching import TauDiagnostics
 from .theory import LimitSpectrum, pi_explicit
 
-
-def _fmt6(x) -> str:
-    if x is None:
-        return ""
-    return repr(round(float(x), 6))
-
-
-def _fmtg(x) -> str:
-    if x is None:
-        return ""
-    return f"{float(x):.12g}"
+# Rows rendered per write: long tables stream in chunks of bounded memory.
+_CHUNK = 1 << 14
 
 
 def _open_for_write(path: str):
     parent = os.path.dirname(os.path.abspath(path))
     os.makedirs(parent, exist_ok=True)
     return open(path, "w", newline="")
+
+
+def _write_rows(fh, row: str, start: int, stop: int, columns) -> None:
+    """Write rows start..stop-1 as ``row % cells`` lines ending in CRLF.
+
+    ``columns(a, b)`` returns the cells of rows a..b-1 as one list per
+    column.  A chunk of rows is rendered by one %-format over its
+    interleaved cells and written at once, so the cost per cell is the
+    format itself: ``%s`` is str() as csv.writer uses, ``%.12g`` equals
+    format(x, ".12g") and ``%r`` of round(x, 6) equals repr(round(x, 6)).
+    """
+    line = row + "\r\n"
+    for a in range(start, stop, _CHUNK):
+        b = min(a + _CHUNK, stop)
+        cols = columns(a, b)
+        cells = [None] * (len(cols) * (b - a))
+        for i, col in enumerate(cols):
+            cells[i :: len(cols)] = col
+        fh.write(line * (b - a) % tuple(cells))
+
+
+def _write_scaled(fh, row: str, steps: np.ndarray, exponent: float, *series) -> None:
+    """Rows ``row % (n, *series)`` plus the cell series[0] / n^exponent.
+
+    The scaled cell is blank at n = 0, which only the first recorded step
+    can be.  n^exponent is Python's own power, one step at a time: np.power
+    can differ from it in the last bit.
+    """
+    first = int(steps.shape[0] > 0 and steps[0] == 0)
+    if first:
+        fh.write(row % tuple(s[0].item() for s in (steps, *series)) + ",\r\n")
+
+    def columns(a, b):
+        ns = steps[a:b].tolist()
+        cols = [s[a:b].tolist() for s in series]
+        return [ns, *cols, [x / n**exponent for n, x in zip(ns, cols[0])]]
+
+    _write_rows(fh, row + ",%.12g", first, steps.shape[0], columns)
 
 
 def write_degree_distribution(
@@ -46,19 +75,22 @@ def write_degree_distribution(
     spectrum cutoff; theory columns are blank without a spectrum.
     """
     top = emp.support_max if spectrum is None else max(emp.support_max, spectrum.j_max)
+    count = [emp.counts.get(j, 0) for j in range(top + 1)]
+    freq = np.array([emp.freq.get(j, 0.0) for j in range(top + 1)], dtype=float)
+    shown = [freq]
+    if spectrum is not None:
+        pi = np.zeros(top + 1)
+        pi[1 : spectrum.j_max + 1] = spectrum.pi[1:]
+        shown += [pi, np.abs(freq - pi)]
+
+    def columns(a, b):
+        rounded = ([round(x, 6) for x in c[a:b].tolist()] for c in shown)
+        return [range(a, b), count[a:b], *rounded]
+
     with _open_for_write(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "count", "empirical", "theoretical", "abs_error"])
-        for j in range(1, top + 1):
-            count = emp.counts.get(j, 0)
-            freq = emp.freq.get(j, 0.0)
-            if spectrum is None:
-                w.writerow([j, count, _fmt6(freq), "", ""])
-            else:
-                pi_j = float(spectrum.pi[j]) if j <= spectrum.j_max else 0.0
-                w.writerow(
-                    [j, count, _fmt6(freq), _fmt6(pi_j), _fmt6(abs(freq - pi_j))]
-                )
+        fh.write("j,count,empirical,theoretical,abs_error\r\n")
+        row = "%s,%s,%r,," if spectrum is None else "%s,%s,%r,%r,%r"
+        _write_rows(fh, row, 1, top + 1, columns)
 
 
 def write_trajectories(
@@ -69,13 +101,9 @@ def write_trajectories(
 ) -> None:
     """Rows n,vertex,degree,scaled; scaled = degree / n^exponent (blank at n=0)."""
     with _open_for_write(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "vertex", "degree", "scaled"])
+        fh.write("n,vertex,degree,scaled\r\n")
         for vertex in sorted(probes):
-            series = probes[vertex]
-            for n, d in zip(steps.tolist(), series.tolist()):
-                scaled = _fmtg(d / n**exponent) if n > 0 else ""
-                w.writerow([n, vertex, d, scaled])
+            _write_scaled(fh, f"%s,{vertex},%s", steps, exponent, probes[vertex])
 
 
 def write_max_degree(
@@ -87,29 +115,20 @@ def write_max_degree(
 ) -> None:
     """Rows n,M_n,I_n,scaled; scaled = M_n / n^exponent (blank at n=0)."""
     with _open_for_write(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "M_n", "I_n", "scaled"])
-        for n, m_n, i_n in zip(
-            steps.tolist(), max_series.tolist(), argmax_series.tolist()
-        ):
-            scaled = _fmtg(m_n / n**exponent) if n > 0 else ""
-            w.writerow([n, m_n, i_n, scaled])
+        fh.write("n,M_n,I_n,scaled\r\n")
+        _write_scaled(fh, "%s,%s,%s", steps, exponent, max_series, argmax_series)
 
 
 def write_tau(path: str, taus: np.ndarray, diag: TauDiagnostics) -> None:
     """Rows n,tau,martingale_residual,log_drift_residual."""
+
+    def columns(a, b):
+        series = (taus, diag.martingale_residual, diag.log_drift_residual)
+        return [range(a + 1, b + 1), *(s[a:b].tolist() for s in series)]
+
     with _open_for_write(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "tau", "martingale_residual", "log_drift_residual"])
-        for k in range(taus.shape[0]):
-            w.writerow(
-                [
-                    k + 1,
-                    _fmtg(taus[k]),
-                    _fmtg(diag.martingale_residual[k]),
-                    _fmtg(diag.log_drift_residual[k]),
-                ]
-            )
+        fh.write("n,tau,martingale_residual,log_drift_residual\r\n")
+        _write_rows(fh, "%s,%.12g,%.12g,%.12g", 0, taus.shape[0], columns)
 
 
 def write_pi(
@@ -124,17 +143,23 @@ def write_pi(
     The explicit column is filled only when the law is a fixed edge count
     (pass its x0); the quadrature column is blank when not computed.
     """
+    j_max = spectrum.j_max
+    # rows j <= with_quad have a quadrature cell, the rows after it none
+    with_quad = 0 if quadrature is None else max(0, min(j_max, quadrature.shape[0] - 1))
+
+    def columns(a, b):
+        cols = [range(a, b), spectrum.pi[a:b].tolist()]
+        if b <= with_quad + 1:
+            cols.append(quadrature[a:b].tolist())
+        if explicit_x0 is not None:
+            cols.append([pi_explicit(explicit_x0, beta, j) for j in range(a, b)])
+        return cols
+
+    explicit = ",%.12g" if explicit_x0 is not None else ","
     with _open_for_write(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "pi_recursive", "pi_quadrature", "pi_explicit_or_blank"])
-        for j in range(1, spectrum.j_max + 1):
-            quad = None
-            if quadrature is not None and j < quadrature.shape[0]:
-                quad = quadrature[j]
-            exp_col = (
-                pi_explicit(explicit_x0, beta, j) if explicit_x0 is not None else None
-            )
-            w.writerow([j, _fmtg(spectrum.pi[j]), _fmtg(quad), _fmtg(exp_col)])
+        fh.write("j,pi_recursive,pi_quadrature,pi_explicit_or_blank\r\n")
+        _write_rows(fh, "%s,%.12g,%.12g" + explicit, 1, with_quad + 1, columns)
+        _write_rows(fh, "%s,%.12g," + explicit, with_quad + 1, j_max + 1, columns)
 
 
 def write_report(path: str, report: dict) -> None:

@@ -19,7 +19,7 @@ import numpy as np
 from .branching import run_embedding
 from .errors import RangeError
 from .graph import ModelConfig, run_chain
-from .streams import mix64
+from .streams import checked_seed, mix64
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def replicate(
         raise RangeError("task", f"unknown task {task!r}")
     if replications < 1:
         raise RangeError("replications", "need at least one replication")
-    seed = model.seed if master_seed is None else int(master_seed)
+    seed = model.seed if master_seed is None else checked_seed("master_seed", master_seed)
     worker = _chain_worker if task == "simulate" else _embed_worker
     jobs = [(model, seed, r) for r in range(replications)]
 

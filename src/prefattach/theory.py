@@ -48,6 +48,11 @@ from .laws import EdgeCountDistribution, validate_edge_law
 
 _Y_MAX_MASS = 1e-12  # default domain cutoff: exp(-rate * y_max) below this
 MIN_QUAD_STEPS = 1000  # fewest integration steps pi_quadrature accepts
+# Largest truncation degree accepted, checked before anything is allocated.
+# It is the largest the package uses itself (moment-dichotomy at the full
+# profile); pi_quadrature holds nine dense j_max x j_max float64 blocks, 1.8 GB
+# at this cap, where 30,000 would need 65 GB.
+MAX_J_MAX = 5000
 
 
 def theta(m: float, beta: float) -> float:
@@ -121,8 +126,8 @@ def pi_recursive(
     above j_max exceeds it.
     """
     law = validate_edge_law(edge_law)
-    if j_max < 1:
-        raise RangeError("j_max", "must be >= 1")
+    if not 1 <= j_max <= MAX_J_MAX:
+        raise RangeError("j_max", f"must be in [1, {MAX_J_MAX}], got {j_max}")
     m = law.mean
     if m <= 0:
         raise NonPositiveMean("edge-count law has nonpositive mean")
@@ -173,8 +178,8 @@ def pi_quadrature(
     the error estimate exceeds tol or is not a number.
     """
     law = validate_edge_law(edge_law)
-    if j_max < 1:
-        raise RangeError("j_max", "must be >= 1")
+    if not 1 <= j_max <= MAX_J_MAX:
+        raise RangeError("j_max", f"must be in [1, {MAX_J_MAX}], got {j_max}")
     if steps < MIN_QUAD_STEPS:
         raise RangeError("steps", f"need at least {MIN_QUAD_STEPS} integration steps")
     if not np.isfinite(beta) or beta < 0:

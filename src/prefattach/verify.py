@@ -38,7 +38,7 @@ from .errors import RangeError
 from .graph import ModelConfig, run_chain
 from .laws import deterministic, explicit, geometric
 from .replicate import replicate
-from .streams import mix64, substream
+from .streams import checked_seed, mix64, substream
 from .theory import moment_profile, pi_explicit, pi_quadrature, pi_recursive
 
 DEFAULT_MASTER_SEED = 20260815
@@ -227,7 +227,7 @@ class VerifySession:
         if profile not in PROFILE_CHECKS:
             raise RangeError("profile", f"unknown profile {profile!r}")
         self.profile = profile
-        self.master_seed = int(master_seed)
+        self.master_seed = checked_seed("master_seed", master_seed)
         self.parallelism = max(1, int(parallelism))
         self.thresholds = validate_thresholds(thresholds or {})
         self._cache: dict[str, object] = {}

@@ -167,6 +167,28 @@ class TestUsageErrors:
             main(["simulate", "--horizon", "123", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        ("argv", "field"),
+        [
+            (["embed", "--n", "0"], "run.n"),
+            (["analyze", "--n", "0"], "run.n"),
+            (["analyze", "--n", "1"], "run.n"),
+            (["analyze", "--n", "100", "--stride", "20"], "run.stride"),
+            (["theory", "--jmax", "100000000000"], "run.jmax"),
+            (["simulate", "--jmax", "100000000000"], "run.jmax"),
+            (["simulate", "--seed", "-1"], "run.seed"),
+            (["simulate", "--seed", str(2**64 + 5)], "run.seed"),
+        ],
+    )
+    def test_refusals_name_their_field(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "res"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ten_recorded_steps_are_enough_to_analyze(self, tmp_path):
+        assert main(["analyze", "--n", "100", "--stride", "10", "--out", str(tmp_path)]) == 0
+
     def test_reversed_fit_range_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fit_j_min": 40, "fit_j_max": 30}))

@@ -6,6 +6,7 @@ import pytest
 
 from prefattach.config import parse_config
 from prefattach.errors import ParseError, RangeError
+from prefattach.theory import MAX_J_MAX
 
 
 class TestDefaults:
@@ -79,6 +80,12 @@ class TestValidation:
             ({"fit_j_min": 0}, "run.fit_j_min"),
             ({"fit_j_min": 40, "fit_j_max": 30}, "run.fit_j_max"),
             ({"fit_j_min": 30, "fit_j_max": 30}, "run.fit_j_max"),
+            ({"seed": -1}, "run.seed"),
+            ({"seed": 2**64}, "run.seed"),
+            ({"seed": 2**64 + 5}, "run.seed"),
+            ({"jmax": 0}, "run.jmax"),
+            ({"jmax": MAX_J_MAX + 1}, "run.jmax"),
+            ({"jmax": 10**11}, "run.jmax"),
         ],
     )
     def test_out_of_range_run_keys_name_their_field(self, overrides, field):
@@ -137,6 +144,9 @@ class TestValidation:
             None, {"quad_steps": 1000, "ymax": 0, "fit_j_min": 1, "fit_j_max": 2}
         )
         assert (cfg.quad_steps, cfg.y_max, cfg.fit_j_min, cfg.fit_j_max) == (1000, 0.0, 1, 2)
+        for seed in (0, 2**64 - 1):
+            assert parse_config(None, {"seed": seed}).model.seed == seed
+        assert parse_config(None, {"jmax": MAX_J_MAX}).j_max == MAX_J_MAX
 
     def test_horizon_is_no_longer_a_config_key(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -312,6 +312,17 @@ class TestConfigValidation:
         with pytest.raises(RangeError):
             ModelConfig(beta=0.0, edge_law=deterministic(1), n=10, probe_vertices=(0,))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.0, True])
+    def test_seeds_outside_64_bits_are_rejected(self, seed):
+        with pytest.raises(RangeError) as err:
+            ModelConfig(beta=0.0, edge_law=deterministic(1), n=10, seed=seed)
+        assert err.value.field == "model.seed"
+
+    def test_largest_seed_runs(self):
+        cfg = ModelConfig(beta=0.0, edge_law=deterministic(1), n=10, seed=np.uint64(2**64 - 1))
+        assert type(cfg.seed) is int
+        assert run_chain(cfg).ledger.step == 10
+
 
 class TestGrouping:
     def test_unit_blocks_reproduce_the_input_degrees(self):

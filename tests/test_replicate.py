@@ -86,6 +86,12 @@ class TestEmbedTask:
         with pytest.raises(RangeError):
             replicate(_model(), 2, task="nope")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seeds_outside_64_bits_are_rejected(self, seed):
+        with pytest.raises(RangeError) as err:
+            replicate(_model(n=10), 2, master_seed=seed)
+        assert err.value.field == "master_seed"
+
 
 @pytest.fixture
 def pool_sizes(monkeypatch):

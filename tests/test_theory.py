@@ -13,6 +13,7 @@ from prefattach.errors import (
 )
 from prefattach.laws import deterministic, explicit, geometric
 from prefattach.theory import (
+    MAX_J_MAX,
     moment_profile,
     pi_explicit,
     pi_quadrature,
@@ -102,6 +103,14 @@ class TestRecursion:
     def test_degenerate_truncation_is_rejected(self):
         with pytest.raises(RangeError):
             pi_recursive(deterministic(1), 0.0, 0)
+
+    @pytest.mark.parametrize("route", [pi_recursive, pi_quadrature])
+    @pytest.mark.parametrize("j_max", [MAX_J_MAX + 1, 10**11])
+    def test_truncations_above_the_cap_are_refused_up_front(self, route, j_max):
+        # both sizes are refused before anything is allocated
+        with pytest.raises(RangeError) as err:
+            route(geometric(0.5), 1.0, j_max)
+        assert err.value.field == "j_max"
 
     def test_probabilities_are_a_subprobability_vector(self):
         for law in (explicit([0.2, 0.3, 0.5]), geometric(0.4)):

@@ -76,6 +76,13 @@ def test_unknown_profile_is_rejected():
         VerifySession(profile="nope")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_master_seeds_outside_64_bits_are_rejected(seed):
+    with pytest.raises(RangeError) as err:
+        VerifySession(profile="theory", master_seed=seed)
+    assert err.value.field == "master_seed"
+
+
 def test_unknown_check_name_is_rejected():
     with pytest.raises(RangeError):
         VerifySession(profile="theory").run(names=("not-a-check",))
