@@ -13,13 +13,11 @@ from .analysis import (
     DistanceReport,
     EmpiricalDistribution,
     FreezeReport,
-    LlnComparison,
     TailFit,
     distribution_distance,
     embedding_equivalence_test,
     empirical_distribution,
     freeze_detector,
-    functional_lln,
     max_degree_check,
     tail_fit,
     trajectory_limit_check,
@@ -42,12 +40,10 @@ from .graph import (
     ModelConfig,
     RunResult,
     choose_vertex,
-    group_vertices,
     run_chain,
 )
 from .laws import (
     EdgeCountDistribution,
-    GroupingLaw,
     deterministic,
     explicit,
     geometric,
@@ -84,10 +80,8 @@ __all__ = [
     "EmpiricalDistribution",
     "ExperimentConfig",
     "FreezeReport",
-    "GroupingLaw",
     "JumpPath",
     "LimitSpectrum",
-    "LlnComparison",
     "ModelConfig",
     "MomentCurve",
     "ReportDocument",
@@ -103,9 +97,7 @@ __all__ = [
     "empirical_distribution",
     "explicit",
     "freeze_detector",
-    "functional_lln",
     "geometric",
-    "group_vertices",
     "max_degree_check",
     "mix64",
     "moment_profile",

@@ -9,16 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateBinning,
-    InsufficientBins,
-    SeriesTooShort,
-    UnboundedF,
-)
+from .errors import DegenerateBinning, InsufficientBins, SeriesTooShort
 from .graph import DegreeLedger
 from .theory import LimitSpectrum
 
@@ -59,46 +54,6 @@ def empirical_distribution(
     freq = {j: c / total for j, c in counts.items()}
     return EmpiricalDistribution(
         n=int(n), counts=counts, freq=freq, support_max=max(counts)
-    )
-
-
-@dataclass(frozen=True)
-class LlnComparison:
-    """Both sides of sum_j f(j) R_j(n) / n vs sum_j f(j) pi_j."""
-
-    empirical: float
-    theoretical: float
-    gap: float
-
-
-def functional_lln(
-    f: Callable[[int], float],
-    emp: EmpiricalDistribution,
-    spectrum: LimitSpectrum,
-    bound: float | None = None,
-) -> LlnComparison:
-    """Compare the empirical additive functional against its limit.
-
-    The empirical side divides by n (the step count), matching the limit
-    normalization; with f = 1 it equals (n + 2)/n, close to but not exactly
-    the spectrum's total mass.  If ``bound`` is given, |f| is checked against
-    it on every evaluated j and UnboundedF raised on violation.
-    """
-    if emp.n < 1:
-        raise SeriesTooShort("need at least one step for the n-normalization")
-
-    def checked(j: int) -> float:
-        v = float(f(j))
-        if bound is not None and abs(v) > bound:
-            raise UnboundedF(f"|f({j})| = {abs(v):g} exceeds the declared bound {bound:g}")
-        return v
-
-    empirical = sum(checked(j) * c for j, c in emp.counts.items()) / emp.n
-    theoretical = sum(
-        checked(j) * spectrum.pi[j] for j in range(1, spectrum.j_max + 1)
-    )
-    return LlnComparison(
-        empirical=empirical, theoretical=theoretical, gap=empirical - theoretical
     )
 
 
@@ -266,17 +221,13 @@ class DistanceReport:
 
     ``tv_core`` is half the absolute gap summed over j <= j_max;
     ``remainder`` is half of (empirical mass above j_max + truncation mass),
-    bounding what the core misses; ``tv`` is their sum.  ``per_j_abs_error``
-    is indexed like the spectrum (entry 0 unused).
+    bounding what the core misses, so the total variation is at most their
+    sum.  ``per_j_abs_error`` is indexed like the spectrum (entry 0 unused).
     """
 
     tv_core: float
     remainder: float
     per_j_abs_error: np.ndarray
-
-    @property
-    def tv(self) -> float:
-        return self.tv_core + self.remainder
 
     @property
     def max_abs_error(self) -> float:

@@ -298,14 +298,13 @@ class TauDiagnostics:
     ``martingale_residual[k]`` = tau_{k+1} - sum_{j<=k} 1/S_j has mean zero
     by construction (each wait is Exp(S_j)); ``log_drift_residual[k]`` =
     tau_{k+1} - alpha log(k+1) should settle near a random constant, with
-    alpha = 1/(2m + beta).  Tail oscillations are max - min over the last
-    half of the indices.
+    alpha = 1/(2m + beta).  ``log_drift_tail_osc`` is max - min of the latter
+    over the last half of the indices.
     """
 
     alpha: float
     martingale_residual: np.ndarray
     log_drift_residual: np.ndarray
-    martingale_tail_osc: float
     log_drift_tail_osc: float
 
 
@@ -333,7 +332,6 @@ def tau_diagnostics(
         alpha=alpha,
         martingale_residual=mart,
         log_drift_residual=logd,
-        martingale_tail_osc=float(mart[half:].max() - mart[half:].min()),
         log_drift_tail_osc=float(logd[half:].max() - logd[half:].min()),
     )
 

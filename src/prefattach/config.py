@@ -84,8 +84,9 @@ def parse_config(
 ) -> ExperimentConfig:
     """Merge defaults, an optional JSON file, and flag overrides (flags win).
 
-    Raises ParseError for unreadable files or unknown keys, RangeError (with
-    a dotted field path) for out-of-range values.
+    Raises ParseError for unreadable files, unknown keys or an unreadable law
+    (its message starts "run.law: "), RangeError (with a dotted field path)
+    for out-of-range values and for null where the default is not null.
     """
     merged = dict(_DEFAULTS)
     if path is not None:
@@ -109,10 +110,16 @@ def parse_config(
             raise ParseError(f"unknown option {key!r}")
         merged[key] = value
 
+    for key, value in merged.items():
+        if value is None and _DEFAULTS[key] is not None:
+            raise RangeError(f"run.{key}", "must not be null")
     for key in _INTEGER_KEYS + _REAL_KEYS:
         if merged[key] is not None:
             merged[key] = _number(key, merged[key], integer=key in _INTEGER_KEYS)
-    law = validate_edge_law(merged["law"])
+    try:
+        law = validate_edge_law(merged["law"])
+    except ParseError as exc:
+        raise ParseError(f"run.law: {exc}") from exc
     n = merged["n"]
     stride = merged["stride"]
     stride = max(1, n // 1000) if stride is None else stride

@@ -43,10 +43,6 @@ class NonPositiveMean(PrefattachError):
     """An operation needs a strictly positive mean edge count."""
 
 
-class BetaNotZero(PrefattachError):
-    """The grouped-degree construction is only defined for beta = 0."""
-
-
 class MismatchedLengths(PrefattachError):
     """Two parallel series disagree on length."""
 
@@ -74,10 +70,6 @@ class StepTooCoarse(PrefattachError):
         self.values = values
         self.estimate = estimate
         super().__init__(message)
-
-
-class UnboundedF(PrefattachError):
-    """A test function exceeds its declared bound on the evaluated support."""
 
 
 class InsufficientBins(PrefattachError):

@@ -26,8 +26,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BetaNotZero, RangeError
-from .laws import EdgeCountDistribution, GroupingLaw, validate_edge_law
+from .errors import RangeError
+from .laws import EdgeCountDistribution, validate_edge_law
 from .streams import checked_seed
 
 # Vertex labels and step indices are packed into 32-bit halves of one int64
@@ -107,9 +107,9 @@ class DegreeLedger:
     def from_degrees(cls, degrees: Sequence[int]) -> "DegreeLedger":
         """Assemble a ledger from an explicit degree sequence (vertex 1 first).
 
-        Useful for frozen-state sampling tests and for the grouped-degree
-        construction; ``step`` is set to len(degrees) - 2 so that the
-        selection weights see the right vertex count.
+        Useful for frozen-state sampling tests; ``step`` is set to
+        len(degrees) - 2 so that the selection weights see the right vertex
+        count.
         """
         seq = np.asarray(list(degrees), dtype=np.int64)
         if seq.ndim != 1 or seq.shape[0] < 1:
@@ -296,25 +296,3 @@ def run_chain(config: ModelConfig, snapshot_steps: Iterable[int] = ()) -> RunRes
         snapshots=snapshots,
     )
 
-
-def group_vertices(
-    run: RunResult, grouping: GroupingLaw, rng: np.random.Generator
-) -> DegreeLedger:
-    """Grouped-degree variant: block-sum the non-root degrees.
-
-    Keeps vertices 1 and 2 as they are, then partitions vertices 3, 4, ...
-    (in label order) into consecutive blocks with iid sizes from ``grouping``
-    and replaces each complete block by one vertex carrying the block's total
-    degree.  A trailing incomplete block is dropped.  Only defined for the
-    pure preferential-attachment case (beta = 0).
-    """
-    if run.config.beta != 0.0:
-        raise BetaNotZero("grouped degrees are only defined for beta = 0")
-    grouping = validate_edge_law(grouping)
-    degrees = run.ledger.degrees
-    rest = degrees.shape[0] - 2
-    # at most ``rest`` blocks fit; keep the ends of the complete ones
-    ends = np.cumsum(grouping.sample(rng, rest))
-    ends = ends[: np.searchsorted(ends, rest, side="right")]
-    bounds = np.concatenate(([0, 1, 2], 2 + ends))
-    return DegreeLedger.from_degrees(np.add.reduceat(degrees[: bounds[-1]], bounds[:-1]))

@@ -1,8 +1,7 @@
 """Edge-count distributions: laws on the positive integers {1, 2, ...}.
 
 Each attachment step joins the incoming vertex to its target with X parallel
-edges, X drawn from one of these laws.  The same representation doubles as
-the block-size law of the grouped-degree construction.
+edges, X drawn from one of these laws.
 
 Three kinds are supported:
 
@@ -42,16 +41,6 @@ class EdgeCountDistribution:
     q: float = 0.0
     mean: float = 0.0
 
-    def pmf(self, j: int) -> float:
-        """P(X = j) for an integer j."""
-        if j < 1:
-            return 0.0
-        if self.kind == "deterministic":
-            return 1.0 if j == self.x0 else 0.0
-        if self.kind == "explicit":
-            return self.probs[j - 1] if j <= len(self.probs) else 0.0
-        return (1.0 - self.q) ** (j - 1) * self.q
-
     def pmf_vector(self, j_max: int) -> np.ndarray:
         """Array ``p`` of length j_max + 1 with ``p[j] = P(X = j)``, p[0] = 0."""
         p = np.zeros(j_max + 1)
@@ -84,10 +73,6 @@ class EdgeCountDistribution:
         if self.kind == "geometric":
             return f"geom:{self.q:g}"
         return "explicit:" + ",".join(f"{p:g}" for p in self.probs)
-
-
-# The block-size law of the grouped construction has the same shape.
-GroupingLaw = EdgeCountDistribution
 
 
 def deterministic(x0: int) -> EdgeCountDistribution:
@@ -140,27 +125,31 @@ def validate_edge_law(spec: LawSpec) -> EdgeCountDistribution:
 
     Raises NonPositiveSupport if any mass sits on j <= 0, NotNormalized if an
     explicit table misses mass one by more than 1e-9, EmptyLaw for an empty
-    table, ParseError for unreadable strings.
+    table, ParseError for unreadable strings and any other form (a bool, a
+    float, None, a non-numeric key or entry).
     """
     if isinstance(spec, EdgeCountDistribution):
         return spec
-    if isinstance(spec, (int, np.integer)):
+    if isinstance(spec, (int, np.integer)) and not isinstance(spec, bool):
         return deterministic(int(spec))
     if isinstance(spec, str):
         return _parse_law_string(spec)
-    if isinstance(spec, Mapping):
-        if not spec:
-            raise EmptyLaw("law mapping is empty")
-        support = sorted(int(j) for j in spec)
-        if support[0] < 1:
-            raise NonPositiveSupport(
-                f"law puts mass on j = {support[0]}; support must be positive"
-            )
-        table = [0.0] * support[-1]
-        for j, p in spec.items():
-            table[int(j) - 1] = float(p)
-        return explicit(table)
-    return explicit(spec)
+    try:
+        if isinstance(spec, Mapping):
+            if not spec:
+                raise EmptyLaw("law mapping is empty")
+            support = sorted(int(j) for j in spec)
+            if support[0] < 1:
+                raise NonPositiveSupport(
+                    f"law puts mass on j = {support[0]}; support must be positive"
+                )
+            table = [0.0] * support[-1]
+            for j, p in spec.items():
+                table[int(j) - 1] = float(p)
+            return explicit(table)
+        return explicit(spec)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"could not read law {spec!r}: {exc}") from exc
 
 
 def _parse_law_string(text: str) -> EdgeCountDistribution:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -121,6 +122,14 @@ def _embed_worker(args) -> EmbedSummary:
     )
 
 
+def checked_parallelism(parallelism) -> int:
+    """``parallelism`` as an int >= 1, else RangeError naming "parallelism"."""
+    integral = isinstance(parallelism, numbers.Integral) and not isinstance(parallelism, bool)
+    if not (integral and parallelism >= 1):
+        raise RangeError("parallelism", f"must be an integer >= 1, got {parallelism!r}")
+    return int(parallelism)
+
+
 def replicate(
     model: ModelConfig,
     replications: int,
@@ -133,11 +142,13 @@ def replicate(
     ``master_seed`` defaults to the model's seed; replicate r actually runs
     with seed mix64(master_seed, r).  At most min(parallelism, replications,
     cpu count) worker processes run; with one, everything runs in-process.
+    A ``parallelism`` that is not an integer >= 1 raises RangeError.
     """
     if task not in ("simulate", "embed"):
         raise RangeError("task", f"unknown task {task!r}")
     if replications < 1:
         raise RangeError("replications", "need at least one replication")
+    parallelism = checked_parallelism(parallelism)
     seed = model.seed if master_seed is None else checked_seed("master_seed", master_seed)
     worker = _chain_worker if task == "simulate" else _embed_worker
     jobs = [(model, seed, r) for r in range(replications)]

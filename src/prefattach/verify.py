@@ -15,6 +15,7 @@ is reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -37,7 +38,7 @@ from .branching import BranchingConfig, _PathBuffers, run_embedding, tau_diagnos
 from .errors import RangeError
 from .graph import ModelConfig, run_chain
 from .laws import deterministic, explicit, geometric
-from .replicate import replicate
+from .replicate import checked_parallelism, replicate
 from .streams import checked_seed, mix64, substream
 from .theory import moment_profile, pi_explicit, pi_quadrature, pi_recursive
 
@@ -136,13 +137,16 @@ PROFILE_CHECKS = {
     "theory": tuple(c.name for c in CATALOGUE if c.theory),
 }
 PROFILES = tuple(PROFILE_CHECKS)
+# check_tail_exponent divides by these, so they must be > 0, not only >= 0.
+_DIVISOR_KEYS = ("tail-exponent", "tail-exponent.band_beta0", "tail-exponent.band_beta1")
 
 
 def validate_thresholds(thresholds: Mapping) -> dict[str, float]:
     """Threshold overrides as floats, keyed "<check>" or "<check>.<param>".
 
     Raises RangeError, naming the offending "thresholds.<key>", for an unknown
-    check, an unknown parameter, or a value that is not a number.
+    check, an unknown parameter, a value that is not a number, one that is
+    not finite or is negative, and 0 for a key the checks divide by.
     """
     out = {}
     for key, value in thresholds.items():
@@ -153,9 +157,14 @@ def validate_thresholds(thresholds: Mapping) -> dict[str, float]:
         if dot and param not in _BY_NAME[head].params:
             raise RangeError(field_path, f"unknown parameter {param!r} of {head}")
         try:
-            out[str(key)] = float(value)
+            number = float(value)
         except (TypeError, ValueError):
             raise RangeError(field_path, f"not a number: {value!r}") from None
+        if not (math.isfinite(number) and number >= 0):
+            raise RangeError(field_path, f"must be finite and >= 0, got {value!r}")
+        if number == 0 and str(key) in _DIVISOR_KEYS:
+            raise RangeError(field_path, "must be > 0")
+        out[str(key)] = number
     return out
 
 
@@ -228,7 +237,7 @@ class VerifySession:
             raise RangeError("profile", f"unknown profile {profile!r}")
         self.profile = profile
         self.master_seed = checked_seed("master_seed", master_seed)
-        self.parallelism = max(1, int(parallelism))
+        self.parallelism = checked_parallelism(parallelism)
         self.thresholds = validate_thresholds(thresholds or {})
         self._cache: dict[str, object] = {}
         full = profile != "quick"

@@ -153,6 +153,16 @@ class TestUsageErrors:
         assert f"thresholds.{item.partition('=')[0]}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "item",
+        ["explicit-spectrum-crosscheck=nan", "explicit-spectrum-crosscheck=inf", "tail-exponent.band_beta0=0"],
+    )
+    def test_non_finite_or_dividing_zero_thresholds_are_rejected(self, tmp_path, capsys, item):
+        code = main(["verify", "--profile", "theory", "--threshold", item, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"thresholds.{item.partition('=')[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_mistyped_config_value_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": "abc"}))

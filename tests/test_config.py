@@ -5,7 +5,7 @@ import json
 import pytest
 
 from prefattach.config import parse_config
-from prefattach.errors import ParseError, RangeError
+from prefattach.errors import ParseError, PrefattachError, RangeError
 from prefattach.theory import MAX_J_MAX
 
 
@@ -153,6 +153,34 @@ class TestValidation:
         path.write_text(json.dumps({"law": "det:1", "horizon": 8.0}))
         with pytest.raises(ParseError):
             parse_config(str(path), {})
+
+    @pytest.mark.parametrize(
+        ("data", "field"),
+        [
+            ({"n": None}, "run.n"),
+            ({"reps": None}, "run.reps"),
+            ({"jmax": None}, "run.jmax"),
+            ({"beta": None}, "run.beta"),
+            ({"out": None}, "run.out"),
+            ({"law": None}, "run.law"),
+            ({"law": 2.5}, "run.law"),
+            ({"law": True}, "run.law"),
+            ({"law": {"a": 1}}, "run.law"),
+            ({"law": ["x"]}, "run.law"),
+        ],
+    )
+    def test_null_and_unreadable_file_values_name_their_field(self, tmp_path, data, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(PrefattachError) as err:
+            parse_config(str(path), {})
+        assert str(err.value).startswith(f"{field}: ")
+
+    def test_null_is_the_default_where_the_default_is_null(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 5000, "stride": None, "ymax": None}))
+        cfg = parse_config(str(path), {})
+        assert (cfg.model.record_stride, cfg.y_max) == (5, None)
 
     def test_bad_law_string_propagates(self):
         with pytest.raises(ParseError):

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefattach.analysis import distribution_distance, empirical_distribution
-from prefattach.errors import BetaNotZero, RangeError
+from prefattach.errors import RangeError
 from prefattach.graph import (
     DegreeLedger,
     ModelConfig,
     _draw_steps,
     choose_vertex,
-    group_vertices,
     run_chain,
 )
 from prefattach.laws import EdgeCountDistribution, deterministic, explicit, geometric
@@ -322,46 +321,6 @@ class TestConfigValidation:
         cfg = ModelConfig(beta=0.0, edge_law=deterministic(1), n=10, seed=np.uint64(2**64 - 1))
         assert type(cfg.seed) is int
         assert run_chain(cfg).ledger.step == 10
-
-
-class TestGrouping:
-    def test_unit_blocks_reproduce_the_input_degrees(self):
-        run = run_chain(ModelConfig(beta=0.0, edge_law=deterministic(1), n=40, seed=8))
-        grouped = group_vertices(run, deterministic(1), substream(1, 0))
-        assert np.array_equal(grouped.degrees, run.ledger.degrees)
-
-    def test_pair_blocks_sum_consecutive_degrees(self):
-        run = run_chain(ModelConfig(beta=0.0, edge_law=deterministic(1), n=6, seed=8))
-        d = run.ledger.degrees
-        grouped = group_vertices(run, deterministic(2), substream(1, 1))
-        expected = [d[0], d[1], d[2] + d[3], d[4] + d[5], d[6] + d[7]]
-        assert grouped.degrees.tolist() == expected
-
-    def test_trailing_incomplete_block_is_dropped(self):
-        run = run_chain(ModelConfig(beta=0.0, edge_law=deterministic(1), n=7, seed=8))
-        grouped = group_vertices(run, deterministic(2), substream(1, 2))
-        assert grouped.n_vertices == 5  # two roots + three complete pairs
-
-    def test_grouping_requires_zero_offset(self):
-        run = run_chain(ModelConfig(beta=0.5, edge_law=deterministic(1), n=10, seed=8))
-        with pytest.raises(BetaNotZero):
-            group_vertices(run, deterministic(2), substream(1, 3))
-
-    @pytest.mark.parametrize("law", [explicit([0.5, 0.5]), explicit([0.2, 0.0, 0.8])])
-    def test_random_blocks_are_consecutive_slices_with_sizes_in_the_support(self, law):
-        run = run_chain(ModelConfig(beta=0.0, edge_law=deterministic(1), n=200, seed=8))
-        d = run.ledger.degrees
-        grouped = group_vertices(run, law, substream(1, 4)).degrees
-        support = [j for j in range(1, len(law.probs) + 1) if law.pmf(j) > 0]
-        assert grouped[:2].tolist() == d[:2].tolist()
-        pos = 2
-        for total in grouped[2:].tolist():
-            # degrees are >= 1, so at most one slice length can match
-            sizes = [j for j in support if pos + j <= d.size and d[pos : pos + j].sum() == total]
-            assert len(sizes) == 1
-            pos += sizes[0]
-        # only an incomplete trailing block is dropped
-        assert d.size - pos < max(support)
 
 
 @settings(max_examples=25)

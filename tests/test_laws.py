@@ -29,21 +29,21 @@ class TestConstruction:
     def test_two_point_half_half_has_mean_one_and_a_half(self):
         law = explicit([0.5, 0.5])
         assert law.mean == 1.5
-        assert law.pmf(1) == 0.5
-        assert law.pmf(2) == 0.5
-        assert law.pmf(3) == 0.0
+        assert law.pmf_vector(1)[1] == 0.5
+        assert law.pmf_vector(2)[2] == 0.5
+        assert law.pmf_vector(3)[3] == 0.0
 
     def test_geometric_mean_is_reciprocal_parameter(self):
         law = geometric(0.5)
         assert law.mean == 2.0
-        assert law.pmf(1) == 0.5
-        assert law.pmf(3) == 0.125
+        assert law.pmf_vector(1)[1] == 0.5
+        assert law.pmf_vector(3)[3] == 0.125
 
     def test_geometric_parameter_one_is_always_one_edge(self):
         law = geometric(1.0)
         assert law.mean == 1.0
-        assert law.pmf(1) == 1.0
-        assert law.pmf(2) == 0.0
+        assert law.pmf_vector(1)[1] == 1.0
+        assert law.pmf_vector(2)[2] == 0.0
 
     def test_pmf_vector_places_mass_at_positive_indices(self):
         vec = explicit([0.5, 0.5]).pmf_vector(4)

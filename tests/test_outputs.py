@@ -271,7 +271,7 @@ class TestWritersMatchTheCsvReference:
     @given(data=st.data(), length=st.integers(0, 40))
     def test_tau(self, data, length):
         taus, mres, ldres = (data.draw(floats(length, length)) for _ in range(3))
-        diag = TauDiagnostics(0.5, mres, ldres, 0.0, 0.0)
+        diag = TauDiagnostics(0.5, mres, ldres, 0.0)
         assert_same_bytes(write_tau, reference_tau, taus, diag)
 
     @given(
@@ -322,7 +322,7 @@ class TestWritersMatchTheCsvReference:
         rows = 2 * _CHUNK + 3
         rng = np.random.default_rng(6)
         taus = rng.standard_normal((3, rows))
-        diag = TauDiagnostics(0.5, taus[1], taus[2], 0.0, 0.0)
+        diag = TauDiagnostics(0.5, taus[1], taus[2], 0.0)
         assert_same_bytes(write_tau, reference_tau, taus[0], diag)
         counts = dict(enumerate(rng.integers(1, 10**5, size=rows).tolist(), start=1))
         emp = empirical_distribution(counts, n=rows)

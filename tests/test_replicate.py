@@ -93,6 +93,13 @@ class TestEmbedTask:
         assert err.value.field == "master_seed"
 
 
+@pytest.mark.parametrize("parallelism", [0, -3, 2.7, True])
+def test_parallelism_must_be_a_positive_integer(parallelism):
+    with pytest.raises(RangeError) as err:
+        replicate(_model(n=10), 2, parallelism=parallelism)
+    assert err.value.field == "parallelism"
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Swap in a pool that records max_workers and maps in-process, on 4 CPUs."""

@@ -9,9 +9,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from prefattach import verify
+from prefattach import graph, verify
 from prefattach.branching import _PathBuffers
 from prefattach.errors import RangeError
 from prefattach.verify import ALL_CHECKS, DEFAULT_MASTER_SEED, VerifySession
@@ -89,12 +90,31 @@ def test_unknown_check_name_is_rejected():
 
 
 @pytest.mark.parametrize(
-    "thresholds", [{"not-a-check": 1.0}, {"degree-lln.bogus": 1.0}, {"degree-lln": "x"}]
+    "thresholds",
+    [
+        {"not-a-check": 1.0},
+        {"degree-lln.bogus": 1.0},
+        {"degree-lln": "x"},
+        {"explicit-spectrum-crosscheck": float("nan")},
+        {"explicit-spectrum-crosscheck": "inf"},
+        {"degree-lln.r1": float("-inf")},
+        {"moment-dichotomy": -0.5},
+        {"tail-exponent": 0},
+        {"tail-exponent.band_beta0": 0.0},
+        {"tail-exponent.band_beta1": "0"},
+    ],
 )
 def test_bad_threshold_overrides_are_rejected(thresholds):
     with pytest.raises(RangeError) as err:
         VerifySession(profile="theory", thresholds=thresholds)
     assert err.value.field == f"thresholds.{next(iter(thresholds))}"
+
+
+@pytest.mark.parametrize("parallelism", [0, -3, 2.7, True, "2"])
+def test_parallelism_must_be_a_positive_integer(parallelism):
+    with pytest.raises(RangeError) as err:
+        VerifySession(profile="theory", parallelism=parallelism)
+    assert err.value.field == "parallelism"
 
 
 class TestTheoryProfile:
@@ -191,3 +211,17 @@ class TestNegativeControls:
         assert not check.passed
         assert check.detail["tau1_gap"] > check.detail["tau1_tol_3sigma"]
         assert check.value < check.threshold
+
+    def test_uniform_attachment_turns_the_degree_checks_red(self, monkeypatch):
+        real = graph._draw_steps
+
+        def uniform_steps(config, rng):
+            # every step picks a uniform vertex, whatever the degrees
+            x, _, _ = real(config, rng)
+            n = config.n
+            return x, np.ones(n, dtype=bool), rng.integers(0, np.arange(2, n + 2))
+
+        monkeypatch.setattr(graph, "_draw_steps", uniform_steps)
+        names = ("degree-lln", "tail-exponent", "growth-exponents", "embedding-equivalence")
+        report = VerifySession(profile="quick").run(names)
+        assert [c.name for c in report.checks if c.passed] == []
