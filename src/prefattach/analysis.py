@@ -32,10 +32,6 @@ class EmpiricalDistribution:
     freq: dict[int, float]
     support_max: int
 
-    @property
-    def n_vertices(self) -> int:
-        return sum(self.counts.values())
-
 
 def empirical_distribution(
     source: Union[DegreeLedger, Mapping[int, int]], n: int | None = None
@@ -126,7 +122,6 @@ class ConvergenceReport:
     level is positive.
     """
 
-    series_id: str
     tail_oscillation: float
     level: float
     window: float
@@ -135,7 +130,6 @@ class ConvergenceReport:
 
 
 def _scaled_tail_report(
-    series_id: str,
     ns: np.ndarray,
     values: np.ndarray,
     exponent: float,
@@ -159,7 +153,6 @@ def _scaled_tail_report(
     level = float(tail.mean())
     osc = float((tail.max() - tail.min()) / level) if level > 0 else float("inf")
     return ConvergenceReport(
-        series_id=series_id,
         tail_oscillation=osc,
         level=level,
         window=window,
@@ -172,7 +165,6 @@ def trajectory_limit_check(
     ns: np.ndarray,
     degrees: np.ndarray,
     exponent: float,
-    series_id: str = "trajectory",
     window: float = 0.5,
     threshold: float = 0.2,
 ) -> ConvergenceReport:
@@ -180,7 +172,7 @@ def trajectory_limit_check(
 
     Points with n = 0 are dropped before scaling.
     """
-    return _scaled_tail_report(series_id, ns, degrees, exponent, window, threshold)
+    return _scaled_tail_report(ns, degrees, exponent, window, threshold)
 
 
 def max_degree_check(
@@ -191,7 +183,7 @@ def max_degree_check(
     threshold: float = 0.25,
 ) -> ConvergenceReport:
     """Does M_n / n^exponent settle on a positive plateau?"""
-    return _scaled_tail_report("max_degree", ns, max_series, exponent, window, threshold)
+    return _scaled_tail_report(ns, max_series, exponent, window, threshold)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedLengths, NonPositiveMean, RangeError
+from .errors import MismatchedLengths, NonPositiveMean, RangeError, checked_int, checked_real
 from .laws import EdgeCountDistribution, validate_edge_law
 
 
@@ -37,17 +36,8 @@ class BranchingConfig:
     initial: int = 1
 
     def __post_init__(self):
-        if not np.isfinite(self.beta) or self.beta < 0:
-            raise RangeError("branching.beta", f"must be finite and >= 0, got {self.beta}")
-        if (
-            isinstance(self.initial, bool)
-            or not isinstance(self.initial, numbers.Integral)
-            or self.initial < 1
-        ):
-            raise RangeError(
-                "branching.initial", f"starting size must be an integer >= 1, got {self.initial!r}"
-            )
-        object.__setattr__(self, "initial", int(self.initial))
+        object.__setattr__(self, "beta", checked_real("branching.beta", self.beta))
+        object.__setattr__(self, "initial", checked_int("branching.initial", self.initial, 1))
         object.__setattr__(self, "edge_law", validate_edge_law(self.edge_law))
 
 
@@ -184,8 +174,7 @@ def simulate_mbpi(
     The two constructions have the same law; drawing both with independent
     generators and comparing marginals is one of the package's self-checks.
     """
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise RangeError("horizon", f"must be finite and >= 0, got {horizon}")
+    horizon = checked_real("horizon", horizon)
     law, initial = config.edge_law, config.initial
     buffers = _PathBuffers()
     if representation == "jump-chain":
@@ -252,11 +241,9 @@ def run_embedding(
     continuous-time information.  All n jumps and the 2n + 2 unit clocks are
     drawn up front; a clock is scaled by its rate when it is pushed.
     """
-    if n < 0:
-        raise RangeError("n", "must be >= 0")
+    n = checked_int("n", n, 0)
     law = validate_edge_law(edge_law)
-    if not np.isfinite(beta) or beta < 0:
-        raise RangeError("beta", f"must be finite and >= 0, got {beta}")
+    beta = checked_real("beta", beta)
 
     xs = law.sample(rng, n)
     jumps = xs.tolist()
@@ -321,8 +308,8 @@ def tau_diagnostics(
         raise MismatchedLengths(
             f"need S_0..S_{n - 1} (or through S_n); got {s_values.shape[0]} values"
         )
-    if m <= 0:
-        raise NonPositiveMean("mean edge count must be positive")
+    if not (math.isfinite(m) and m > 0):
+        raise NonPositiveMean(f"mean edge count must be finite and positive, got {m}")
     alpha = 1.0 / (2.0 * m + beta)
     drift = np.cumsum(1.0 / s_values[:n])
     mart = taus - drift
@@ -372,8 +359,8 @@ def zeta_trajectory(path: JumpPath, m: float, tail_fraction: float = 0.25) -> Sc
     The trailing window is the last ``tail_fraction`` of the time horizon
     (by time, not by event count).
     """
-    if m <= 0:
-        raise NonPositiveMean("growth rate m must be positive")
+    if not (math.isfinite(m) and m > 0):
+        raise NonPositiveMean(f"growth rate m must be finite and positive, got {m}")
     if not 0.0 < tail_fraction <= 1.0:
         raise RangeError("tail_fraction", "must be in (0, 1]")
     times = np.concatenate(([0.0], path.times))

@@ -236,7 +236,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for rep in agg.replicates:
         entry = {"index": rep.index}
         if 1 in rep.probes:
-            tr = trajectory_limit_check(rep.steps, rep.probes[1], expo, series_id="d1")
+            tr = trajectory_limit_check(rep.steps, rep.probes[1], expo)
             entry["d1_tail_oscillation"] = tr.tail_oscillation
             entry["d1_plateau"] = tr.verdict
         mx = max_degree_check(rep.steps, rep.max_series, expo)

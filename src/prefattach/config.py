@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import json
-import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .errors import ParseError, RangeError
+from .errors import ParseError, RangeError, checked_int, checked_real
 from .graph import ModelConfig
 from .laws import validate_edge_law
-from .streams import checked_seed
+from .streams import MAX_SEED
 from .theory import MAX_J_MAX, MIN_QUAD_STEPS
 from .verify import PROFILES, validate_thresholds
 
@@ -34,35 +32,44 @@ _DEFAULTS: dict[str, Any] = {
     "profile": "full",
     "thresholds": {},
 }
-_INTEGER_KEYS = (
-    "n", "seed", "stride", "reps", "parallelism", "jmax", "quad_steps", "fit_j_min", "fit_j_max"
-)
-_REAL_KEYS = ("beta", "ymax")
+# Integer keys with their bounds [lo, hi] (None: no bound), checked as
+# "run.<key>".  fit_j_max must also exceed fit_j_min.
+_INTEGER_BOUNDS: dict[str, tuple[int, int | None]] = {
+    "n": (0, None),
+    "seed": (0, MAX_SEED),
+    "stride": (1, None),
+    "reps": (1, None),
+    "parallelism": (1, None),
+    "jmax": (1, MAX_J_MAX),
+    "quad_steps": (MIN_QUAD_STEPS, None),
+    "fit_j_min": (1, None),
+    "fit_j_max": (1, None),
+}
+# Real keys with their lower bounds.  beta's sign is left to ModelConfig,
+# which names it "model.beta".
+_REAL_BOUNDS: dict[str, float | None] = {"beta": None, "ymax": 0.0}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration for one CLI invocation."""
+    """Validated configuration for one CLI invocation (see parse_config)."""
 
     model: ModelConfig
-    replications: int = 1
-    parallelism: int = 1
-    out_dir: str = "results"
-    j_max: int = 200
-    y_max: float | None = None
-    quad_steps: int = 20000
-    fit_j_min: int = 3
-    fit_j_max: int = 30
-    profile: str = "full"
-    thresholds: dict = field(default_factory=dict)
+    replications: int
+    parallelism: int
+    out_dir: str
+    j_max: int
+    y_max: float | None
+    quad_steps: int
+    fit_j_min: int
+    fit_j_max: int
+    profile: str
+    thresholds: dict
 
 
-def _number(key: str, value: Any, integer: bool = True) -> int | float:
-    """``value`` as an int (or a float), else RangeError naming ``run.<key>``.
-
-    A string is read as a number.  A bool, a non-number and, for an integer
-    key, a fractional value are refused rather than truncated.
-    """
+def _number(value: Any) -> Any:
+    """A string read as a number, and an integral float as an int; anything
+    else is returned as it is, for the range checks to refuse or accept."""
     if isinstance(value, str):
         for parse in (int, float):
             try:
@@ -70,13 +77,9 @@ def _number(key: str, value: Any, integer: bool = True) -> int | float:
                 break
             except ValueError:
                 pass
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise RangeError(f"run.{key}", f"must be a number, got {value!r}")
-    if not integer:
-        return float(value)
-    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
-        raise RangeError(f"run.{key}", f"must be an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
 
 
 def parse_config(
@@ -113,9 +116,12 @@ def parse_config(
     for key, value in merged.items():
         if value is None and _DEFAULTS[key] is not None:
             raise RangeError(f"run.{key}", "must not be null")
-    for key in _INTEGER_KEYS + _REAL_KEYS:
+    for key, (lo, hi) in _INTEGER_BOUNDS.items():
         if merged[key] is not None:
-            merged[key] = _number(key, merged[key], integer=key in _INTEGER_KEYS)
+            merged[key] = checked_int(f"run.{key}", _number(merged[key]), lo, hi)
+    for key, lo in _REAL_BOUNDS.items():
+        if merged[key] is not None:
+            merged[key] = checked_real(f"run.{key}", _number(merged[key]), lo)
     try:
         law = validate_edge_law(merged["law"])
     except ParseError as exc:
@@ -132,29 +138,12 @@ def parse_config(
         beta=merged["beta"],
         edge_law=law,
         n=n,
-        probe_vertices=tuple(_number("probes", p) for p in probes),
+        probe_vertices=tuple(checked_int("run.probes", _number(p), 1) for p in probes),
         record_stride=stride,
-        seed=checked_seed("run.seed", merged["seed"]),
+        seed=merged["seed"],
     )
 
-    reps = merged["reps"]
-    if reps < 1:
-        raise RangeError("run.reps", "need at least one replication")
-    par = merged["parallelism"]
-    if par < 1:
-        raise RangeError("run.parallelism", "need at least one worker")
-    j_max = merged["jmax"]
-    if not 1 <= j_max <= MAX_J_MAX:
-        raise RangeError("run.jmax", f"must be in [1, {MAX_J_MAX}], got {j_max}")
-    y_max = merged["ymax"]
-    if y_max is not None and not (math.isfinite(y_max) and y_max >= 0):
-        raise RangeError("run.ymax", "must be finite and >= 0")
-    quad_steps = merged["quad_steps"]
-    if quad_steps < MIN_QUAD_STEPS:
-        raise RangeError("run.quad_steps", f"need at least {MIN_QUAD_STEPS} steps")
     fit_j_min, fit_j_max = merged["fit_j_min"], merged["fit_j_max"]
-    if fit_j_min < 1:
-        raise RangeError("run.fit_j_min", "must be >= 1")
     if fit_j_max <= fit_j_min:
         raise RangeError("run.fit_j_max", f"must exceed fit_j_min = {fit_j_min}")
     profile = str(merged["profile"])
@@ -167,12 +156,12 @@ def parse_config(
 
     return ExperimentConfig(
         model=model,
-        replications=reps,
-        parallelism=par,
+        replications=merged["reps"],
+        parallelism=merged["parallelism"],
         out_dir=str(merged["out"]),
-        j_max=j_max,
-        y_max=y_max,
-        quad_steps=quad_steps,
+        j_max=merged["jmax"],
+        y_max=merged["ymax"],
+        quad_steps=merged["quad_steps"],
         fit_j_min=fit_j_min,
         fit_j_max=fit_j_max,
         profile=profile,

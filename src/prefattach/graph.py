@@ -26,9 +26,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import RangeError, checked_int, checked_real
 from .laws import EdgeCountDistribution, validate_edge_law
-from .streams import checked_seed
+from .streams import MAX_SEED
 
 # Vertex labels and step indices are packed into 32-bit halves of one int64
 # sort key, and endpoint totals must stay exact as floats, since the mixture
@@ -49,17 +49,18 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.beta) or self.beta < 0:
-            raise RangeError("model.beta", f"must be finite and >= 0, got {self.beta}")
-        if self.n < 0:
-            raise RangeError("model.n", f"must be >= 0, got {self.n}")
-        if self.record_stride < 1:
-            raise RangeError("model.record_stride", "must be >= 1")
-        if any(v < 1 for v in self.probe_vertices):
-            raise RangeError("model.probe_vertices", "vertex labels start at 1")
-        object.__setattr__(self, "seed", checked_seed("model.seed", self.seed))
-        object.__setattr__(self, "edge_law", validate_edge_law(self.edge_law))
-        object.__setattr__(self, "probe_vertices", tuple(int(v) for v in self.probe_vertices))
+        checked = {
+            "beta": checked_real("model.beta", self.beta),
+            "n": checked_int("model.n", self.n, 0),
+            "record_stride": checked_int("model.record_stride", self.record_stride, 1),
+            "probe_vertices": tuple(
+                checked_int("model.probe_vertices", v, 1) for v in self.probe_vertices
+            ),
+            "seed": checked_int("model.seed", self.seed, 0, MAX_SEED),
+            "edge_law": validate_edge_law(self.edge_law),
+        }
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
 
 def _degree_counts(degrees: np.ndarray) -> dict[int, int]:
@@ -79,9 +80,7 @@ class DegreeLedger:
     attaining it.
     """
 
-    __slots__ = (
-        "_deg", "endpoints", "counts", "total_degree", "step", "max_degree", "argmax", "x_total"
-    )
+    __slots__ = ("_deg", "endpoints", "counts", "total_degree", "step", "max_degree", "argmax")
 
     def __init__(self, degrees: np.ndarray, endpoints: np.ndarray):
         """``degrees[v]`` is the degree of vertex v (entry 0 is unused)."""
@@ -92,11 +91,6 @@ class DegreeLedger:
         self.step = degrees.shape[0] - 3
         self.argmax = int(np.argmax(degrees))  # the first maximum: smallest label
         self.max_degree = int(degrees[self.argmax])
-        self.x_total = (self.total_degree - 2) // 2
-
-    @property
-    def n_vertices(self) -> int:
-        return self.step + 2
 
     @property
     def degrees(self) -> np.ndarray:

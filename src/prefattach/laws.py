@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import EmptyLaw, NonPositiveSupport, NotNormalized, ParseError
+from .errors import EmptyLaw, NonPositiveSupport, NotNormalized, ParseError, checked_int
 
 _NORMALIZATION_TOL = 1e-9
 
@@ -77,9 +77,10 @@ class EdgeCountDistribution:
 
 def deterministic(x0: int) -> EdgeCountDistribution:
     """The law X = x0 a.s."""
+    x0 = checked_int("x0", x0, None)
     if x0 < 1:
         raise NonPositiveSupport(f"deterministic edge count must be >= 1, got {x0}")
-    return EdgeCountDistribution(kind="deterministic", x0=int(x0), mean=float(x0))
+    return EdgeCountDistribution(kind="deterministic", x0=x0, mean=float(x0))
 
 
 def explicit(probs: Iterable[float]) -> EdgeCountDistribution:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -18,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .branching import run_embedding
-from .errors import RangeError
+from .errors import RangeError, checked_int
 from .graph import ModelConfig, run_chain
-from .streams import checked_seed, mix64
+from .streams import MAX_SEED, mix64
 
 
 @dataclass(frozen=True)
@@ -122,14 +121,6 @@ def _embed_worker(args) -> EmbedSummary:
     )
 
 
-def checked_parallelism(parallelism) -> int:
-    """``parallelism`` as an int >= 1, else RangeError naming "parallelism"."""
-    integral = isinstance(parallelism, numbers.Integral) and not isinstance(parallelism, bool)
-    if not (integral and parallelism >= 1):
-        raise RangeError("parallelism", f"must be an integer >= 1, got {parallelism!r}")
-    return int(parallelism)
-
-
 def replicate(
     model: ModelConfig,
     replications: int,
@@ -142,14 +133,17 @@ def replicate(
     ``master_seed`` defaults to the model's seed; replicate r actually runs
     with seed mix64(master_seed, r).  At most min(parallelism, replications,
     cpu count) worker processes run; with one, everything runs in-process.
-    A ``parallelism`` that is not an integer >= 1 raises RangeError.
+    A ``replications`` or ``parallelism`` that is not an integer >= 1 raises
+    RangeError.
     """
     if task not in ("simulate", "embed"):
         raise RangeError("task", f"unknown task {task!r}")
-    if replications < 1:
-        raise RangeError("replications", "need at least one replication")
-    parallelism = checked_parallelism(parallelism)
-    seed = model.seed if master_seed is None else checked_seed("master_seed", master_seed)
+    replications = checked_int("replications", replications, 1)
+    parallelism = checked_int("parallelism", parallelism, 1)
+    if master_seed is None:
+        seed = model.seed
+    else:
+        seed = checked_int("master_seed", master_seed, 0, MAX_SEED)
     worker = _chain_worker if task == "simulate" else _embed_worker
     jobs = [(model, seed, r) for r in range(replications)]
 

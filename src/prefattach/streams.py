@@ -14,26 +14,13 @@ as the seed of a fresh PCG64 generator.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
-
-from .errors import RangeError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-def checked_seed(field: str, seed) -> int:
-    """``seed`` as an int in [0, 2^64), else RangeError naming ``field``.
-
-    mix64 reduces seeds mod 2^64, so a seed outside that range would
-    silently repeat the streams of the one inside it.
-    """
-    integral = isinstance(seed, numbers.Integral) and not isinstance(seed, bool)
-    if not (integral and 0 <= seed <= _MASK64):
-        raise RangeError(field, f"must be an integer in [0, 2^64), got {seed!r}")
-    return int(seed)
+# mix64 reduces seeds mod 2^64, so a seed above this would silently repeat
+# the streams of one below it.
+MAX_SEED = _MASK64
 
 
 def mix64(master_seed: int, index: int) -> int:

@@ -33,6 +33,7 @@ check, since they share only the coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,6 +44,8 @@ from .errors import (
     RangeError,
     StepTooCoarse,
     TruncationTooSmall,
+    checked_int,
+    checked_real,
 )
 from .laws import EdgeCountDistribution, validate_edge_law
 
@@ -57,19 +60,17 @@ MAX_J_MAX = 5000
 
 def theta(m: float, beta: float) -> float:
     """Growth exponent m / (2m + beta)."""
-    if not np.isfinite(m) or m <= 0:
+    if not (math.isfinite(m) and m > 0):
         raise NonPositiveMean(f"mean edge count must be positive, got {m}")
-    if not np.isfinite(beta) or beta < 0:
-        raise RangeError("beta", f"must be finite and >= 0, got {beta}")
+    beta = checked_real("beta", beta)
     return m / (2.0 * m + beta)
 
 
 def tail_exponent_theory(m: float, beta: float) -> float:
     """Decay exponent of the spectrum tail: pi_j ~ const * j^-(3 + beta/m)."""
-    if not np.isfinite(m) or m <= 0:
+    if not (math.isfinite(m) and m > 0):
         raise NonPositiveMean(f"mean edge count must be positive, got {m}")
-    if not np.isfinite(beta) or beta < 0:
-        raise RangeError("beta", f"must be finite and >= 0, got {beta}")
+    beta = checked_real("beta", beta)
     return 3.0 + beta / m
 
 
@@ -102,10 +103,8 @@ def pi_explicit(x0: int, beta: float, j: int) -> float:
 
     and for beta = 0 this collapses to pi_{l x0} = 4 / (l (l+1) (l+2)).
     """
-    if x0 < 1:
-        raise RangeError("x0", "fixed edge count must be >= 1")
-    if not np.isfinite(beta) or beta < 0:
-        raise RangeError("beta", f"must be finite and >= 0, got {beta}")
+    x0 = checked_int("x0", x0, 1)
+    beta = checked_real("beta", beta)
     if j < 1 or j % x0 != 0:
         return 0.0
     l = j // x0
@@ -126,13 +125,9 @@ def pi_recursive(
     above j_max exceeds it.
     """
     law = validate_edge_law(edge_law)
-    if not 1 <= j_max <= MAX_J_MAX:
-        raise RangeError("j_max", f"must be in [1, {MAX_J_MAX}], got {j_max}")
+    j_max = checked_int("j_max", j_max, 1, MAX_J_MAX)
+    beta = checked_real("beta", beta)
     m = law.mean
-    if m <= 0:
-        raise NonPositiveMean("edge-count law has nonpositive mean")
-    if not np.isfinite(beta) or beta < 0:
-        raise RangeError("beta", f"must be finite and >= 0, got {beta}")
     rate = 2.0 * m + beta
 
     p = law.pmf_vector(j_max)
@@ -178,20 +173,14 @@ def pi_quadrature(
     the error estimate exceeds tol or is not a number.
     """
     law = validate_edge_law(edge_law)
-    if not 1 <= j_max <= MAX_J_MAX:
-        raise RangeError("j_max", f"must be in [1, {MAX_J_MAX}], got {j_max}")
-    if steps < MIN_QUAD_STEPS:
-        raise RangeError("steps", f"need at least {MIN_QUAD_STEPS} integration steps")
-    if not np.isfinite(beta) or beta < 0:
-        raise RangeError("beta", f"must be finite and >= 0, got {beta}")
-    m = law.mean
-    if m <= 0:
-        raise NonPositiveMean("edge-count law has nonpositive mean")
-    rate = 2.0 * m + beta
+    j_max = checked_int("j_max", j_max, 1, MAX_J_MAX)
+    steps = checked_int("steps", steps, MIN_QUAD_STEPS)
+    beta = checked_real("beta", beta)
+    rate = 2.0 * law.mean + beta
     if y_max is None:
         y_max = -np.log(_Y_MAX_MASS) / rate
-    if y_max < 0:
-        raise RangeError("y_max", "must be >= 0")
+    else:
+        y_max = checked_real("y_max", y_max)
     cutoff_mass = float(np.exp(-rate * y_max))
     if cutoff_mass >= tol:
         raise StepTooCoarse(

@@ -15,7 +15,6 @@ is reproducible byte-for-byte.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -35,11 +34,11 @@ from .analysis import (
     uniformity_ks,
 )
 from .branching import BranchingConfig, _PathBuffers, run_embedding, tau_diagnostics
-from .errors import RangeError
+from .errors import RangeError, checked_int, checked_real
 from .graph import ModelConfig, run_chain
 from .laws import deterministic, explicit, geometric
-from .replicate import checked_parallelism, replicate
-from .streams import checked_seed, mix64, substream
+from .replicate import replicate
+from .streams import MAX_SEED, mix64, substream
 from .theory import moment_profile, pi_explicit, pi_quadrature, pi_recursive
 
 DEFAULT_MASTER_SEED = 20260815
@@ -160,8 +159,7 @@ def validate_thresholds(thresholds: Mapping) -> dict[str, float]:
             number = float(value)
         except (TypeError, ValueError):
             raise RangeError(field_path, f"not a number: {value!r}") from None
-        if not (math.isfinite(number) and number >= 0):
-            raise RangeError(field_path, f"must be finite and >= 0, got {value!r}")
+        number = checked_real(field_path, number)
         if number == 0 and str(key) in _DIVISOR_KEYS:
             raise RangeError(field_path, "must be > 0")
         out[str(key)] = number
@@ -236,8 +234,8 @@ class VerifySession:
         if profile not in PROFILE_CHECKS:
             raise RangeError("profile", f"unknown profile {profile!r}")
         self.profile = profile
-        self.master_seed = checked_seed("master_seed", master_seed)
-        self.parallelism = checked_parallelism(parallelism)
+        self.master_seed = checked_int("master_seed", master_seed, 0, MAX_SEED)
+        self.parallelism = checked_int("parallelism", parallelism, 1)
         self.thresholds = validate_thresholds(thresholds or {})
         self._cache: dict[str, object] = {}
         full = profile != "quick"
@@ -444,9 +442,7 @@ class VerifySession:
         levels_ok = True
         worst_level = float("inf")
         for rep in agg.replicates:
-            tr = trajectory_limit_check(
-                rep.steps, rep.probes[1], 0.5, series_id="d1", threshold=osc_traj
-            )
+            tr = trajectory_limit_check(rep.steps, rep.probes[1], 0.5, threshold=osc_traj)
             mx = max_degree_check(rep.steps, rep.max_series, 0.5, threshold=osc_max)
             traj_pass += tr.verdict
             max_pass += mx.verdict
