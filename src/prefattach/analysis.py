@@ -13,9 +13,12 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import DegenerateBinning, InsufficientBins, SeriesTooShort
-from .graph import DegreeLedger
+from .errors import DegenerateBinning, InsufficientBins, SeriesTooShort, checked_int
 from .theory import LimitSpectrum
+
+_MIN_TAIL_COUNT = 5  # vertices a degree needs to enter an empirical tail fit
+_MIN_EXPECTED = 5.0  # expected count every merged chi-square bin reaches
+_PLATEAU_WINDOW = 0.5  # trailing fraction of the recorded points a plateau spans
 
 
 @dataclass(frozen=True)
@@ -23,34 +26,22 @@ class EmpiricalDistribution:
     """Degree frequencies of one graph (or a pool of graphs).
 
     ``counts[j]`` is the number of vertices of degree j, ``freq[j]`` the
-    fraction, ``n`` the number of attachment steps represented (so the
-    vertex total is n + 2 for a single run).
+    fraction.
     """
 
-    n: int
     counts: dict[int, int]
     freq: dict[int, float]
     support_max: int
 
 
-def empirical_distribution(
-    source: Union[DegreeLedger, Mapping[int, int]], n: int | None = None
-) -> EmpiricalDistribution:
-    """Build degree frequencies from a ledger or a raw {degree: count} map."""
-    if isinstance(source, DegreeLedger):
-        counts = dict(source.counts)
-        n = source.step if n is None else n
-    else:
-        counts = {int(j): int(c) for j, c in source.items() if c}
-        if n is None:
-            raise SeriesTooShort("raw count maps need the step count n")
+def empirical_distribution(source: Mapping[int, int]) -> EmpiricalDistribution:
+    """Build degree frequencies from a {degree: count} map."""
+    counts = {int(j): int(c) for j, c in source.items() if c}
     total = sum(counts.values())
     if total == 0:
         raise SeriesTooShort("no vertices to tabulate")
     freq = {j: c / total for j, c in counts.items()}
-    return EmpiricalDistribution(
-        n=int(n), counts=counts, freq=freq, support_max=max(counts)
-    )
+    return EmpiricalDistribution(counts=counts, freq=freq, support_max=max(counts))
 
 
 @dataclass(frozen=True)
@@ -58,7 +49,6 @@ class TailFit:
     """Least-squares slope of log-frequency against log-degree."""
 
     slope: float
-    intercept: float
     r_squared: float
     j_min: int
     j_max: int
@@ -69,21 +59,22 @@ def tail_fit(
     source: Union[EmpiricalDistribution, LimitSpectrum],
     j_min: int,
     j_max: int,
-    min_count: int = 5,
 ) -> TailFit:
     """Fit the tail decay exponent over degrees in [j_min, j_max].
 
-    Empirical sources only contribute degrees with at least ``min_count``
-    vertices; theoretical sources contribute wherever pi_j > 0.  Needs at
-    least five usable bins.
+    Empirical sources only contribute degrees with at least five vertices;
+    theoretical sources contribute wherever pi_j > 0.  Needs at least five
+    usable bins.
     """
+    j_min = checked_int("j_min", j_min, None)
+    j_max = checked_int("j_max", j_max, None)
     if not 1 <= j_min < j_max:
         raise InsufficientBins(f"bad fit range [{j_min}, {j_max}]")
     xs, ys = [], []
     if isinstance(source, EmpiricalDistribution):
         for j in range(j_min, j_max + 1):
             c = source.counts.get(j, 0)
-            if c >= min_count:
+            if c >= _MIN_TAIL_COUNT:
                 xs.append(j)
                 ys.append(source.freq[j])
     else:
@@ -97,14 +88,13 @@ def tail_fit(
             f"only {len(xs)} usable bins in [{j_min}, {j_max}]; need 5"
         )
     lx, ly = np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
+    slope, offset = np.polyfit(lx, ly, 1)
+    pred = slope * lx + offset
     ss_res = float(np.sum((ly - pred) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return TailFit(
         slope=float(slope),
-        intercept=float(intercept),
         r_squared=r2,
         j_min=j_min,
         j_max=j_max,
@@ -116,25 +106,18 @@ def tail_fit(
 class ConvergenceReport:
     """Tail behaviour of a scaled series.
 
-    ``tail_oscillation`` is (max - min) / mean over the trailing ``window``
-    fraction of the recorded points; ``level`` is the trailing mean; the
-    verdict passes when the oscillation sits under the threshold and the
-    level is positive.
+    ``tail_oscillation`` is (max - min) / mean over the trailing half of the
+    recorded points; ``level`` is the trailing mean; the verdict passes when
+    the oscillation sits under the threshold and the level is positive.
     """
 
     tail_oscillation: float
     level: float
-    window: float
-    threshold: float
     verdict: bool
 
 
 def _scaled_tail_report(
-    ns: np.ndarray,
-    values: np.ndarray,
-    exponent: float,
-    window: float,
-    threshold: float,
+    ns: np.ndarray, values: np.ndarray, exponent: float, threshold: float
 ) -> ConvergenceReport:
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -144,10 +127,8 @@ def _scaled_tail_report(
     ns, values = ns[keep], values[keep]
     if ns.shape[0] < 10:
         raise SeriesTooShort(f"need >= 10 recorded points, got {ns.shape[0]}")
-    if not 0.0 < window <= 1.0:
-        raise SeriesTooShort(f"window fraction must be in (0, 1], got {window}")
     scaled = values / ns**exponent
-    start = int(np.ceil(ns.shape[0] * (1.0 - window)))
+    start = int(np.ceil(ns.shape[0] * (1.0 - _PLATEAU_WINDOW)))
     start = min(start, ns.shape[0] - 2)
     tail = scaled[start:]
     level = float(tail.mean())
@@ -155,8 +136,6 @@ def _scaled_tail_report(
     return ConvergenceReport(
         tail_oscillation=osc,
         level=level,
-        window=window,
-        threshold=threshold,
         verdict=bool(osc < threshold and level > 0),
     )
 
@@ -165,37 +144,34 @@ def trajectory_limit_check(
     ns: np.ndarray,
     degrees: np.ndarray,
     exponent: float,
-    window: float = 0.5,
     threshold: float = 0.2,
 ) -> ConvergenceReport:
     """Does d(n) / n^exponent settle on a positive plateau?
 
     Points with n = 0 are dropped before scaling.
     """
-    return _scaled_tail_report(ns, degrees, exponent, window, threshold)
+    return _scaled_tail_report(ns, degrees, exponent, threshold)
 
 
 def max_degree_check(
     ns: np.ndarray,
     max_series: np.ndarray,
     exponent: float,
-    window: float = 0.5,
     threshold: float = 0.25,
 ) -> ConvergenceReport:
     """Does M_n / n^exponent settle on a positive plateau?"""
-    return _scaled_tail_report(ns, max_series, exponent, window, threshold)
+    return _scaled_tail_report(ns, max_series, exponent, threshold)
 
 
 @dataclass(frozen=True)
 class FreezeReport:
-    """When did a series last change, and how much of the horizon is frozen?"""
+    """How much of the horizon follows a series' last change."""
 
-    last_change_step: int
     frozen_fraction: float
 
 
 def freeze_detector(ns: np.ndarray, series: np.ndarray) -> FreezeReport:
-    """Locate the last recorded change of an (eventually constant) series."""
+    """The share of the horizon after the last recorded change of a series."""
     ns = np.asarray(ns)
     series = np.asarray(series)
     if ns.shape != series.shape or ns.shape[0] < 2:
@@ -204,7 +180,7 @@ def freeze_detector(ns: np.ndarray, series: np.ndarray) -> FreezeReport:
     last = int(ns[changes[-1] + 1]) if changes.shape[0] else 0
     horizon = int(ns[-1])
     frac = (horizon - last) / horizon if horizon > 0 else 1.0
-    return FreezeReport(last_change_step=last, frozen_fraction=float(frac))
+    return FreezeReport(frozen_fraction=float(frac))
 
 
 @dataclass(frozen=True)
@@ -214,16 +190,12 @@ class DistanceReport:
     ``tv_core`` is half the absolute gap summed over j <= j_max;
     ``remainder`` is half of (empirical mass above j_max + truncation mass),
     bounding what the core misses, so the total variation is at most their
-    sum.  ``per_j_abs_error`` is indexed like the spectrum (entry 0 unused).
+    sum.  ``max_abs_error`` is the largest gap at one degree j <= j_max.
     """
 
     tv_core: float
     remainder: float
-    per_j_abs_error: np.ndarray
-
-    @property
-    def max_abs_error(self) -> float:
-        return float(self.per_j_abs_error.max())
+    max_abs_error: float
 
 
 def distribution_distance(
@@ -243,7 +215,7 @@ def distribution_distance(
     return DistanceReport(
         tv_core=float(gap.sum() / 2.0),
         remainder=(above + spectrum.truncation_mass) / 2.0,
-        per_j_abs_error=gap,
+        max_abs_error=float(gap.max()),
     )
 
 
@@ -258,16 +230,14 @@ class ChiSquareResult:
 
 
 def embedding_equivalence_test(
-    counts_a: Mapping[int, int],
-    counts_b: Mapping[int, int],
-    min_expected: float = 5.0,
+    counts_a: Mapping[int, int], counts_b: Mapping[int, int]
 ) -> ChiSquareResult:
     """Two-sample chi-square test that two count pools share one law.
 
     Adjacent degrees are merged (ascending) until every merged bin has
-    expected count >= ``min_expected`` in both samples under the pooled
-    frequencies; a trailing short bin is folded into the last one.  Raises
-    DegenerateBinning when fewer than two merged bins remain.
+    expected count >= 5 in both samples under the pooled frequencies; a
+    trailing short bin is folded into the last one.  Raises DegenerateBinning
+    when fewer than two merged bins remain.
     """
     support = sorted(set(counts_a) | set(counts_b))
     if not support:
@@ -288,7 +258,7 @@ def embedding_equivalence_test(
         acc_a += a[idx]
         acc_b += b[idx]
         acc_p += pooled[idx]
-        if min(tot_a * acc_p, tot_b * acc_p) >= min_expected:
+        if min(tot_a * acc_p, tot_b * acc_p) >= _MIN_EXPECTED:
             bins.append((lo, j))
             obs_a.append(acc_a)
             obs_b.append(acc_b)
@@ -326,6 +296,7 @@ def split_half_pvalues(
     test's p-values must be uniform, so the returned sample is a positive
     control of the statistic, binning, and dof bookkeeping.
     """
+    n_trials = checked_int("n_trials", n_trials, 1)
     support = sorted(j for j, c in pooled_counts.items() if c)
     if not support:
         raise DegenerateBinning("empty pool")

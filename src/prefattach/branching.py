@@ -69,6 +69,7 @@ class JumpPath:
         return int(self.values[-1]) if self.values.shape[0] else self.initial
 
 
+_TAIL_FRACTION = 0.25  # trailing share of a path's time horizon a plateau spans
 _BLOCK_MARGIN = 64  # variates drawn beyond the expected event count
 _BLOCK_CAP = 1 << 16
 _MAX_EXPONENT = 700.0  # keeps math.expm1 below float overflow
@@ -137,10 +138,10 @@ class _PathBuffers:
             raise RangeError("path.times", "event times must be strictly increasing")
         return n
 
-    def plateau(self, n: int, m: float, tail_fraction: float) -> tuple[float, float]:
+    def plateau(self, n: int, m: float) -> tuple[float, float]:
         """(tail oscillation, last scaled value) of the n-event path just drawn."""
         scaled = self._work[: n + 1]
-        osc, _ = _tail_plateau(self.times[: n + 1], self.sizes[: n + 1], m, tail_fraction, scaled)
+        osc = _tail_plateau(self.times[: n + 1], self.sizes[: n + 1], m, scaled)
         return osc, float(scaled[n])
 
     def path(self, initial, beta, law, horizon, rng) -> JumpPath:
@@ -310,6 +311,7 @@ def tau_diagnostics(
         )
     if not (math.isfinite(m) and m > 0):
         raise NonPositiveMean(f"mean edge count must be finite and positive, got {m}")
+    beta = checked_real("beta", beta)
     alpha = 1.0 / (2.0 * m + beta)
     drift = np.cumsum(1.0 / s_values[:n])
     mart = taus - drift
@@ -330,18 +332,17 @@ class ScaledTrajectory:
     times: np.ndarray
     scaled: np.ndarray
     tail_oscillation: float  # (max - min) / mean over the trailing time window
-    tail_mean: float
 
 
-def _tail_plateau(times, sizes, m, tail_fraction, scaled, whole=False) -> tuple[float, float]:
+def _tail_plateau(times, sizes, m, scaled, whole=False) -> float:
     """Write sizes * e^{-mt} into ``scaled`` and measure the tail plateau.
 
     ``times`` and ``sizes`` start with the t = 0 point.  The window holds every
-    point at or after (1 - tail_fraction) of the last time; only the window is
-    scaled unless ``whole``.  Returns the window's relative oscillation
-    (max - min) / mean and its mean.
+    point at or after (1 - _TAIL_FRACTION) of the last time; only the window
+    is scaled unless ``whole``.  Returns the window's relative oscillation
+    (max - min) / mean.
     """
-    start = int(np.searchsorted(times, (1.0 - tail_fraction) * times[-1]))
+    start = int(np.searchsorted(times, (1.0 - _TAIL_FRACTION) * times[-1]))
     lo = 0 if whole else start
     out = scaled[lo:]
     np.multiply(times[lo:], -m, out=out)
@@ -349,22 +350,19 @@ def _tail_plateau(times, sizes, m, tail_fraction, scaled, whole=False) -> tuple[
     out *= sizes[lo:]
     window = scaled[start:]
     mean = float(window.mean())
-    osc = float((window.max() - window.min()) / mean) if mean > 0 else float("inf")
-    return osc, mean
+    return float((window.max() - window.min()) / mean) if mean > 0 else float("inf")
 
 
-def zeta_trajectory(path: JumpPath, m: float, tail_fraction: float = 0.25) -> ScaledTrajectory:
+def zeta_trajectory(path: JumpPath, m: float) -> ScaledTrajectory:
     """Scale a path by its exponential growth and measure the tail plateau.
 
-    The trailing window is the last ``tail_fraction`` of the time horizon
-    (by time, not by event count).
+    The trailing window is the last quarter of the time horizon (by time,
+    not by event count).
     """
     if not (math.isfinite(m) and m > 0):
         raise NonPositiveMean(f"growth rate m must be finite and positive, got {m}")
-    if not 0.0 < tail_fraction <= 1.0:
-        raise RangeError("tail_fraction", "must be in (0, 1]")
     times = np.concatenate(([0.0], path.times))
     sizes = np.concatenate(([path.initial], path.values)).astype(float)
     scaled = np.empty_like(times)
-    osc, mean = _tail_plateau(times, sizes, m, tail_fraction, scaled, whole=True)
-    return ScaledTrajectory(times=times, scaled=scaled, tail_oscillation=osc, tail_mean=mean)
+    osc = _tail_plateau(times, sizes, m, scaled, whole=True)
+    return ScaledTrajectory(times=times, scaled=scaled, tail_oscillation=osc)

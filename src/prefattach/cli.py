@@ -126,9 +126,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         parallelism=cfg.parallelism,
     )
     spectrum = _spectrum_for(cfg)
-    emp = empirical_distribution(
-        agg.pooled_counts, n=cfg.model.n * cfg.replications
-    )
+    emp = empirical_distribution(agg.pooled_counts)
     out = cfg.out_dir
     _write_chain_files(out, emp, spectrum, agg.replicates[0])
     print(
@@ -153,7 +151,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
     diag = tau_diagnostics(first.taus, first.s_values, m, cfg.model.beta)
     out = cfg.out_dir
     write_tau(os.path.join(out, "tau.csv"), first.taus, diag)
-    emp = empirical_distribution(agg.pooled_counts, n=cfg.model.n * cfg.replications)
+    emp = empirical_distribution(agg.pooled_counts)
     write_degree_distribution(
         os.path.join(out, "degree_distribution.csv"), emp, _spectrum_for(cfg)
     )
@@ -209,7 +207,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         parallelism=cfg.parallelism,
     )
     spectrum = _spectrum_for(cfg)
-    emp = empirical_distribution(agg.pooled_counts, n=cfg.model.n * cfg.replications)
+    emp = empirical_distribution(agg.pooled_counts)
     dist = distribution_distance(emp, spectrum)
     expo = spectrum.theta
     summary: dict = {

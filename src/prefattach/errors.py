@@ -84,18 +84,6 @@ class MismatchedLengths(PrefattachError):
     """Two parallel series disagree on length."""
 
 
-class TruncationTooSmall(PrefattachError):
-    """The truncated spectrum leaves more mass unaccounted than allowed."""
-
-    def __init__(self, mass: float, tol: float):
-        self.mass = mass
-        self.tol = tol
-        super().__init__(
-            f"truncated spectrum leaves mass {mass:.3e} above the cutoff "
-            f"(allowed {tol:.3e}); raise j_max"
-        )
-
-
 class StepTooCoarse(PrefattachError):
     """The quadrature grid cannot reach the requested tolerance.
 

@@ -254,8 +254,9 @@ def run_chain(config: ModelConfig, snapshot_steps: Iterable[int] = ()) -> RunRes
     """Run the chain for config.n steps, deterministically in config.seed.
 
     ``snapshot_steps`` lists steps in 0..n at which to record the degree
-    counts; other values are ignored.
+    counts; other integers are ignored, and a non-integer raises RangeError.
     """
+    snapshot_steps = sorted({checked_int("snapshot_steps", s, None) for s in snapshot_steps})
     _check_size(config)
     n = config.n
     x, uniform, pick = _draw_steps(config, np.random.default_rng(config.seed))
@@ -275,7 +276,7 @@ def run_chain(config: ModelConfig, snapshot_steps: Iterable[int] = ()) -> RunRes
     ends[1::2] = np.repeat(np.arange(2, n + 3, dtype=np.int32), x)
     snapshots = {
         s: _degree_counts(np.bincount(ends[: 2 * int(x[: s + 1].sum())], minlength=s + 3)[1:])
-        for s in sorted({int(s) for s in snapshot_steps})
+        for s in snapshot_steps
         if 0 <= s <= n
     }
     del x

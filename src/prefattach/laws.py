@@ -121,13 +121,13 @@ def validate_edge_law(spec: LawSpec) -> EdgeCountDistribution:
     * an EdgeCountDistribution (returned as-is),
     * an int K          -> deterministic K,
     * "det:K", "geom:Q", "explicit:p1,p2,..." strings,
-    * a mapping {j: p_j} with integer support points,
+    * a mapping {j: p_j} whose keys are ints or integer strings (JSON keys),
     * a sequence (p_1, ..., p_K) read as an explicit table from 1.
 
     Raises NonPositiveSupport if any mass sits on j <= 0, NotNormalized if an
     explicit table misses mass one by more than 1e-9, EmptyLaw for an empty
     table, ParseError for unreadable strings and any other form (a bool, a
-    float, None, a non-numeric key or entry).
+    float, None, a non-integer key, a non-numeric entry).
     """
     if isinstance(spec, EdgeCountDistribution):
         return spec
@@ -139,18 +139,25 @@ def validate_edge_law(spec: LawSpec) -> EdgeCountDistribution:
         if isinstance(spec, Mapping):
             if not spec:
                 raise EmptyLaw("law mapping is empty")
-            support = sorted(int(j) for j in spec)
-            if support[0] < 1:
+            keys = [_support_point(j) for j in spec]
+            if min(keys) < 1:
                 raise NonPositiveSupport(
-                    f"law puts mass on j = {support[0]}; support must be positive"
+                    f"law puts mass on j = {min(keys)}; support must be positive"
                 )
-            table = [0.0] * support[-1]
-            for j, p in spec.items():
-                table[int(j) - 1] = float(p)
+            table = [0.0] * max(keys)
+            for j, p in zip(keys, spec.values()):
+                table[j - 1] = float(p)
             return explicit(table)
         return explicit(spec)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"could not read law {spec!r}: {exc}") from exc
+
+
+def _support_point(j) -> int:
+    """A mapping key as an int; a bool or a float is refused, not truncated."""
+    if isinstance(j, str) or (isinstance(j, (int, np.integer)) and not isinstance(j, bool)):
+        return int(j)
+    raise ParseError(f"law support point must be an integer, got {j!r}")
 
 
 def _parse_law_string(text: str) -> EdgeCountDistribution:

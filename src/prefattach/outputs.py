@@ -16,6 +16,7 @@ import numpy as np
 
 from .analysis import EmpiricalDistribution
 from .branching import TauDiagnostics
+from .errors import MismatchedLengths
 from .theory import LimitSpectrum, pi_explicit
 
 # Rows rendered per write: long tables stream in chunks of bounded memory.
@@ -67,21 +68,19 @@ def _write_scaled(fh, row: str, steps: np.ndarray, exponent: float, *series) -> 
 
 
 def write_degree_distribution(
-    path: str, emp: EmpiricalDistribution, spectrum: LimitSpectrum | None = None
+    path: str, emp: EmpiricalDistribution, spectrum: LimitSpectrum
 ) -> None:
     """Rows j,count,empirical,theoretical,abs_error for every degree shown.
 
     Degrees run from 1 to the larger of the empirical support and the
-    spectrum cutoff; theory columns are blank without a spectrum.
+    spectrum cutoff.
     """
-    top = emp.support_max if spectrum is None else max(emp.support_max, spectrum.j_max)
+    top = max(emp.support_max, spectrum.j_max)
     count = [emp.counts.get(j, 0) for j in range(top + 1)]
     freq = np.array([emp.freq.get(j, 0.0) for j in range(top + 1)], dtype=float)
-    shown = [freq]
-    if spectrum is not None:
-        pi = np.zeros(top + 1)
-        pi[1 : spectrum.j_max + 1] = spectrum.pi[1:]
-        shown += [pi, np.abs(freq - pi)]
+    pi = np.zeros(top + 1)
+    pi[1 : spectrum.j_max + 1] = spectrum.pi[1:]
+    shown = (freq, pi, np.abs(freq - pi))
 
     def columns(a, b):
         rounded = ([round(x, 6) for x in c[a:b].tolist()] for c in shown)
@@ -89,8 +88,7 @@ def write_degree_distribution(
 
     with _open_for_write(path) as fh:
         fh.write("j,count,empirical,theoretical,abs_error\r\n")
-        row = "%s,%s,%r,," if spectrum is None else "%s,%s,%r,%r,%r"
-        _write_rows(fh, row, 1, top + 1, columns)
+        _write_rows(fh, "%s,%s,%r,%r,%r", 1, top + 1, columns)
 
 
 def write_trajectories(
@@ -134,23 +132,20 @@ def write_tau(path: str, taus: np.ndarray, diag: TauDiagnostics) -> None:
 def write_pi(
     path: str,
     spectrum: LimitSpectrum,
-    quadrature: np.ndarray | None = None,
-    explicit_x0: int | None = None,
-    beta: float = 0.0,
+    quadrature: np.ndarray,
+    explicit_x0: int | None,
+    beta: float,
 ) -> None:
     """Rows j,pi_recursive,pi_quadrature,pi_explicit_or_blank.
 
-    The explicit column is filled only when the law is a fixed edge count
-    (pass its x0); the quadrature column is blank when not computed.
+    ``quadrature`` is indexed like ``spectrum.pi``.  The explicit column is
+    filled only when the law is a fixed edge count (pass its x0, else None).
     """
-    j_max = spectrum.j_max
-    # rows j <= with_quad have a quadrature cell, the rows after it none
-    with_quad = 0 if quadrature is None else max(0, min(j_max, quadrature.shape[0] - 1))
+    if quadrature.shape != spectrum.pi.shape:
+        raise MismatchedLengths("quadrature and spectrum.pi differ in length")
 
     def columns(a, b):
-        cols = [range(a, b), spectrum.pi[a:b].tolist()]
-        if b <= with_quad + 1:
-            cols.append(quadrature[a:b].tolist())
+        cols = [range(a, b), spectrum.pi[a:b].tolist(), quadrature[a:b].tolist()]
         if explicit_x0 is not None:
             cols.append([pi_explicit(explicit_x0, beta, j) for j in range(a, b)])
         return cols
@@ -158,8 +153,7 @@ def write_pi(
     explicit = ",%.12g" if explicit_x0 is not None else ","
     with _open_for_write(path) as fh:
         fh.write("j,pi_recursive,pi_quadrature,pi_explicit_or_blank\r\n")
-        _write_rows(fh, "%s,%.12g,%.12g" + explicit, 1, with_quad + 1, columns)
-        _write_rows(fh, "%s,%.12g," + explicit, with_quad + 1, j_max + 1, columns)
+        _write_rows(fh, "%s,%.12g,%.12g" + explicit, 1, spectrum.j_max + 1, columns)
 
 
 def write_report(path: str, report: dict) -> None:

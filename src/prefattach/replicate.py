@@ -28,9 +28,6 @@ class ChainSummary:
 
     index: int
     counts: dict[int, int]
-    total_degree: int
-    max_degree: int
-    argmax: int
     steps: np.ndarray
     probes: dict[int, np.ndarray]
     max_series: np.ndarray
@@ -73,9 +70,6 @@ def _summary_payload(summary) -> dict:
         return {
             "index": summary.index,
             "counts": {str(k): v for k, v in sorted(summary.counts.items())},
-            "total_degree": summary.total_degree,
-            "max_degree": summary.max_degree,
-            "argmax": summary.argmax,
             "steps": summary.steps.tolist(),
             "probes": {
                 str(v): s.tolist() for v, s in sorted(summary.probes.items())
@@ -94,13 +88,9 @@ def _summary_payload(summary) -> dict:
 def _chain_worker(args) -> ChainSummary:
     model, master_seed, index = args
     run = run_chain(replace(model, seed=mix64(master_seed, index)))
-    led = run.ledger
     return ChainSummary(
         index=index,
-        counts=dict(led.counts),
-        total_degree=led.total_degree,
-        max_degree=led.max_degree,
-        argmax=led.argmax,
+        counts=dict(run.ledger.counts),
         steps=run.steps,
         probes=run.probes,
         max_series=run.max_series,

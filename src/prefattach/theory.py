@@ -39,14 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    NonPositiveMean,
-    RangeError,
-    StepTooCoarse,
-    TruncationTooSmall,
-    checked_int,
-    checked_real,
-)
+from .errors import NonPositiveMean, RangeError, StepTooCoarse, checked_int, checked_real
 from .laws import EdgeCountDistribution, validate_edge_law
 
 _Y_MAX_MASS = 1e-12  # default domain cutoff: exp(-rate * y_max) below this
@@ -105,6 +98,7 @@ def pi_explicit(x0: int, beta: float, j: int) -> float:
     """
     x0 = checked_int("x0", x0, 1)
     beta = checked_real("beta", beta)
+    j = checked_int("j", j, None)
     if j < 1 or j % x0 != 0:
         return 0.0
     l = j // x0
@@ -113,17 +107,8 @@ def pi_explicit(x0: int, beta: float, j: int) -> float:
     return (2.0 * x0 + beta) / ((l + 2.0) * x0 + 2.0 * beta) * float(np.prod(ratios))
 
 
-def pi_recursive(
-    edge_law: EdgeCountDistribution,
-    beta: float,
-    j_max: int,
-    mass_tol: float | None = None,
-) -> LimitSpectrum:
-    """The spectrum via the lower-triangular Laplace recursion (exact).
-
-    If ``mass_tol`` is given, raises TruncationTooSmall when the mass left
-    above j_max exceeds it.
-    """
+def pi_recursive(edge_law: EdgeCountDistribution, beta: float, j_max: int) -> LimitSpectrum:
+    """The spectrum via the lower-triangular Laplace recursion (exact)."""
     law = validate_edge_law(edge_law)
     j_max = checked_int("j_max", j_max, 1, MAX_J_MAX)
     beta = checked_real("beta", beta)
@@ -143,8 +128,6 @@ def pi_recursive(
 
     pi = rate * lap
     truncation = max(0.0, 1.0 - float(pi[1:].sum()))
-    if mass_tol is not None and truncation > mass_tol:
-        raise TruncationTooSmall(truncation, mass_tol)
     return LimitSpectrum(
         theta=theta(m, beta),
         pi=pi,

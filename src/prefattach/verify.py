@@ -358,7 +358,7 @@ class VerifySession:
         scales = sorted(run.snapshots) + [n]
         for scale in scales:
             counts = run.snapshots.get(scale, run.ledger.counts)
-            emp = empirical_distribution(counts, n=scale)
+            emp = empirical_distribution(counts)
             tvs.append(distribution_distance(emp, spec).tv_core)
         r1_over_n = run.ledger.counts.get(1, 0) / n
         r1_gap = abs(r1_over_n - 2.0 / 3.0)
@@ -394,7 +394,7 @@ class VerifySession:
 
         if self.profile != "theory":
             run = self.lln_run()
-            emp = empirical_distribution(run.ledger)
+            emp = empirical_distribution(run.ledger.counts)
             emp_fit = tail_fit(emp, 3, 30)
             th_fit = tail_fit(spec0, 3, 30)
             emp_tol = thr.headline
@@ -602,7 +602,7 @@ class VerifySession:
             positive = 0
             for _ in range(self.zeta_runs):
                 n = paths.draw(cfg.initial, cfg.beta, cfg.edge_law, horizon, rng)
-                osc, last = paths.plateau(n, m=1.0, tail_fraction=0.25)
+                osc, last = paths.plateau(n, m=1.0)
                 positive += last > 0
                 hits += osc < osc_tol
             frac = hits / self.zeta_runs

@@ -295,7 +295,7 @@ class TestScaledTrajectory:
         path = JumpPath(initial=1, times=np.log(ks), values=ks.astype(np.int64))
         traj = zeta_trajectory(path, m=1.0)
         assert traj.tail_oscillation < 1e-12
-        assert traj.tail_mean == pytest.approx(1.0, abs=1e-12)
+        assert traj.scaled == pytest.approx(1.0, abs=1e-12)
 
     def test_eventless_path_reports_its_starting_point(self):
         cfg = BranchingConfig(edge_law=deterministic(1), beta=0.0, initial=1)
@@ -307,9 +307,8 @@ class TestScaledTrajectory:
     def test_real_path_plateau_is_positive(self):
         cfg = BranchingConfig(edge_law=deterministic(1), beta=0.0, initial=10)
         path = simulate_mbp(cfg, 6.0, substream(43, 8))
-        traj = zeta_trajectory(path, m=1.0, tail_fraction=0.25)
-        assert traj.tail_mean > 0
-        assert traj.tail_oscillation >= 0
+        traj = zeta_trajectory(path, m=1.0)
+        assert 0 <= traj.tail_oscillation < math.inf  # infinite unless the plateau is positive
 
 
 def concatenated_jump_chain(initial, beta, law, horizon, rng):
@@ -351,7 +350,7 @@ class TestPathKernel:
         assert rng_a.calls > 6  # some path took two blocks or more
 
     @staticmethod
-    def _pairs(law, beta, initial, horizon, tail_fraction, stream, paths):
+    def _pairs(law, beta, initial, horizon, stream, paths):
         """(kernel, public) statistics per path on identical substreams, and
         the largest number of blocks a kernel path took."""
         cfg = BranchingConfig(edge_law=law, beta=beta, initial=initial)
@@ -360,13 +359,11 @@ class TestPathKernel:
         buffers = _PathBuffers()
         pairs, most_blocks = [], 0
         for _ in range(paths):
-            traj = zeta_trajectory(
-                simulate_mbpi(cfg, horizon, public_rng), m=law.mean, tail_fraction=tail_fraction
-            )
+            traj = zeta_trajectory(simulate_mbpi(cfg, horizon, public_rng), m=law.mean)
             calls = kernel_rng.calls
             n = buffers.draw(cfg.initial, cfg.beta, cfg.edge_law, horizon, kernel_rng)
             most_blocks = max(most_blocks, kernel_rng.calls - calls)
-            kernel = buffers.plateau(n, law.mean, tail_fraction)
+            kernel = buffers.plateau(n, law.mean)
             pairs.append((kernel, (traj.tail_oscillation, float(traj.scaled[-1]))))
         return pairs, most_blocks
 
@@ -377,16 +374,11 @@ class TestPathKernel:
         "law, horizon", [(deterministic(1), 8.0), (geometric(0.5), 4.0)], ids=["det:1", "geom:0.5"]
     )
     def test_kernel_statistic_equals_the_public_trajectory(self, law, horizon, beta):
-        pairs, most_blocks = self._pairs(law, beta, 10, horizon, 0.25, int(beta), 12)
+        pairs, most_blocks = self._pairs(law, beta, 10, horizon, int(beta), 12)
         assert most_blocks >= 2
         for kernel, public in pairs:
             assert kernel == public
 
     def test_eventless_path_at_horizon_zero(self):
-        ((kernel, public),), _ = self._pairs(deterministic(1), 1.0, 10, 0.0, 0.25, 2, 1)
+        ((kernel, public),), _ = self._pairs(deterministic(1), 1.0, 10, 0.0, 2, 1)
         assert kernel == public == (0.0, 10.0)
-
-    def test_whole_path_window_includes_the_start(self):
-        pairs, _ = self._pairs(geometric(0.5), 1.0, 10, 2.0, 1.0, 3, 12)
-        for kernel, public in pairs:
-            assert kernel == public

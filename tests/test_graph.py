@@ -293,7 +293,7 @@ class TestAgainstReferenceLoop:
         # the sampling noise at this n is about 0.003 in TV; the spectrum of
         # the other offset (beta = 1 vs 0) is 0.04-0.07 away
         run = run_chain(ModelConfig(beta=beta, edge_law=law, n=200_000, seed=12))
-        dist = distribution_distance(empirical_distribution(run.ledger), pi_recursive(law, beta, 60))
+        dist = distribution_distance(empirical_distribution(run.ledger.counts), pi_recursive(law, beta, 60))
         assert dist.tv_core < 0.008
 
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from prefattach.analysis import split_half_pvalues, tail_fit
 from prefattach.branching import (
     BranchingConfig,
     JumpPath,
@@ -16,7 +17,7 @@ from prefattach.branching import (
     zeta_trajectory,
 )
 from prefattach.errors import NonPositiveMean, RangeError
-from prefattach.graph import ModelConfig
+from prefattach.graph import ModelConfig, run_chain
 from prefattach.laws import deterministic
 from prefattach.replicate import replicate
 from prefattach.theory import pi_explicit, pi_quadrature, pi_recursive, tail_exponent_theory, theta
@@ -49,6 +50,7 @@ CASES = [
     ("deterministic", "x0", deterministic, [2.5, True]),
     ("pi_explicit", "x0", lambda v: pi_explicit(v, 0.0, 5), [2.5, True]),
     ("pi_explicit", "beta", lambda v: pi_explicit(1, v, 5), [True]),
+    ("pi_explicit", "j", lambda v: pi_explicit(1, 0.0, v), [2.5, True]),
     ("pi_recursive", "j_max", lambda v: pi_recursive(LAW, 0.0, v), [10.5, True]),
     ("pi_recursive", "beta", lambda v: pi_recursive(LAW, v, 10), [True]),
     ("pi_quadrature", "j_max", lambda v: pi_quadrature(LAW, 0.0, v), [10.5, True]),
@@ -58,6 +60,17 @@ CASES = [
         "pi_quadrature", "y_max", lambda v: pi_quadrature(LAW, 0.0, 5, y_max=v),
         [True, math.nan, math.inf],
     ),
+    (
+        "tau_diagnostics", "beta", lambda v: tau_diagnostics([0.5, 0.7], [2.0, 4.0], 1.0, v),
+        [math.nan, -1.0, True],
+    ),
+    ("tail_fit", "j_min", lambda v: tail_fit(pi_recursive(LAW, 0.0, 40), v, 30), [1.5, True]),
+    ("tail_fit", "j_max", lambda v: tail_fit(pi_recursive(LAW, 0.0, 40), 3, v), [30.5, True]),
+    (
+        "split_half_pvalues", "n_trials", lambda v: split_half_pvalues({1: 40, 2: 20}, v, _rng()),
+        [2.5, -1, 0, True],
+    ),
+    ("run_chain", "snapshot_steps", lambda v: run_chain(_model(), snapshot_steps=(v,)), [2.5, True]),
 ]
 
 

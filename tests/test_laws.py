@@ -65,8 +65,9 @@ class TestValidation:
         by_str = validate_edge_law("det:2")
         assert by_int.mean == by_str.mean == 2.0
         by_map = validate_edge_law({1: 0.5, 2: 0.5})
+        by_json_map = validate_edge_law({"1": 0.5, "2": 0.5})  # JSON object keys
         by_seq = validate_edge_law([0.5, 0.5])
-        assert by_map.mean == by_seq.mean == 1.5
+        assert by_map.mean == by_json_map.mean == by_seq.mean == 1.5
         law = geometric(0.25)
         assert validate_edge_law(law) is law
 
@@ -101,6 +102,11 @@ class TestValidation:
             validate_edge_law("geom:0")
         with pytest.raises(ParseError):
             validate_edge_law("geom:1.5")
+
+    @pytest.mark.parametrize("key", [2.5, 2.0, np.float64(1.0), True])
+    def test_non_integer_mapping_keys_are_parse_errors(self, key):
+        with pytest.raises(ParseError):
+            validate_edge_law({key: 1.0})
 
     def test_unknown_kind_and_garbage_numbers_are_parse_errors(self):
         with pytest.raises(ParseError):

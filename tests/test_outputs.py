@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from prefattach.analysis import empirical_distribution
 from prefattach.branching import TauDiagnostics, run_embedding, tau_diagnostics
+from prefattach.errors import MismatchedLengths
 from prefattach.graph import DegreeLedger
 from prefattach.laws import deterministic, geometric
 from prefattach.outputs import (
@@ -31,7 +32,7 @@ from prefattach.theory import LimitSpectrum, pi_explicit, pi_quadrature, pi_recu
 class TestDegreeDistributionFile:
     def test_starting_graph_row_is_rendered_exactly(self, tmp_path):
         led = DegreeLedger.from_degrees([1, 1])
-        emp = empirical_distribution(led.counts, n=0)
+        emp = empirical_distribution(led.counts)
         spec = pi_recursive(deterministic(1), 0.0, 1)
         path = tmp_path / "dd.csv"
         write_degree_distribution(str(path), emp, spec)
@@ -42,7 +43,7 @@ class TestDegreeDistributionFile:
 
     def test_rows_extend_to_the_spectrum_even_without_counts(self, tmp_path):
         led = DegreeLedger.from_degrees([1, 1])
-        emp = empirical_distribution(led.counts, n=0)
+        emp = empirical_distribution(led.counts)
         spec = pi_recursive(deterministic(1), 0.0, 3)
         path = tmp_path / "dd.csv"
         write_degree_distribution(str(path), emp, spec)
@@ -50,18 +51,12 @@ class TestDegreeDistributionFile:
         assert len(lines) == 4  # header + j = 1..3
         assert lines[2].startswith("2,0,0.0,")
 
-    def test_theory_columns_are_blank_without_a_spectrum(self, tmp_path):
-        emp = empirical_distribution({1: 2, 2: 1}, n=1)
-        path = tmp_path / "dd.csv"
-        write_degree_distribution(str(path), emp, None)
-        lines = path.read_text().splitlines()
-        assert lines[1].endswith(",,")
-
     def test_rewriting_replaces_the_file(self, tmp_path):
-        emp = empirical_distribution({1: 2}, n=0)
+        emp = empirical_distribution({1: 2})
+        spec = pi_recursive(deterministic(1), 0.0, 1)
         path = tmp_path / "dd.csv"
-        write_degree_distribution(str(path), emp, None)
-        write_degree_distribution(str(path), emp, None)
+        write_degree_distribution(str(path), emp, spec)
+        write_degree_distribution(str(path), emp, spec)
         text = path.read_text()
         assert text.count("j,count,empirical,theoretical,abs_error") == 1
 
@@ -118,10 +113,16 @@ class TestSpectrumFile:
 
     def test_missing_routes_leave_blank_cells(self, tmp_path):
         spec = pi_recursive(geometric(0.5), 0.0, 3)
+        quad = pi_quadrature(geometric(0.5), 0.0, 3)
         path = tmp_path / "pi.csv"
-        write_pi(str(path), spec)
+        write_pi(str(path), spec, quad, explicit_x0=None, beta=0.0)
         lines = path.read_text().splitlines()
-        assert all(line.endswith(",,") for line in lines[1:])
+        assert all(line.endswith(",") and not line.endswith(",,") for line in lines[1:])
+
+    def test_quadrature_must_cover_the_spectrum(self, tmp_path):
+        spec = pi_recursive(deterministic(1), 0.0, 3)
+        with pytest.raises(MismatchedLengths):
+            write_pi(str(tmp_path / "pi.csv"), spec, np.zeros(3), explicit_x0=1, beta=0.0)
 
 
 class TestReportFile:
@@ -139,26 +140,23 @@ class TestReportFile:
 
 
 def _fmt6(x):
-    return "" if x is None else repr(round(float(x), 6))
+    return repr(round(float(x), 6))
 
 
 def _fmtg(x):
     return "" if x is None else f"{float(x):.12g}"
 
 
-def reference_degree_distribution(path, emp, spectrum=None):
-    top = emp.support_max if spectrum is None else max(emp.support_max, spectrum.j_max)
+def reference_degree_distribution(path, emp, spectrum):
+    top = max(emp.support_max, spectrum.j_max)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["j", "count", "empirical", "theoretical", "abs_error"])
         for j in range(1, top + 1):
             count = emp.counts.get(j, 0)
             freq = emp.freq.get(j, 0.0)
-            if spectrum is None:
-                w.writerow([j, count, _fmt6(freq), "", ""])
-            else:
-                pi_j = float(spectrum.pi[j]) if j <= spectrum.j_max else 0.0
-                w.writerow([j, count, _fmt6(freq), _fmt6(pi_j), _fmt6(abs(freq - pi_j))])
+            pi_j = float(spectrum.pi[j]) if j <= spectrum.j_max else 0.0
+            w.writerow([j, count, _fmt6(freq), _fmt6(pi_j), _fmt6(abs(freq - pi_j))])
 
 
 def reference_trajectories(path, steps, probes, exponent):
@@ -193,16 +191,13 @@ def reference_tau(path, taus, diag):
             )
 
 
-def reference_pi(path, spectrum, quadrature=None, explicit_x0=None, beta=0.0):
+def reference_pi(path, spectrum, quadrature, explicit_x0, beta):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["j", "pi_recursive", "pi_quadrature", "pi_explicit_or_blank"])
         for j in range(1, spectrum.j_max + 1):
-            quad = None
-            if quadrature is not None and j < quadrature.shape[0]:
-                quad = quadrature[j]
             exp_col = pi_explicit(explicit_x0, beta, j) if explicit_x0 is not None else None
-            w.writerow([j, _fmtg(spectrum.pi[j]), _fmtg(quad), _fmtg(exp_col)])
+            w.writerow([j, _fmtg(spectrum.pi[j]), _fmtg(quadrature[j]), _fmtg(exp_col)])
 
 
 def assert_same_bytes(writer, reference, *args, **kwargs):
@@ -276,23 +271,21 @@ class TestWritersMatchTheCsvReference:
 
     @given(
         counts=st.dictionaries(st.integers(1, 80), st.integers(1, 10**6), min_size=1),
-        j_max=st.one_of(st.none(), st.integers(1, 120)),
-        data=st.data(),
+        spectrum=st.integers(1, 120).flatmap(spectra),
     )
-    def test_degree_distribution(self, counts, j_max, data):
-        emp = empirical_distribution(counts, n=sum(counts.values()))
-        spectrum = None if j_max is None else data.draw(spectra(j_max))
+    def test_degree_distribution(self, counts, spectrum):
+        emp = empirical_distribution(counts)
         assert_same_bytes(write_degree_distribution, reference_degree_distribution, emp, spectrum)
 
     @given(
         spectrum=st.integers(1, 60).flatmap(spectra),
-        quad_len=st.one_of(st.none(), st.integers(0, 70)),
         explicit_x0=st.one_of(st.none(), st.integers(1, 3)),
         beta=st.sampled_from([0.0, 0.5, 2.0]),
         data=st.data(),
     )
-    def test_pi(self, spectrum, quad_len, explicit_x0, beta, data):
-        quad = None if quad_len is None else data.draw(floats(quad_len, quad_len))
+    def test_pi(self, spectrum, explicit_x0, beta, data):
+        length = spectrum.pi.shape[0]
+        quad = data.draw(floats(length, length))
         assert_same_bytes(
             write_pi, reference_pi, spectrum, quadrature=quad, explicit_x0=explicit_x0, beta=beta
         )
@@ -302,7 +295,7 @@ class TestWritersMatchTheCsvReference:
             spectrum = pi_recursive(law, beta, 40)
             quad = pi_quadrature(law, beta, 40)
             assert_same_bytes(write_pi, reference_pi, spectrum, quad, explicit_x0=x0, beta=beta)
-            emp = empirical_distribution({1: 700, 2: 200, 4: 90, 57: 1}, n=990)
+            emp = empirical_distribution({1: 700, 2: 200, 4: 90, 57: 1})
             assert_same_bytes(
                 write_degree_distribution, reference_degree_distribution, emp, spectrum
             )
@@ -325,10 +318,10 @@ class TestWritersMatchTheCsvReference:
         diag = TauDiagnostics(0.5, taus[1], taus[2], 0.0)
         assert_same_bytes(write_tau, reference_tau, taus[0], diag)
         counts = dict(enumerate(rng.integers(1, 10**5, size=rows).tolist(), start=1))
-        emp = empirical_distribution(counts, n=rows)
+        emp = empirical_distribution(counts)
         spectrum = LimitSpectrum(0.5, np.concatenate(([0.0], rng.random(rows))), 3.0, 0.0, 2.0)
         assert_same_bytes(
             write_degree_distribution, reference_degree_distribution, emp, spectrum
         )
-        quad = rng.random(_CHUNK + 5)
+        quad = rng.random(rows + 1)
         assert_same_bytes(write_pi, reference_pi, spectrum, quad, explicit_x0=3, beta=1.0)

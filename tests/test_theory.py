@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefattach.errors import (
-    NonPositiveMean,
-    RangeError,
-    StepTooCoarse,
-    TruncationTooSmall,
-)
+from prefattach.errors import NonPositiveMean, RangeError, StepTooCoarse
 from prefattach.laws import deterministic, explicit, geometric
 from prefattach.theory import (
     MAX_J_MAX,
@@ -88,13 +83,6 @@ class TestRecursion:
         # sum_{j>10} 4/(j(j+1)(j+2)) telescopes to 2/(11*12) = 1/66
         spec = pi_recursive(deterministic(1), 0.0, 10)
         assert spec.truncation_mass == pytest.approx(1 / 66, abs=1e-12)
-
-    def test_truncation_budget_is_enforced(self):
-        with pytest.raises(TruncationTooSmall) as err:
-            pi_recursive(deterministic(1), 0.0, 10, mass_tol=1e-4)
-        assert err.value.mass > err.value.tol
-        spec = pi_recursive(deterministic(1), 0.0, 10, mass_tol=0.02)
-        assert spec.truncation_mass < 0.02
 
     def test_off_lattice_probabilities_are_exactly_zero(self):
         spec = pi_recursive(deterministic(2), 0.0, 41)
