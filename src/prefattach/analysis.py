@@ -35,8 +35,17 @@ class EmpiricalDistribution:
 
 
 def empirical_distribution(source: Mapping[int, int]) -> EmpiricalDistribution:
-    """Build degree frequencies from a {degree: count} map."""
-    counts = {int(j): int(c) for j, c in source.items() if c}
+    """Build degree frequencies from a {degree: count} map.
+
+    Degrees must be integers >= 1 and counts integers >= 0; a zero count is
+    dropped.
+    """
+    counts = {}
+    for j, c in source.items():
+        j = checked_int("degree", j, 1)
+        c = checked_int("count", c, 0)
+        if c:
+            counts[j] = c
     total = sum(counts.values())
     if total == 0:
         raise SeriesTooShort("no vertices to tabulate")

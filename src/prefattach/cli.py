@@ -33,7 +33,7 @@ from .analysis import (
 )
 from .branching import tau_diagnostics
 from .config import ExperimentConfig, parse_config
-from .errors import InsufficientBins, PrefattachError, RangeError
+from .errors import InsufficientBins, PrefattachError, RangeError, checked_int
 from .outputs import (
     write_degree_distribution,
     write_max_degree,
@@ -43,7 +43,7 @@ from .outputs import (
     write_trajectories,
 )
 from .replicate import replicate
-from .theory import pi_quadrature, pi_recursive
+from .theory import MAX_QUAD_J_MAX, pi_quadrature, pi_recursive
 from .verify import PROFILES, VerifySession
 
 
@@ -164,6 +164,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 def cmd_theory(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    # the quadrature's cap is below the one parse_config applies
+    checked_int("run.jmax", cfg.j_max, 1, MAX_QUAD_J_MAX)
     spectrum = _spectrum_for(cfg)
     quad = pi_quadrature(
         cfg.model.edge_law,

@@ -127,7 +127,8 @@ def validate_edge_law(spec: LawSpec) -> EdgeCountDistribution:
     Raises NonPositiveSupport if any mass sits on j <= 0, NotNormalized if an
     explicit table misses mass one by more than 1e-9, EmptyLaw for an empty
     table, ParseError for unreadable strings and any other form (a bool, a
-    float, None, a non-integer key, a non-numeric entry).
+    float, None, a non-integer key, two keys naming one support point, a
+    non-numeric entry).
     """
     if isinstance(spec, EdgeCountDistribution):
         return spec
@@ -140,6 +141,8 @@ def validate_edge_law(spec: LawSpec) -> EdgeCountDistribution:
             if not spec:
                 raise EmptyLaw("law mapping is empty")
             keys = [_support_point(j) for j in spec]
+            if len(set(keys)) < len(keys):
+                raise ParseError(f"law {spec!r} names a support point twice")
             if min(keys) < 1:
                 raise NonPositiveSupport(
                     f"law puts mass on j = {min(keys)}; support must be positive"

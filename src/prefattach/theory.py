@@ -46,9 +46,13 @@ _Y_MAX_MASS = 1e-12  # default domain cutoff: exp(-rate * y_max) below this
 MIN_QUAD_STEPS = 1000  # fewest integration steps pi_quadrature accepts
 # Largest truncation degree accepted, checked before anything is allocated.
 # It is the largest the package uses itself (moment-dichotomy at the full
-# profile); pi_quadrature holds nine dense j_max x j_max float64 blocks, 1.8 GB
-# at this cap, where 30,000 would need 65 GB.
+# profile).
 MAX_J_MAX = 5000
+# The quadrature's own cap: it holds about five dense j_max x j_max float64
+# blocks and costs O(j_max^3).  At this cap `prefattach theory --law geom:0.5
+# --beta 1` took 29 s and 403 MB peak RSS on one BLAS thread (2 vCPUs); at
+# 3500 it took 41 s and 535 MB.
+MAX_QUAD_J_MAX = 3000
 
 
 def theta(m: float, beta: float) -> float:
@@ -137,6 +141,54 @@ def pi_recursive(edge_law: EdgeCountDistribution, beta: float, j_max: int) -> Li
     )
 
 
+# Order at and below which _tril_matmul multiplies densely.  Each split
+# halves a block's multiply-adds but adds BLAS calls, so small blocks go
+# whole; 64, 128 and 192 timed the same at j_max 200 to 800.
+_TRIL_BLOCK = 128
+# Above this truncation pi_quadrature sets entries below _FLUSH_BELOW in
+# magnitude to zero, in its scaled generator and in every product, so that
+# no product of two entries is subnormal: subnormal arithmetic made products
+# up to 6x slower there (geom:0.5 at j_max 1600).  The results did not change
+# in any bit at j_max 400 to 1600; below the gate the flush cost more than it
+# saved.
+_FLUSH_J_MAX = 512
+_FLUSH_BELOW = 1e-154  # about the square root of the smallest normal double
+
+
+def _flush(x: np.ndarray) -> None:
+    np.multiply(x, np.abs(x) >= _FLUSH_BELOW, out=x)
+
+
+def _tril_matmul(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, flush: bool = False
+) -> np.ndarray:
+    """The product of two lower-triangular square matrices, into ``out``.
+
+    Splits into 2 x 2 blocks, [[A11, 0], [A21, A22]] [[B11, 0], [B21, B22]]
+    = [[A11 B11, 0], [A21 B11 + A22 B21, A22 B22]], and recurses on the
+    diagonal blocks above _TRIL_BLOCK; the zero block is never computed.
+    With ``flush`` each block is passed through _flush once it is complete.
+    """
+    n = a.shape[0]
+    if out is None:
+        out = np.empty_like(a)
+    if n <= _TRIL_BLOCK:
+        np.matmul(a, b, out=out)
+        if flush:
+            _flush(out)
+        return out
+    h = n // 2
+    out[:h, h:] = 0.0
+    _tril_matmul(a[:h, :h], b[:h, :h], out[:h, :h], flush)
+    _tril_matmul(a[h:, h:], b[h:, h:], out[h:, h:], flush)
+    low = out[h:, :h]
+    np.matmul(a[h:, :h], b[:h, :h], out=low)
+    low += a[h:, h:] @ b[h:, :h]
+    if flush:
+        _flush(low)
+    return out
+
+
 def pi_quadrature(
     edge_law: EdgeCountDistribution,
     beta: float,
@@ -153,10 +205,11 @@ def pi_quadrature(
     propagation at half the step feeds a step-doubling error estimate, and
     the refined values are returned.  Raises StepTooCoarse when the domain
     cutoff keeps >= tol of the mass (in particular for y_max = 0) or when
-    the error estimate exceeds tol or is not a number.
+    the error estimate exceeds tol or is not a number, and RangeError for
+    j_max above MAX_QUAD_J_MAX before anything is allocated.
     """
     law = validate_edge_law(edge_law)
-    j_max = checked_int("j_max", j_max, 1, MAX_J_MAX)
+    j_max = checked_int("j_max", j_max, 1, MAX_QUAD_J_MAX)
     steps = checked_int("steps", steps, MIN_QUAD_STEPS)
     beta = checked_real("beta", beta)
     rate = 2.0 * law.mean + beta
@@ -174,32 +227,46 @@ def pi_quadrature(
         )
 
     p = law.pmf_vector(j_max)
-    j_idx = np.arange(1, j_max + 1, dtype=float)
+    col = np.arange(1, j_max + 1, dtype=float)
+    diag = np.diag_indices(j_max)
     # Damped generator: dR_j/dy = -(rate + j + beta) R_j
-    #                             + sum_k (j - k + beta) p_k R_{j - k}.
-    gen = np.zeros((j_max, j_max))
-    gen[np.diag_indices(j_max)] = -(rate + j_idx + beta)
-    for k in range(1, j_max):
-        if p[k] != 0.0:
-            col = np.arange(1, j_max - k + 1, dtype=float)
-            gen += np.diag((col + beta) * p[k], -k)
+    #                             + sum_k (j - k + beta) p_k R_{j - k},
+    # so gen[i, c] = (c + 1 + beta) p[i - c] below the diagonal.  Row i of
+    # the window view reads p[i - c] for c <= i and the zero padding beyond.
+    window = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((np.zeros(j_max - 1), p[:j_max])), j_max
+    )[:, ::-1]
+    flush = j_max > _FLUSH_J_MAX
     # The augmented system v = [R; Q], dQ/dy = rate * R, has an RK4 step of
     # the block form [[S, 0], [B, I]], and so has every power of it: the
     # product of (S1, B1) and (S2, B2) is (S1 S2, B1 S2 + B2).  Only the pair
     # (S, B) is powered, and each power is applied to (R, Q) as it is made.
-    eye = np.eye(j_max)
+    # Both blocks are lower triangular, and so is every product of them.
 
     def propagate(n_steps: int) -> np.ndarray:
         h = y_max / n_steps
-        hg = h * gen
-        term_s, term_b = hg, rate * h * eye  # the blocks of the first Taylor term
-        step_s, step_b = eye + term_s, term_b
+        hg = window * (col + beta)  # the generator, then scaled to h * gen
+        hg[diag] = -(rate + col + beta)
+        hg *= h
+        if flush:
+            _flush(hg)
+        # S = sum_{k<=4} (hg)^k / k! and B = rate h sum_{k<=4} (hg)^(k-1) / k!,
+        # so the order-k term of B is rate h / k times the order-(k-1) term of S.
+        step_s = hg.copy()
+        step_s[diag] += 1.0
+        step_b = hg * (rate * h / 2.0)
+        step_b[diag] += rate * h
+        term = hg
         for order in range(2, 5):
-            term_s = term_s @ hg / order
-            term_b = term_b @ hg / order
-            step_s = step_s + term_s
-            step_b = step_b + term_b
-        # (R, Q)(y_max) = step^n_steps (R, Q)(0), by binary powering.
+            term = _tril_matmul(term, hg, flush=flush)
+            term /= order
+            step_s += term
+            if order < 4:
+                step_b += term * (rate * h / (order + 1))
+        del hg, term  # two blocks fewer before the spares are allocated
+        # (R, Q)(y_max) = step^n_steps (R, Q)(0), by binary powering; the
+        # squarings write into a second pair of blocks and swap.
+        spare_s, spare_b = np.empty_like(step_s), np.empty_like(step_b)
         r, q = p[1:], np.zeros(j_max)
         k = n_steps
         while k:
@@ -207,7 +274,11 @@ def pi_quadrature(
                 r, q = step_s @ r, step_b @ r + q
             k >>= 1
             if k:
-                step_s, step_b = step_s @ step_s, step_b @ step_s + step_b
+                _tril_matmul(step_b, step_s, spare_b, flush)
+                spare_b += step_b
+                _tril_matmul(step_s, step_s, spare_s, flush)
+                step_s, spare_s = spare_s, step_s
+                step_b, spare_b = spare_b, step_b
         return q
 
     coarse = propagate(steps)
@@ -249,6 +320,7 @@ def moment_profile(spectrum: LimitSpectrum, s_values: Sequence[float]) -> list[M
     j = np.arange(1, j_max + 1, dtype=float)
     curves = []
     for s in s_values:
+        s = checked_real("s", s, None)
         inc = j**s * spectrum.pi[1:]
         sums = np.concatenate(([0.0], np.cumsum(inc)))
         start = max(1, j_max // 10)
@@ -264,7 +336,7 @@ def moment_profile(spectrum: LimitSpectrum, s_values: Sequence[float]) -> list[M
         gain = float((sums[-1] - sums[start]) / final) if final > 0 else 0.0
         curves.append(
             MomentCurve(
-                s=float(s),
+                s=s,
                 partial_sums=sums,
                 verdict="diverging" if slope >= -1.0 else "plateauing",
                 last_decade_increase=gain,

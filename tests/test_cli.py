@@ -6,6 +6,7 @@ import json
 import pytest
 
 from prefattach.cli import main
+from prefattach.theory import MAX_J_MAX, MAX_QUAD_J_MAX
 
 
 def _read_csv(path):
@@ -186,6 +187,7 @@ class TestUsageErrors:
             (["analyze", "--n", "100", "--stride", "20"], "run.stride"),
             (["theory", "--jmax", "100000000000"], "run.jmax"),
             (["simulate", "--jmax", "100000000000"], "run.jmax"),
+            (["theory", "--jmax", str(MAX_QUAD_J_MAX + 1)], "run.jmax"),
             (["simulate", "--seed", "-1"], "run.seed"),
             (["simulate", "--seed", str(2**64 + 5)], "run.seed"),
         ],
@@ -195,6 +197,11 @@ class TestUsageErrors:
         assert main(argv + ["--out", str(out)]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    def test_analyze_keeps_the_recursion_cap(self, tmp_path):
+        # only theory runs the quadrature, whose cap is lower
+        argv = ["analyze", "--n", "100", "--stride", "10", "--jmax", str(MAX_J_MAX)]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
 
     def test_ten_recorded_steps_are_enough_to_analyze(self, tmp_path):
         assert main(["analyze", "--n", "100", "--stride", "10", "--out", str(tmp_path)]) == 0

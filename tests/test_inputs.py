@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from prefattach.analysis import split_half_pvalues, tail_fit
+from prefattach.analysis import empirical_distribution, split_half_pvalues, tail_fit
 from prefattach.branching import (
     BranchingConfig,
     JumpPath,
@@ -16,11 +16,18 @@ from prefattach.branching import (
     tau_diagnostics,
     zeta_trajectory,
 )
-from prefattach.errors import NonPositiveMean, RangeError
+from prefattach.errors import NonPositiveMean, ParseError, RangeError
 from prefattach.graph import ModelConfig, run_chain
-from prefattach.laws import deterministic
+from prefattach.laws import deterministic, validate_edge_law
 from prefattach.replicate import replicate
-from prefattach.theory import pi_explicit, pi_quadrature, pi_recursive, tail_exponent_theory, theta
+from prefattach.theory import (
+    moment_profile,
+    pi_explicit,
+    pi_quadrature,
+    pi_recursive,
+    tail_exponent_theory,
+    theta,
+)
 
 LAW = deterministic(1)
 
@@ -71,6 +78,18 @@ CASES = [
         [2.5, -1, 0, True],
     ),
     ("run_chain", "snapshot_steps", lambda v: run_chain(_model(), snapshot_steps=(v,)), [2.5, True]),
+    (
+        "empirical_distribution", "count", lambda v: empirical_distribution({1: v, 2: 10}),
+        [-5, 1.5, True, "3"],
+    ),
+    (
+        "empirical_distribution", "degree", lambda v: empirical_distribution({v: 3}),
+        [1.5, True, "1", 0, -1],
+    ),
+    (
+        "moment_profile", "s", lambda v: moment_profile(pi_recursive(LAW, 0.0, 40), [v]),
+        [math.nan, math.inf, "a", True],
+    ),
 ]
 
 
@@ -106,3 +125,14 @@ def _flat_path():
 def test_non_finite_mean_is_refused(call, m):
     with pytest.raises(NonPositiveMean):
         call(m)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [{1: 0.5, "1": 0.5, 2: 0.5}, {"2": 0.5, np.int64(2): 0.5}],
+    ids=["int-and-string", "string-and-numpy"],
+)
+def test_keys_naming_one_support_point_twice_are_refused(law):
+    with pytest.raises(ParseError) as err:
+        validate_edge_law(law)
+    assert repr(law) in str(err.value)

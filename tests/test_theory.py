@@ -1,14 +1,20 @@
 """Limit spectrum: closed form, recursion, quadrature, and moment sums."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prefattach import theory
 from prefattach.errors import NonPositiveMean, RangeError, StepTooCoarse
 from prefattach.laws import deterministic, explicit, geometric
 from prefattach.theory import (
+    _TRIL_BLOCK,
     MAX_J_MAX,
+    MAX_QUAD_J_MAX,
+    _tril_matmul,
     moment_profile,
     pi_explicit,
     pi_quadrature,
@@ -100,6 +106,19 @@ class TestRecursion:
             route(geometric(0.5), 1.0, j_max)
         assert err.value.field == "j_max"
 
+    def test_quadrature_cap_sits_below_the_recursion_cap(self):
+        law = geometric(0.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RangeError) as err:
+                pi_quadrature(law, 1.0, MAX_QUAD_J_MAX + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.field == "j_max"
+        assert peak < 10**6  # refused before the generator is built
+        assert pi_recursive(law, 1.0, MAX_QUAD_J_MAX + 1).j_max == MAX_QUAD_J_MAX + 1
+
     def test_probabilities_are_a_subprobability_vector(self):
         for law in (explicit([0.2, 0.3, 0.5]), geometric(0.4)):
             spec = pi_recursive(law, 0.7, 150)
@@ -178,11 +197,45 @@ DUAL_ROUTE_LAWS = (deterministic(1), deterministic(2), explicit([0.5, 0.5]), geo
 
 
 class TestQuadrature:
+    # 100 is multiplied whole; 201 is split into uneven halves of 100 and 101
+    @pytest.mark.parametrize("j_max", [100, 201])
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     @pytest.mark.parametrize("law", DUAL_ROUTE_LAWS, ids=lambda law: law.label())
-    def test_block_pair_powering_matches_the_dense_route(self, law, beta):
-        quad = pi_quadrature(law, beta, 100)
-        assert np.max(np.abs(quad - dense_pi_quadrature(law, beta, 100))) <= 1e-15
+    def test_block_pair_powering_matches_the_dense_route(self, law, beta, j_max):
+        assert 100 <= _TRIL_BLOCK < 201  # the two sizes straddle the split
+        quad = pi_quadrature(law, beta, j_max)
+        assert np.max(np.abs(quad - dense_pi_quadrature(law, beta, j_max))) <= 1e-15
+
+    @pytest.mark.parametrize("law", [deterministic(1), geometric(0.5)], ids=lambda law: law.label())
+    def test_flushing_tiny_entries_keeps_the_dense_route(self, monkeypatch, law):
+        # large truncations zero entries below 1e-154 in every product; turn
+        # that on at a size the dense oracle can check
+        monkeypatch.setattr(theory, "_FLUSH_J_MAX", 0)
+        quad = pi_quadrature(law, 1.0, 201)
+        assert np.max(np.abs(quad - dense_pi_quadrature(law, 1.0, 201))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, _TRIL_BLOCK, _TRIL_BLOCK + 1, 300])
+    def test_triangular_product_equals_the_dense_product(self, n):
+        rng = np.random.default_rng(n)
+        a, b = np.tril(rng.standard_normal((n, n))), np.tril(rng.standard_normal((n, n)))
+        prod = _tril_matmul(a, b)
+        np.testing.assert_allclose(prod, a @ b, rtol=0, atol=1e-12)
+        assert np.all(np.triu(prod, 1) == 0.0)
+        out = np.full((n, n), np.nan)
+        assert _tril_matmul(a, b, out) is out
+        np.testing.assert_array_equal(out, prod)
+
+    def test_flushed_product_zeroes_only_tiny_entries(self):
+        rng = np.random.default_rng(3)
+        n = 2 * _TRIL_BLOCK + 1
+        a = np.tril(rng.standard_normal((n, n)))
+        b = np.tril(rng.standard_normal((n, n)) * 10.0 ** -rng.integers(0, 300, (n, n)))
+        exact = a @ b
+        flushed = _tril_matmul(a, b, flush=True)
+        tiny = np.abs(exact) < 1e-154
+        assert tiny.any() and not tiny.all()
+        assert np.all(flushed[tiny] == 0.0)
+        np.testing.assert_allclose(flushed[~tiny], exact[~tiny], rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -215,8 +268,9 @@ class TestQuadrature:
             quad = pi_quadrature(law, beta, 41)
             assert np.max(np.abs(spec.pi - quad)) < 1e-8
 
-    def test_quadrature_keeps_exact_lattice_zeros(self):
-        quad = pi_quadrature(deterministic(2), 0.0, 41)
+    @pytest.mark.parametrize("j_max", [41, 201])
+    def test_quadrature_keeps_exact_lattice_zeros(self, j_max):
+        quad = pi_quadrature(deterministic(2), 0.0, j_max)
         assert np.all(quad[1::2] == 0.0)
 
     def test_zero_length_domain_is_too_coarse(self):
