@@ -50,9 +50,10 @@ MIN_QUAD_STEPS = 1000  # fewest integration steps pi_quadrature accepts
 MAX_J_MAX = 5000
 # The quadrature's own cap: it holds about five dense j_max x j_max float64
 # blocks and costs O(j_max^3).  At this cap `prefattach theory --law geom:0.5
-# --beta 1` took 29 s and 403 MB peak RSS on one BLAS thread (2 vCPUs); at
-# 3500 it took 41 s and 535 MB.
-MAX_QUAD_J_MAX = 3000
+# --beta 1` took 28 s and 199 MB peak RSS on one BLAS thread (2 vCPUs).  At
+# 2500 it took 52 s and 290 MB, but det:1 at the default 20,000 steps fails
+# step doubling there.
+MAX_QUAD_J_MAX = 2000
 
 
 def theta(m: float, beta: float) -> float:
@@ -145,47 +146,27 @@ def pi_recursive(edge_law: EdgeCountDistribution, beta: float, j_max: int) -> Li
 # halves a block's multiply-adds but adds BLAS calls, so small blocks go
 # whole; 64, 128 and 192 timed the same at j_max 200 to 800.
 _TRIL_BLOCK = 128
-# Above this truncation pi_quadrature sets entries below _FLUSH_BELOW in
-# magnitude to zero, in its scaled generator and in every product, so that
-# no product of two entries is subnormal: subnormal arithmetic made products
-# up to 6x slower there (geom:0.5 at j_max 1600).  The results did not change
-# in any bit at j_max 400 to 1600; below the gate the flush cost more than it
-# saved.
-_FLUSH_J_MAX = 512
-_FLUSH_BELOW = 1e-154  # about the square root of the smallest normal double
 
 
-def _flush(x: np.ndarray) -> None:
-    np.multiply(x, np.abs(x) >= _FLUSH_BELOW, out=x)
-
-
-def _tril_matmul(
-    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, flush: bool = False
-) -> np.ndarray:
+def _tril_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The product of two lower-triangular square matrices, into ``out``.
 
     Splits into 2 x 2 blocks, [[A11, 0], [A21, A22]] [[B11, 0], [B21, B22]]
     = [[A11 B11, 0], [A21 B11 + A22 B21, A22 B22]], and recurses on the
     diagonal blocks above _TRIL_BLOCK; the zero block is never computed.
-    With ``flush`` each block is passed through _flush once it is complete.
     """
     n = a.shape[0]
     if out is None:
         out = np.empty_like(a)
     if n <= _TRIL_BLOCK:
-        np.matmul(a, b, out=out)
-        if flush:
-            _flush(out)
-        return out
+        return np.matmul(a, b, out=out)
     h = n // 2
     out[:h, h:] = 0.0
-    _tril_matmul(a[:h, :h], b[:h, :h], out[:h, :h], flush)
-    _tril_matmul(a[h:, h:], b[h:, h:], out[h:, h:], flush)
+    _tril_matmul(a[:h, :h], b[:h, :h], out[:h, :h])
+    _tril_matmul(a[h:, h:], b[h:, h:], out[h:, h:])
     low = out[h:, :h]
     np.matmul(a[h:, :h], b[:h, :h], out=low)
     low += a[h:, h:] @ b[h:, :h]
-    if flush:
-        _flush(low)
     return out
 
 
@@ -236,7 +217,6 @@ def pi_quadrature(
     window = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((np.zeros(j_max - 1), p[:j_max])), j_max
     )[:, ::-1]
-    flush = j_max > _FLUSH_J_MAX
     # The augmented system v = [R; Q], dQ/dy = rate * R, has an RK4 step of
     # the block form [[S, 0], [B, I]], and so has every power of it: the
     # product of (S1, B1) and (S2, B2) is (S1 S2, B1 S2 + B2).  Only the pair
@@ -248,8 +228,6 @@ def pi_quadrature(
         hg = window * (col + beta)  # the generator, then scaled to h * gen
         hg[diag] = -(rate + col + beta)
         hg *= h
-        if flush:
-            _flush(hg)
         # S = sum_{k<=4} (hg)^k / k! and B = rate h sum_{k<=4} (hg)^(k-1) / k!,
         # so the order-k term of B is rate h / k times the order-(k-1) term of S.
         step_s = hg.copy()
@@ -258,7 +236,7 @@ def pi_quadrature(
         step_b[diag] += rate * h
         term = hg
         for order in range(2, 5):
-            term = _tril_matmul(term, hg, flush=flush)
+            term = _tril_matmul(term, hg)
             term /= order
             step_s += term
             if order < 4:
@@ -274,9 +252,9 @@ def pi_quadrature(
                 r, q = step_s @ r, step_b @ r + q
             k >>= 1
             if k:
-                _tril_matmul(step_b, step_s, spare_b, flush)
+                _tril_matmul(step_b, step_s, spare_b)
                 spare_b += step_b
-                _tril_matmul(step_s, step_s, spare_s, flush)
+                _tril_matmul(step_s, step_s, spare_s)
                 step_s, spare_s = spare_s, step_s
                 step_b, spare_b = spare_b, step_b
         return q

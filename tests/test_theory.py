@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefattach import theory
 from prefattach.errors import NonPositiveMean, RangeError, StepTooCoarse
 from prefattach.laws import deterministic, explicit, geometric
 from prefattach.theory import (
@@ -206,14 +205,6 @@ class TestQuadrature:
         quad = pi_quadrature(law, beta, j_max)
         assert np.max(np.abs(quad - dense_pi_quadrature(law, beta, j_max))) <= 1e-15
 
-    @pytest.mark.parametrize("law", [deterministic(1), geometric(0.5)], ids=lambda law: law.label())
-    def test_flushing_tiny_entries_keeps_the_dense_route(self, monkeypatch, law):
-        # large truncations zero entries below 1e-154 in every product; turn
-        # that on at a size the dense oracle can check
-        monkeypatch.setattr(theory, "_FLUSH_J_MAX", 0)
-        quad = pi_quadrature(law, 1.0, 201)
-        assert np.max(np.abs(quad - dense_pi_quadrature(law, 1.0, 201))) <= 1e-15
-
     @pytest.mark.parametrize("n", [1, _TRIL_BLOCK, _TRIL_BLOCK + 1, 300])
     def test_triangular_product_equals_the_dense_product(self, n):
         rng = np.random.default_rng(n)
@@ -224,18 +215,6 @@ class TestQuadrature:
         out = np.full((n, n), np.nan)
         assert _tril_matmul(a, b, out) is out
         np.testing.assert_array_equal(out, prod)
-
-    def test_flushed_product_zeroes_only_tiny_entries(self):
-        rng = np.random.default_rng(3)
-        n = 2 * _TRIL_BLOCK + 1
-        a = np.tril(rng.standard_normal((n, n)))
-        b = np.tril(rng.standard_normal((n, n)) * 10.0 ** -rng.integers(0, 300, (n, n)))
-        exact = a @ b
-        flushed = _tril_matmul(a, b, flush=True)
-        tiny = np.abs(exact) < 1e-154
-        assert tiny.any() and not tiny.all()
-        assert np.all(flushed[tiny] == 0.0)
-        np.testing.assert_allclose(flushed[~tiny], exact[~tiny], rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize(
         "kwargs",
