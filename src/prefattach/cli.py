@@ -32,7 +32,7 @@ from .analysis import (
     trajectory_limit_check,
 )
 from .branching import tau_diagnostics
-from .config import ExperimentConfig, parse_config
+from .config import RUN_KEYS, ExperimentConfig, parse_config
 from .errors import InsufficientBins, PrefattachError, RangeError, checked_int
 from .outputs import (
     write_degree_distribution,
@@ -44,22 +44,16 @@ from .outputs import (
 )
 from .replicate import replicate
 from .theory import MAX_QUAD_J_MAX, pi_quadrature, pi_recursive
-from .verify import PROFILES, VerifySession
+from .verify import VerifySession
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--law", help="edge-count law: det:K | geom:Q | explicit:p1,p2,...")
-    sub.add_argument("--beta", type=float, help="uniform attachment weight beta >= 0")
-    sub.add_argument("--n", type=int, help="number of attachment steps / events")
-    sub.add_argument("--reps", type=int, help="independent replications")
-    sub.add_argument("--seed", type=int, help="master seed")
-    sub.add_argument("--jmax", type=int, help="spectrum truncation degree")
-    sub.add_argument("--out", help="output directory (default: results)")
-    sub.add_argument("--profile", choices=PROFILES, help="verification profile")
-    sub.add_argument("--parallelism", type=int, help="max concurrent workers")
-    sub.add_argument("--stride", type=int, help="trajectory recording stride")
-    sub.add_argument("--probes", help="comma-separated probe vertex labels")
+    for key, (_, kind, _, text) in RUN_KEYS.items():
+        if isinstance(kind, tuple):
+            sub.add_argument(f"--{key}", choices=kind, help=text)
+        elif text is not None:
+            sub.add_argument(f"--{key}", type=kind, help=text)
     sub.add_argument(
         "--threshold",
         action="append",
@@ -70,28 +64,14 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    thresholds = None
+    overrides = {key: value for key, value in vars(args).items() if key in RUN_KEYS}
     if args.threshold:
-        thresholds = {}
+        overrides["thresholds"] = {}
         for item in args.threshold:
             name, _, value = item.partition("=")
             if not _ or not name:
                 raise PrefattachError(f"--threshold needs NAME=VALUE, got {item!r}")
-            thresholds[name] = value
-    overrides = {
-        "law": args.law,
-        "beta": args.beta,
-        "n": args.n,
-        "reps": args.reps,
-        "seed": args.seed,
-        "jmax": args.jmax,
-        "out": args.out,
-        "profile": args.profile,
-        "parallelism": args.parallelism,
-        "stride": args.stride,
-        "probes": args.probes,
-        "thresholds": thresholds,
-    }
+            overrides["thresholds"][name] = value
     return parse_config(args.config, overrides)
 
 
@@ -99,9 +79,19 @@ def _spectrum_for(cfg: ExperimentConfig):
     return pi_recursive(cfg.model.edge_law, cfg.model.beta, cfg.j_max)
 
 
-def _write_chain_files(out: str, emp, spectrum, first) -> None:
-    """degree_distribution.csv for the pooled runs; trajectories.csv and
-    max_degree.csv for the first replicate."""
+def _run_chains(cfg: ExperimentConfig):
+    """Replicate the chain and write degree_distribution.csv for the pooled
+    runs, trajectories.csv and max_degree.csv for the first replicate.
+    Returns the aggregate, the limit spectrum and the empirical distribution."""
+    agg = replicate(
+        cfg.model,
+        replications=cfg.replications,
+        task="simulate",
+        parallelism=cfg.parallelism,
+    )
+    spectrum = _spectrum_for(cfg)
+    emp = empirical_distribution(agg.pooled_counts)
+    out, first = cfg.out_dir, agg.replicates[0]
     write_degree_distribution(
         os.path.join(out, "degree_distribution.csv"), emp, spectrum
     )
@@ -115,23 +105,15 @@ def _write_chain_files(out: str, emp, spectrum, first) -> None:
         first.argmax_series,
         spectrum.theta,
     )
+    return agg, spectrum, emp
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    agg = replicate(
-        cfg.model,
-        replications=cfg.replications,
-        task="simulate",
-        parallelism=cfg.parallelism,
-    )
-    spectrum = _spectrum_for(cfg)
-    emp = empirical_distribution(agg.pooled_counts)
-    out = cfg.out_dir
-    _write_chain_files(out, emp, spectrum, agg.replicates[0])
+    _run_chains(cfg)
     print(
         f"simulate: {cfg.replications} run(s) of n={cfg.model.n}, "
-        f"law={cfg.model.edge_law.label()}, beta={cfg.model.beta:g} -> {out}/"
+        f"law={cfg.model.edge_law.label()}, beta={cfg.model.beta:g} -> {cfg.out_dir}/"
     )
     return 0
 
@@ -202,14 +184,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "run.n" if n < 10 else "run.stride",
             f"analyze needs >= 10 recorded steps; n = {n} at stride {stride} records {points}",
         )
-    agg = replicate(
-        cfg.model,
-        replications=cfg.replications,
-        task="simulate",
-        parallelism=cfg.parallelism,
-    )
-    spectrum = _spectrum_for(cfg)
-    emp = empirical_distribution(agg.pooled_counts)
+    agg, spectrum, emp = _run_chains(cfg)
     dist = distribution_distance(emp, spectrum)
     expo = spectrum.theta
     summary: dict = {
@@ -247,12 +222,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         per_run.append(entry)
     summary["runs"] = per_run
 
-    out = cfg.out_dir
-    _write_chain_files(out, emp, spectrum, agg.replicates[0])
-    write_report(os.path.join(out, "analysis.json"), summary)
+    write_report(os.path.join(cfg.out_dir, "analysis.json"), summary)
     print(
         f"analyze: tv_core={dist.tv_core:.4g} (+{dist.remainder:.2g} remainder), "
-        f"theta={expo:.4g} -> {out}/analysis.json"
+        f"theta={expo:.4g} -> {cfg.out_dir}/analysis.json"
     )
     return 0
 

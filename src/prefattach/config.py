@@ -6,48 +6,38 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .errors import ParseError, RangeError, checked_int, checked_real
+from .errors import ParseError, PrefattachError, RangeError, checked_int, checked_real
 from .graph import ModelConfig
 from .laws import validate_edge_law
 from .streams import MAX_SEED
 from .theory import MAX_J_MAX, MIN_QUAD_STEPS
 from .verify import PROFILES, validate_thresholds
 
-# JSON/flag keys understood by parse_config, with their defaults.
-_DEFAULTS: dict[str, Any] = {
-    "law": "det:1",
-    "beta": 0.0,
-    "n": 10000,
-    "seed": 0,
-    "probes": (1, 2),
-    "stride": None,  # None -> max(1, n // 1000)
-    "reps": 1,
-    "parallelism": 1,
-    "out": "results",
-    "jmax": 200,
-    "ymax": None,
-    "quad_steps": 20000,
-    "fit_j_min": 3,
-    "fit_j_max": 30,
-    "profile": "full",
-    "thresholds": {},
+# Every run key once, in flag order: key -> (default, kind, bounds, flag help).
+# kind int or float: a number checked as "run.<key>" by checked_int(lo, hi) or
+# checked_real(lo), with ``bounds`` as those arguments (None: no bound); a
+# tuple: one of its choices; None: read by parse_config's own code.  A key
+# with no help is read from a config file only.  A null is refused where the
+# default is not null.  beta's sign is left to ModelConfig ("model.beta"),
+# and fit_j_max must also exceed fit_j_min.
+RUN_KEYS: dict[str, tuple[Any, Any, tuple, str | None]] = {
+    "law": ("det:1", None, (), "edge-count law: det:K | geom:Q | explicit:p1,p2,..."),
+    "beta": (0.0, float, (None,), "uniform attachment weight beta >= 0"),
+    "n": (10000, int, (0, None), "number of attachment steps / events"),
+    "reps": (1, int, (1, None), "independent replications"),
+    "seed": (0, int, (0, MAX_SEED), "master seed"),
+    "jmax": (200, int, (1, MAX_J_MAX), "spectrum truncation degree"),
+    "out": ("results", None, (), "output directory (default: results)"),
+    "profile": ("full", PROFILES, (), "verification profile"),
+    "parallelism": (1, int, (1, None), "max concurrent workers"),
+    "stride": (None, int, (1, None), "trajectory recording stride"),
+    "probes": ((1, 2), None, (), "comma-separated probe vertex labels"),
+    "ymax": (None, float, (0.0,), None),
+    "quad_steps": (20000, int, (MIN_QUAD_STEPS, None), None),
+    "fit_j_min": (3, int, (1, None), None),
+    "fit_j_max": (30, int, (1, None), None),
+    "thresholds": ({}, None, (), None),
 }
-# Integer keys with their bounds [lo, hi] (None: no bound), checked as
-# "run.<key>".  fit_j_max must also exceed fit_j_min.
-_INTEGER_BOUNDS: dict[str, tuple[int, int | None]] = {
-    "n": (0, None),
-    "seed": (0, MAX_SEED),
-    "stride": (1, None),
-    "reps": (1, None),
-    "parallelism": (1, None),
-    "jmax": (1, MAX_J_MAX),
-    "quad_steps": (MIN_QUAD_STEPS, None),
-    "fit_j_min": (1, None),
-    "fit_j_max": (1, None),
-}
-# Real keys with their lower bounds.  beta's sign is left to ModelConfig,
-# which names it "model.beta".
-_REAL_BOUNDS: dict[str, float | None] = {"beta": None, "ymax": 0.0}
 
 
 @dataclass(frozen=True)
@@ -87,11 +77,13 @@ def parse_config(
 ) -> ExperimentConfig:
     """Merge defaults, an optional JSON file, and flag overrides (flags win).
 
-    Raises ParseError for unreadable files, unknown keys or an unreadable law
-    (its message starts "run.law: "), RangeError (with a dotted field path)
-    for out-of-range values and for null where the default is not null.
+    Raises ParseError for unreadable files and unknown keys, RangeError (with
+    a dotted field path) for out-of-range values and for null where the
+    default is not null.  A refused law keeps the class validate_edge_law
+    gave it, with a message that starts "run.law: " (a RangeError's field is
+    "run.law").
     """
-    merged = dict(_DEFAULTS)
+    merged = {key: row[0] for key, row in RUN_KEYS.items()}
     if path is not None:
         try:
             with open(path) as fh:
@@ -102,30 +94,37 @@ def parse_config(
             raise ParseError(f"config file {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ParseError("config file must hold a JSON object")
-        unknown = set(data) - set(_DEFAULTS)
+        unknown = set(data) - set(RUN_KEYS)
         if unknown:
             raise ParseError(f"unknown config keys: {sorted(unknown)}")
         merged.update(data)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in _DEFAULTS:
+        if key not in RUN_KEYS:
             raise ParseError(f"unknown option {key!r}")
         merged[key] = value
 
     for key, value in merged.items():
-        if value is None and _DEFAULTS[key] is not None:
-            raise RangeError(f"run.{key}", "must not be null")
-    for key, (lo, hi) in _INTEGER_BOUNDS.items():
-        if merged[key] is not None:
-            merged[key] = checked_int(f"run.{key}", _number(merged[key]), lo, hi)
-    for key, lo in _REAL_BOUNDS.items():
-        if merged[key] is not None:
-            merged[key] = checked_real(f"run.{key}", _number(merged[key]), lo)
+        default, kind, bounds, _ = RUN_KEYS[key]
+        field = f"run.{key}"
+        if value is None:
+            if default is not None:
+                raise RangeError(field, "must not be null")
+        elif kind is int:
+            merged[key] = checked_int(field, _number(value), *bounds)
+        elif kind is float:
+            merged[key] = checked_real(field, _number(value), *bounds)
+        elif kind is not None:
+            merged[key] = str(value)
+            if merged[key] not in kind:
+                raise RangeError(field, f"must be one of {kind}")
     try:
         law = validate_edge_law(merged["law"])
-    except ParseError as exc:
-        raise ParseError(f"run.law: {exc}") from exc
+    except RangeError as exc:
+        raise RangeError("run.law", str(exc)) from exc
+    except PrefattachError as exc:
+        raise type(exc)(f"run.law: {exc}") from exc
     n = merged["n"]
     stride = merged["stride"]
     stride = max(1, n // 1000) if stride is None else stride
@@ -146,9 +145,6 @@ def parse_config(
     fit_j_min, fit_j_max = merged["fit_j_min"], merged["fit_j_max"]
     if fit_j_max <= fit_j_min:
         raise RangeError("run.fit_j_max", f"must exceed fit_j_min = {fit_j_min}")
-    profile = str(merged["profile"])
-    if profile not in PROFILES:
-        raise RangeError("run.profile", f"must be one of {PROFILES}")
     thresholds = merged["thresholds"]
     if not isinstance(thresholds, Mapping):
         raise ParseError("thresholds must be a mapping of check name to bound")
@@ -164,6 +160,6 @@ def parse_config(
         quad_steps=merged["quad_steps"],
         fit_j_min=fit_j_min,
         fit_j_max=fit_j_max,
-        profile=profile,
+        profile=merged["profile"],
         thresholds=thresholds,
     )

@@ -17,7 +17,14 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import EmptyLaw, NonPositiveSupport, NotNormalized, ParseError, checked_int
+from .errors import (
+    EmptyLaw,
+    NonPositiveSupport,
+    NotNormalized,
+    ParseError,
+    checked_int,
+    checked_real,
+)
 
 _NORMALIZATION_TOL = 1e-9
 
@@ -84,8 +91,11 @@ def deterministic(x0: int) -> EdgeCountDistribution:
 
 
 def explicit(probs: Iterable[float]) -> EdgeCountDistribution:
-    """A finite table p_1, ..., p_K; normalized if within 1e-9 of mass one."""
-    table = [float(p) for p in probs]
+    """A finite table p_1, ..., p_K; normalized if within 1e-9 of mass one.
+
+    A non-finite entry raises RangeError naming ``probs``.
+    """
+    table = [checked_real("probs", float(p), None) for p in probs]
     if not table:
         raise EmptyLaw("explicit law needs at least one probability")
     if any(p < 0 for p in table):
@@ -126,9 +136,9 @@ def validate_edge_law(spec: LawSpec) -> EdgeCountDistribution:
 
     Raises NonPositiveSupport if any mass sits on j <= 0, NotNormalized if an
     explicit table misses mass one by more than 1e-9, EmptyLaw for an empty
-    table, ParseError for unreadable strings and any other form (a bool, a
-    float, None, a non-integer key, two keys naming one support point, a
-    non-numeric entry).
+    table, RangeError naming ``probs`` for a non-finite entry, ParseError for
+    unreadable strings and any other form (a bool, a float, None, a
+    non-integer key, two keys naming one support point, a non-numeric entry).
     """
     if isinstance(spec, EdgeCountDistribution):
         return spec

@@ -8,8 +8,6 @@ order.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -52,37 +50,6 @@ class AggregateResult:
     master_seed: int
     replicates: list
     pooled_counts: dict[int, int]
-
-    def digest(self) -> str:
-        """SHA-256 over a canonical serialization (parallelism-independent)."""
-        payload = {
-            "task": self.task,
-            "master_seed": self.master_seed,
-            "pooled": {str(k): v for k, v in sorted(self.pooled_counts.items())},
-            "replicates": [_summary_payload(r) for r in self.replicates],
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-
-def _summary_payload(summary) -> dict:
-    if isinstance(summary, ChainSummary):
-        return {
-            "index": summary.index,
-            "counts": {str(k): v for k, v in sorted(summary.counts.items())},
-            "steps": summary.steps.tolist(),
-            "probes": {
-                str(v): s.tolist() for v, s in sorted(summary.probes.items())
-            },
-            "max_series": summary.max_series.tolist(),
-            "argmax_series": summary.argmax_series.tolist(),
-        }
-    return {
-        "index": summary.index,
-        "counts": {str(k): v for k, v in sorted(summary.counts.items())},
-        "taus": summary.taus.tolist(),
-        "s_values": summary.s_values.tolist(),
-    }
 
 
 def _chain_worker(args) -> ChainSummary:

@@ -190,6 +190,12 @@ class TestUsageErrors:
             (["theory", "--jmax", str(MAX_QUAD_J_MAX + 1)], "run.jmax"),
             (["simulate", "--seed", "-1"], "run.seed"),
             (["simulate", "--seed", str(2**64 + 5)], "run.seed"),
+            (["simulate", "--law", "explicit:-1,2"], "run.law"),
+            (["simulate", "--law", "explicit:0.3,0.3"], "run.law"),
+            (["simulate", "--law", "det:0"], "run.law"),
+            (["simulate", "--law", "explicit:"], "run.law"),
+            (["simulate", "--law", "explicit:nan,1"], "run.law"),
+            (["simulate", "--law", "explicit:inf,1"], "run.law"),
         ],
     )
     def test_refusals_name_their_field(self, tmp_path, capsys, argv, field):

@@ -1,11 +1,21 @@
 """Run-configuration parsing: defaults, file/flag precedence, validation."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from prefattach.config import parse_config
-from prefattach.errors import ParseError, PrefattachError, RangeError
+from prefattach.cli import _config_from_args, build_parser
+from prefattach.config import RUN_KEYS, parse_config
+from prefattach.errors import (
+    EmptyLaw,
+    NonPositiveSupport,
+    NotNormalized,
+    ParseError,
+    PrefattachError,
+    RangeError,
+)
 from prefattach.theory import MAX_J_MAX
 
 
@@ -167,6 +177,12 @@ class TestValidation:
             ({"law": True}, "run.law"),
             ({"law": {"a": 1}}, "run.law"),
             ({"law": ["x"]}, "run.law"),
+            ({"law": "explicit:-1,2"}, "run.law"),
+            ({"law": "explicit:0.3,0.3"}, "run.law"),
+            ({"law": "det:0"}, "run.law"),
+            ({"law": "explicit:"}, "run.law"),
+            ({"law": "explicit:nan,1"}, "run.law"),
+            ({"law": "explicit:inf,1"}, "run.law"),
         ],
     )
     def test_null_and_unreadable_file_values_name_their_field(self, tmp_path, data, field):
@@ -182,6 +198,62 @@ class TestValidation:
         cfg = parse_config(str(path), {})
         assert (cfg.model.record_stride, cfg.y_max) == (5, None)
 
+    @pytest.mark.parametrize(
+        ("law", "error"),
+        [
+            ("explicit:-1,2", NotNormalized),
+            ("explicit:0.3,0.3", NotNormalized),
+            ("det:0", NonPositiveSupport),
+            ("explicit:", EmptyLaw),
+            ({"0": 1}, NonPositiveSupport),
+            ("foo:1", ParseError),
+            ("explicit:nan,1", RangeError),
+        ],
+    )
+    def test_refused_laws_keep_their_error_class(self, law, error):
+        with pytest.raises(error) as err:
+            parse_config(None, {"law": law})
+        assert type(err.value) is error
+        assert str(err.value).startswith("run.law: ")
+
     def test_bad_law_string_propagates(self):
         with pytest.raises(ParseError):
             parse_config(None, {"law": "foo:1"})
+
+
+# A value other than the default for each flagged key: (flag text, JSON value).
+FLAG_SAMPLES = {
+    "law": ("geom:0.25", "geom:0.25"),
+    "beta": ("1.5", 1.5),
+    "n": ("500", 500),
+    "reps": ("3", 3),
+    "seed": ("7", 7),
+    "jmax": ("50", 50),
+    "out": ("elsewhere", "elsewhere"),
+    "profile": ("quick", "quick"),
+    "parallelism": ("2", 2),
+    "stride": ("4", 4),
+    "probes": ("3,5", [3, 5]),
+}
+
+
+class TestRunKeyTable:
+    def test_readme_lists_the_table_keys_in_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = re.search(r"Config-file keys mirror the flags \(([^)]*)\)", readme)
+        assert listed is not None
+        assert re.findall(r"`(\w+)`", listed.group(1)) == list(RUN_KEYS)
+
+    def test_every_flagged_key_has_a_sample(self):
+        flagged = [key for key, row in RUN_KEYS.items() if row[3] is not None]
+        assert list(FLAG_SAMPLES) == flagged
+
+    @pytest.mark.parametrize("key", list(FLAG_SAMPLES))
+    def test_a_flag_and_a_file_value_give_the_same_config(self, tmp_path, key):
+        text, value = FLAG_SAMPLES[key]
+        args = build_parser().parse_args(["simulate", f"--{key}", text])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        from_file = parse_config(str(path), {})
+        assert _config_from_args(args) == from_file
+        assert from_file != parse_config(None, {})

@@ -16,10 +16,11 @@ from prefattach.branching import (
     tau_diagnostics,
     zeta_trajectory,
 )
-from prefattach.errors import NonPositiveMean, ParseError, RangeError
+from prefattach.errors import NonPositiveMean, NotNormalized, ParseError, RangeError
 from prefattach.graph import ModelConfig, run_chain
-from prefattach.laws import deterministic, validate_edge_law
+from prefattach.laws import deterministic, explicit, validate_edge_law
 from prefattach.replicate import replicate
+from prefattach.streams import MAX_SEED, mix64, substream
 from prefattach.theory import (
     moment_profile,
     pi_explicit,
@@ -86,6 +87,11 @@ CASES = [
         "empirical_distribution", "degree", lambda v: empirical_distribution({v: 3}),
         [1.5, True, "1", 0, -1],
     ),
+    ("explicit", "probs", lambda v: explicit([v, 1.0]), [math.nan, math.inf, -math.inf]),
+    ("mix64", "master_seed", lambda v: mix64(v, 0), [-1, 2**64, 2**70, 1.5, True, "1"]),
+    ("mix64", "index", lambda v: mix64(0, v), [-1, 2**64, 1.5, True]),
+    ("substream", "master_seed", lambda v: substream(v, 0), [-1, 1.5, True]),
+    ("substream", "index", lambda v: substream(0, v), [-1, 1.5, True]),
     (
         "moment_profile", "s", lambda v: moment_profile(pi_recursive(LAW, 0.0, 40), [v]),
         [math.nan, math.inf, "a", True],
@@ -136,3 +142,15 @@ def test_keys_naming_one_support_point_twice_are_refused(law):
     with pytest.raises(ParseError) as err:
         validate_edge_law(law)
     assert repr(law) in str(err.value)
+
+
+def test_negative_explicit_entries_stay_normalization_errors():
+    with pytest.raises(NotNormalized):
+        explicit([-0.5, 1.5])
+
+
+@pytest.mark.parametrize(
+    ("seed", "index"), [(0, 0), (MAX_SEED, MAX_SEED), (np.uint64(MAX_SEED), np.int64(3))]
+)
+def test_seeds_and_indices_in_range_are_accepted(seed, index):
+    assert 0 <= mix64(seed, index) == mix64(int(seed), int(index)) <= MAX_SEED
