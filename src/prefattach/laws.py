@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveSupport,
     NotNormalized,
     ParseError,
+    RangeError,
     checked_int,
     checked_real,
 )
@@ -93,9 +94,10 @@ def deterministic(x0: int) -> EdgeCountDistribution:
 def explicit(probs: Iterable[float]) -> EdgeCountDistribution:
     """A finite table p_1, ..., p_K; normalized if within 1e-9 of mass one.
 
-    A non-finite entry raises RangeError naming ``probs``.
+    A bool or a non-finite entry raises RangeError naming ``probs``; numeric
+    strings are read as numbers.
     """
-    table = [checked_real("probs", float(p), None) for p in probs]
+    table = [checked_real("probs", _probability(p), None) for p in probs]
     if not table:
         raise EmptyLaw("explicit law needs at least one probability")
     if any(p < 0 for p in table):
@@ -110,6 +112,13 @@ def explicit(probs: Iterable[float]) -> EdgeCountDistribution:
     table = [p / total for p in table]
     mean = sum((i + 1) * p for i, p in enumerate(table))
     return EdgeCountDistribution(kind="explicit", probs=tuple(table), mean=mean)
+
+
+def _probability(p) -> float:
+    """An explicit-law entry as a float; a bool is refused, not read as 0 or 1."""
+    if isinstance(p, (bool, np.bool_)):
+        raise RangeError("probs", f"must be a number, got {p!r}")
+    return float(p)
 
 
 def geometric(q: float) -> EdgeCountDistribution:
@@ -136,9 +145,10 @@ def validate_edge_law(spec: LawSpec) -> EdgeCountDistribution:
 
     Raises NonPositiveSupport if any mass sits on j <= 0, NotNormalized if an
     explicit table misses mass one by more than 1e-9, EmptyLaw for an empty
-    table, RangeError naming ``probs`` for a non-finite entry, ParseError for
-    unreadable strings and any other form (a bool, a float, None, a
-    non-integer key, two keys naming one support point, a non-numeric entry).
+    table, RangeError naming ``probs`` for a bool or non-finite entry,
+    ParseError for unreadable strings and any other form (a bool, a float,
+    None, a non-integer key, two keys naming one support point, a
+    non-numeric entry).
     """
     if isinstance(spec, EdgeCountDistribution):
         return spec
@@ -159,7 +169,7 @@ def validate_edge_law(spec: LawSpec) -> EdgeCountDistribution:
                 )
             table = [0.0] * max(keys)
             for j, p in zip(keys, spec.values()):
-                table[j - 1] = float(p)
+                table[j - 1] = p  # read and checked by explicit
             return explicit(table)
         return explicit(spec)
     except (TypeError, ValueError) as exc:

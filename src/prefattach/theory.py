@@ -33,6 +33,7 @@ check, since they share only the coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -48,11 +49,9 @@ MIN_QUAD_STEPS = 1000  # fewest integration steps pi_quadrature accepts
 # It is the largest the package uses itself (moment-dichotomy at the full
 # profile).
 MAX_J_MAX = 5000
-# The quadrature's own cap: it holds about five dense j_max x j_max float64
-# blocks and costs O(j_max^3).  At this cap `prefattach theory --law geom:0.5
-# --beta 1` took 28 s and 199 MB peak RSS on one BLAS thread (2 vCPUs).  At
-# 2500 it took 52 s and 290 MB, but det:1 at the default 20,000 steps fails
-# step doubling there.
+# The quadrature's own cap: it holds up to five dense j_max x j_max float64 blocks and costs
+# O(j_max^3).  At the cap `theory` took 16.7 s (geom:0.5, beta 1) and 7.4 s (det:1), 196 MB,
+# on one BLAS thread of 2 vCPUs.  det:1 at 20,000 steps fails step doubling from 2500.
 MAX_QUAD_J_MAX = 2000
 
 
@@ -107,9 +106,18 @@ def pi_explicit(x0: int, beta: float, j: int) -> float:
     if j < 1 or j % x0 != 0:
         return 0.0
     l = j // x0
-    k = np.arange(1.0, l)
+    # Tables of up to 8192 entries are cached, in powers of two so that a sweep reuses few.
+    size = max(64, 1 << (l - 1).bit_length())
+    products = _products(x0, beta, size) if size <= 8192 else _products.__wrapped__(x0, beta, l)
+    return (2.0 * x0 + beta) / ((l + 2.0) * x0 + 2.0 * beta) * float(products[l - 1])
+
+
+@functools.lru_cache(maxsize=32)
+def _products(x0: int, beta: float, length: int) -> np.ndarray:
+    """prod_{k=1}^{i} (k x0 + beta) / ((k + 2) x0 + 2 beta) for i < length, in np.prod's order."""
+    k = np.arange(1.0, length)
     ratios = (k * x0 + beta) / ((k + 2.0) * x0 + 2.0 * beta)
-    return (2.0 * x0 + beta) / ((l + 2.0) * x0 + 2.0 * beta) * float(np.prod(ratios))
+    return np.cumprod(np.concatenate(([1.0], ratios)))
 
 
 def pi_recursive(edge_law: EdgeCountDistribution, beta: float, j_max: int) -> LimitSpectrum:
@@ -121,17 +129,15 @@ def pi_recursive(edge_law: EdgeCountDistribution, beta: float, j_max: int) -> Li
     rate = 2.0 * m + beta
 
     p = law.pmf_vector(j_max)
-    lap = np.zeros(j_max + 1)
-    weighted = np.zeros(j_max + 1)  # weighted[i] = (i + beta) * lap[i]
+    lap = p.tolist()  # entry j holds p_j until it is overwritten by L_j
+    rev = np.zeros(j_max + 1)  # rev[j_max - i] = (i + beta) L_i, so the sum reads forwards
     for j in range(1, j_max + 1):
-        inflow = p[j]
-        if j > 1:
-            # sum over k of p_k * (j - k + beta) L_{j-k}
-            inflow += float(np.dot(p[1:j], weighted[j - 1 : 0 : -1]))
+        # p_j plus the sum over k of p_k (j - k + beta) L_{j-k}, empty at j = 1
+        inflow = lap[j] + float(np.dot(p[1:j], rev[j_max - j + 1 : j_max]))
         lap[j] = inflow / (rate + j + beta)
-        weighted[j] = (j + beta) * lap[j]
+        rev[j_max - j] = (j + beta) * lap[j]
 
-    pi = rate * lap
+    pi = rate * np.array(lap)
     truncation = max(0.0, 1.0 - float(pi[1:].sum()))
     return LimitSpectrum(
         theta=theta(m, beta),
@@ -217,11 +223,9 @@ def pi_quadrature(
     window = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((np.zeros(j_max - 1), p[:j_max])), j_max
     )[:, ::-1]
-    # The augmented system v = [R; Q], dQ/dy = rate * R, has an RK4 step of
-    # the block form [[S, 0], [B, I]], and so has every power of it: the
-    # product of (S1, B1) and (S2, B2) is (S1 S2, B1 S2 + B2).  Only the pair
-    # (S, B) is powered, and each power is applied to (R, Q) as it is made.
-    # Both blocks are lower triangular, and so is every product of them.
+    # The augmented system [R; Q], dQ/dy = rate * R, has the RK4 step [[S, 0], [B, I]], so
+    # n steps from Q(0) = 0 give Q = B sum_{k<n} S^k R(0).  Only S is powered; S, B and
+    # every power of S are lower triangular.
 
     def propagate(n_steps: int) -> np.ndarray:
         h = y_max / n_steps
@@ -230,34 +234,29 @@ def pi_quadrature(
         hg *= h
         # S = sum_{k<=4} (hg)^k / k! and B = rate h sum_{k<=4} (hg)^(k-1) / k!,
         # so the order-k term of B is rate h / k times the order-(k-1) term of S.
-        step_s = hg.copy()
-        step_s[diag] += 1.0
+        power = hg.copy()
+        power[diag] += 1.0
         step_b = hg * (rate * h / 2.0)
         step_b[diag] += rate * h
         term = hg
         for order in range(2, 5):
             term = _tril_matmul(term, hg)
             term /= order
-            step_s += term
+            power += term
             if order < 4:
                 step_b += term * (rate * h / (order + 1))
-        del hg, term  # two blocks fewer before the spares are allocated
-        # (R, Q)(y_max) = step^n_steps (R, Q)(0), by binary powering; the
-        # squarings write into a second pair of blocks and swap.
-        spare_s, spare_b = np.empty_like(step_s), np.empty_like(step_b)
-        r, q = p[1:], np.zeros(j_max)
-        k = n_steps
+        del hg, term  # two blocks fewer while powering
+        # Bits of n_steps lowest first; at bit i power = S^(2^i), v = sum_{k<2^i}
+        # S^k R(0), and x sums S^k R(0) over k below the bits read so far.
+        v, x, k = p[1:], np.zeros(j_max), n_steps
         while k:
             if k & 1:
-                r, q = step_s @ r, step_b @ r + q
+                x = v + power @ x
             k >>= 1
             if k:
-                _tril_matmul(step_b, step_s, spare_b)
-                spare_b += step_b
-                _tril_matmul(step_s, step_s, spare_s)
-                step_s, spare_s = spare_s, step_s
-                step_b, spare_b = spare_b, step_b
-        return q
+                v = v + power @ v
+                power = _tril_matmul(power, power)
+        return step_b @ x
 
     coarse = propagate(steps)
     fine = propagate(2 * steps)

@@ -196,9 +196,15 @@ class TestUsageErrors:
             (["simulate", "--law", "explicit:"], "run.law"),
             (["simulate", "--law", "explicit:nan,1"], "run.law"),
             (["simulate", "--law", "explicit:inf,1"], "run.law"),
+            # a dict is written to a config file whose path takes its place
+            (["theory", "--config", {"law": [True]}], "run.law"),
         ],
     )
     def test_refusals_name_their_field(self, tmp_path, capsys, argv, field):
+        if isinstance(argv[-1], dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(argv[-1]))
+            argv = argv[:-1] + [str(cfg)]
         out = tmp_path / "res"
         assert main(argv + ["--out", str(out)]) == 2
         assert field in capsys.readouterr().err

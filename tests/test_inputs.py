@@ -87,7 +87,12 @@ CASES = [
         "empirical_distribution", "degree", lambda v: empirical_distribution({v: 3}),
         [1.5, True, "1", 0, -1],
     ),
-    ("explicit", "probs", lambda v: explicit([v, 1.0]), [math.nan, math.inf, -math.inf]),
+    (
+        "explicit", "probs", lambda v: explicit([v, 1.0]),
+        [math.nan, math.inf, -math.inf, True, False, np.True_],
+    ),
+    ("validate_edge_law_list", "probs", lambda v: validate_edge_law([v]), [True, np.True_]),
+    ("validate_edge_law_map", "probs", lambda v: validate_edge_law({1: v}), [True, np.True_]),
     ("mix64", "master_seed", lambda v: mix64(v, 0), [-1, 2**64, 2**70, 1.5, True, "1"]),
     ("mix64", "index", lambda v: mix64(0, v), [-1, 2**64, 1.5, True]),
     ("substream", "master_seed", lambda v: substream(v, 0), [-1, 1.5, True]),
@@ -142,6 +147,11 @@ def test_keys_naming_one_support_point_twice_are_refused(law):
     with pytest.raises(ParseError) as err:
         validate_edge_law(law)
     assert repr(law) in str(err.value)
+
+
+@pytest.mark.parametrize("law", [["0.5", "0.5"], {"1": "0.5", 2: "0.5"}], ids=["list", "mapping"])
+def test_numeric_string_probabilities_stay_readable(law):
+    assert validate_edge_law(law).probs == (0.5, 0.5)
 
 
 def test_negative_explicit_entries_stay_normalization_errors():

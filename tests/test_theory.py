@@ -1,5 +1,6 @@
 """Limit spectrum: closed form, recursion, quadrature, and moment sums."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prefattach.errors import NonPositiveMean, RangeError, StepTooCoarse
-from prefattach.laws import deterministic, explicit, geometric
+from prefattach import theory
+from prefattach.laws import deterministic, explicit, geometric, validate_edge_law
 from prefattach.theory import (
     _TRIL_BLOCK,
     MAX_J_MAX,
     MAX_QUAD_J_MAX,
+    _products,
     _tril_matmul,
     moment_profile,
     pi_explicit,
@@ -39,6 +42,16 @@ class TestScalars:
         assert tail_exponent_theory(1, 1) == pytest.approx(4.0)
 
 
+def direct_pi_explicit(x0, beta, j):
+    """The closed form with its product taken by np.prod on each call."""
+    if j < 1 or j % x0 != 0:
+        return 0.0
+    l = j // x0
+    k = np.arange(1.0, l)
+    ratios = (k * x0 + beta) / ((k + 2.0) * x0 + 2.0 * beta)
+    return (2.0 * x0 + beta) / ((l + 2.0) * x0 + 2.0 * beta) * float(np.prod(ratios))
+
+
 class TestClosedForm:
     def test_unit_edge_zero_offset_values(self):
         # pi_j = 4 / (j (j+1) (j+2))
@@ -60,8 +73,64 @@ class TestClosedForm:
         total = sum(pi_explicit(1, 0.0, j) for j in range(1, 20_001))
         assert total == pytest.approx(1.0, abs=1e-7)
 
+    @pytest.mark.parametrize("x0", [1, 2, 3])
+    def test_tabulated_products_equal_the_direct_product(self, x0):
+        js = list(range(3001))
+        shuffled = random.Random(x0).sample(js, len(js))
+        for beta in (0.0, 0.37, 1.0, 1.234, 3.0):
+            direct = {j: direct_pi_explicit(x0, beta, j) for j in js}
+            # each visiting order builds and reuses a different set of tables
+            for order in (js, js[::-1], shuffled):
+                _products.cache_clear()
+                assert [j for j in order if pi_explicit(x0, beta, j) != direct[j]] == []
+
+    def test_product_tables_stay_bounded(self):
+        _products.cache_clear()
+        tracemalloc.start()
+        try:
+            for x0 in (1, 2, 3):
+                for beta in np.linspace(0.0, 4.0, 15).tolist():
+                    for l in (1, 5000, 8192, 8193, 20_000):
+                        j = l * x0
+                        assert pi_explicit(x0, beta, j) == direct_pi_explicit(x0, beta, j)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 45 (x0, beta) pairs: at most 32 tables of at most 8192 entries are
+        # kept, and the products past 8192 factors are not kept at all
+        assert _products.cache_info().currsize == 32
+        assert held < 32 * 8192 * 8 + 2**16
+
+
+def loop_pi_recursive(law, beta, j_max):
+    """The Laplace recursion on numpy scalars, reading the weights backwards."""
+    rate = 2.0 * law.mean + beta
+    p = law.pmf_vector(j_max)
+    lap = np.zeros(j_max + 1)
+    weighted = np.zeros(j_max + 1)  # weighted[i] = (i + beta) * lap[i]
+    for j in range(1, j_max + 1):
+        inflow = p[j]
+        if j > 1:
+            inflow += float(np.dot(p[1:j], weighted[j - 1 : 0 : -1]))
+        lap[j] = inflow / (rate + j + beta)
+        weighted[j] = (j + beta) * lap[j]
+    return rate * lap
+
+
+RECURSION_LAWS = (
+    "det:1", "det:2", "geom:0.5", "geom:0.2", "explicit:0.5,0.3,0.2", "explicit:0.1,0,0.9",
+)
+
 
 class TestRecursion:
+    @pytest.mark.parametrize("law", RECURSION_LAWS)
+    def test_recursion_equals_the_reference_loop(self, law):
+        law = validate_edge_law(law)
+        for beta in (0.0, 0.5, 1.0, 1.234, 3.0):
+            for j_max in (1, 2, 50, 200, 1500):
+                spec = pi_recursive(law, beta, j_max)
+                assert np.array_equal(spec.pi, loop_pi_recursive(law, beta, j_max))
+
     def test_two_point_law_hand_computed_values(self):
         # for the half/half law on {1, 2} with zero offset the first two
         # probabilities reduce to 3/8 and 27/80 by direct substitution
@@ -192,7 +261,10 @@ def dense_pi_quadrature(law, beta, j_max, y_max=None, steps=20000, tol=1e-6):
     return pi_hat
 
 
-DUAL_ROUTE_LAWS = (deterministic(1), deterministic(2), explicit([0.5, 0.5]), geometric(0.5))
+DUAL_ROUTE_LAWS = (
+    deterministic(1), deterministic(2), explicit([0.5, 0.5]), geometric(0.5),
+    explicit([0.5, 0.3, 0.2]),
+)
 
 
 class TestQuadrature:
@@ -204,6 +276,21 @@ class TestQuadrature:
         assert 100 <= _TRIL_BLOCK < 201  # the two sizes straddle the split
         quad = pi_quadrature(law, beta, j_max)
         assert np.max(np.abs(quad - dense_pi_quadrature(law, beta, j_max))) <= 1e-15
+
+    def test_only_the_occupation_block_is_powered(self, monkeypatch):
+        sizes = []
+
+        def counted(a, b, out=None):
+            sizes.append(a.shape[0])
+            return _tril_matmul(a, b, out)
+
+        monkeypatch.setattr(theory, "_tril_matmul", counted)
+        j_max = 50
+        assert j_max <= _TRIL_BLOCK  # multiplied whole, so no product recurses
+        pi_quadrature(geometric(0.5), 1.0, j_max)
+        # 3 Taylor products and 14 squarings of S for the 20,000 coarse
+        # steps, then 3 and 15 for the 40,000 fine steps
+        assert sizes == [j_max] * 35
 
     @pytest.mark.parametrize("n", [1, _TRIL_BLOCK, _TRIL_BLOCK + 1, 300])
     def test_triangular_product_equals_the_dense_product(self, n):
