@@ -73,27 +73,37 @@ _TAIL_FRACTION = 0.25  # trailing share of a path's time horizon a plateau spans
 _BLOCK_MARGIN = 64  # variates drawn beyond the expected event count
 _BLOCK_CAP = 1 << 16
 _MAX_EXPONENT = 700.0  # keeps math.expm1 below float overflow
+# expected events a public size path may ask for; the package's own paths
+# stay under 7 * 10^4
+MAX_PATH_EVENTS = 1 << 22
+
+
+def _grown(length: int) -> int:
+    return length + length // 8
 
 
 class _PathBuffers:
     """Jump chains drawn into arrays that one caller reuses from path to path.
 
     After ``draw`` returns n, ``times[:n + 1]`` and ``sizes[:n + 1]`` hold the
-    path with its t = 0 point first.  The arrays grow as needed and are never
-    shrunk, so a run of similar paths allocates once.
+    path with its t = 0 point first.  The arrays grow by an eighth when they
+    must and are never shrunk, so a run of similar paths allocates a few
+    times at most.
     """
 
     def __init__(self):
         self.times = np.empty(1)
         self.sizes = np.empty(1, dtype=np.int64)
-        self._work = np.empty(1)  # exponentials while drawing, scaled sizes after
+        self._work = np.empty(1)  # one block's exponentials
 
-    def _reserve(self, length: int, keep: int) -> None:
+    def _reserve(self, length: int, keep: int, block: int) -> None:
         if length > self.times.shape[0]:
-            length = max(length, 2 * self.times.shape[0])
+            length = max(length, _grown(self.times.shape[0]))
             times, sizes = np.empty(length), np.empty(length, dtype=np.int64)
             times[:keep], sizes[:keep] = self.times[:keep], self.sizes[:keep]
-            self.times, self.sizes, self._work = times, sizes, np.empty(length)
+            self.times, self.sizes = times, sizes
+        if block > self._work.shape[0]:
+            self._work = np.empty(max(block, _grown(self._work.shape[0])))
 
     def draw(
         self,
@@ -115,14 +125,14 @@ class _PathBuffers:
         while True:
             expected = (size + beta) * math.expm1(min(m * (horizon - t), _MAX_EXPONENT)) / m
             b = int(min(expected + _BLOCK_MARGIN, _BLOCK_CAP))
-            self._reserve(n + 1 + b, n + 1)
+            self._reserve(n + 1 + b, n + 1, b)
             xs = law.sample(rng, b)
             post = self.sizes[n + 1 : n + 1 + b]
             np.add.accumulate(xs, out=post)
             post += size
             ts = self.times[n + 1 : n + 1 + b]
-            np.subtract(post, xs, out=ts)  # the rates, until the times overwrite them
-            ts += beta
+            # the rates, from the sizes before each jump, until the times overwrite them
+            np.add(self.sizes[n : n + b], beta, out=ts)
             waits = self._work[:b]
             rng.standard_exponential(b, out=waits)
             waits /= ts
@@ -139,10 +149,14 @@ class _PathBuffers:
         return n
 
     def plateau(self, n: int, m: float) -> tuple[float, float]:
-        """(tail oscillation, last scaled value) of the n-event path just drawn."""
-        scaled = self._work[: n + 1]
-        osc = _tail_plateau(self.times[: n + 1], self.sizes[: n + 1], m, scaled)
-        return osc, float(scaled[n])
+        """(tail oscillation, last scaled value) of the n-event path just drawn.
+
+        The window is scaled in place in ``times``, which the path no longer
+        needs.
+        """
+        times = self.times[: n + 1]
+        osc = _tail_plateau(times, self.sizes[: n + 1], m, times)
+        return osc, float(times[n])
 
     def path(self, initial, beta, law, horizon, rng) -> JumpPath:
         """A path drawn as by ``draw``, copied out of the buffers."""
@@ -174,9 +188,18 @@ def simulate_mbpi(
 
     The two constructions have the same law; drawing both with independent
     generators and comparing marginals is one of the package's self-checks.
+    A horizon at which a path expects more than MAX_PATH_EVENTS events,
+    (initial + beta) (e^{m horizon} - 1) / m in either representation, is
+    refused before anything is allocated.
     """
     horizon = checked_real("horizon", horizon)
     law, initial = config.edge_law, config.initial
+    m = law.mean
+    expected = (initial + config.beta) * math.expm1(min(m * horizon, _MAX_EXPONENT)) / m
+    if expected > MAX_PATH_EVENTS:
+        raise RangeError(
+            "horizon", f"expects {expected:.3g} events, above the cap of {MAX_PATH_EVENTS}"
+        )
     buffers = _PathBuffers()
     if representation == "jump-chain":
         return buffers.path(initial, config.beta, law, horizon, rng)
@@ -340,7 +363,7 @@ def _tail_plateau(times, sizes, m, scaled, whole=False) -> float:
     ``times`` and ``sizes`` start with the t = 0 point.  The window holds every
     point at or after (1 - _TAIL_FRACTION) of the last time; only the window
     is scaled unless ``whole``.  Returns the window's relative oscillation
-    (max - min) / mean.
+    (max - min) / mean.  ``scaled`` may be ``times`` itself.
     """
     start = int(np.searchsorted(times, (1.0 - _TAIL_FRACTION) * times[-1]))
     lo = 0 if whole else start

@@ -15,7 +15,9 @@ is reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Mapping
@@ -33,7 +35,7 @@ from .analysis import (
     trajectory_limit_check,
     uniformity_ks,
 )
-from .branching import BranchingConfig, _PathBuffers, run_embedding, tau_diagnostics
+from .branching import _PathBuffers, run_embedding, tau_diagnostics
 from .errors import RangeError, checked_int, checked_real
 from .graph import ModelConfig, run_chain
 from .laws import deterministic, explicit, geometric
@@ -592,21 +594,36 @@ class VerifySession:
                 "threshold tests convergence, not small-limit noise"
             ),
         }
-        value = 1.0
-        all_positive = True
-        paths = _PathBuffers()  # one set of arrays for every path of this call
-        for beta in (0.0, 1.0):
-            cfg = BranchingConfig(edge_law=law, beta=beta, initial=initial)
+        stop = threading.Event()
+
+        def fractions(beta):
+            """(plateau pass fraction, positive fraction) over the runs at beta."""
+            paths = _PathBuffers()  # one set of arrays for every path at this beta
             rng = self._rng(10 + int(beta))
             hits = 0
             positive = 0
             for _ in range(self.zeta_runs):
-                n = paths.draw(cfg.initial, cfg.beta, cfg.edge_law, horizon, rng)
+                if stop.is_set():
+                    return None
+                n = paths.draw(initial, beta, law, horizon, rng)
                 osc, last = paths.plateau(n, m=1.0)
                 positive += last > 0
                 hits += osc < osc_tol
-            frac = hits / self.zeta_runs
-            pos_frac = positive / self.zeta_runs
+            return hits / self.zeta_runs, positive / self.zeta_runs
+
+        # The two betas draw from their own substreams into their own
+        # buffers, and numpy releases the GIL for nearly all of a path's
+        # work, so beta = 1 runs on a worker thread while this one runs
+        # beta = 0.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            later = pool.submit(fractions, 1.0)
+            try:
+                counts = [fractions(0.0), later.result()]
+            finally:
+                stop.set()  # a worker still running after an error stops at its next path
+        value = 1.0
+        all_positive = True
+        for beta, (frac, pos_frac) in zip((0.0, 1.0), counts):
             detail[f"beta={beta:g}"] = {
                 "plateau_pass_fraction": frac,
                 "positive_fraction": pos_frac,

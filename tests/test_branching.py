@@ -67,16 +67,19 @@ def _mean_first_wait(cfg, horizon, rng):
 
 class CountingGenerator:
     """A generator that counts the exponential variates drawn through it and
-    the calls (one per block of a size path) that drew them."""
+    the calls (one per block of a size path) that drew them, and keeps the
+    largest call."""
 
     def __init__(self, rng):
         self.rng = rng
         self.exponentials = 0
         self.calls = 0
+        self.largest = 0  # the largest block
 
     def standard_exponential(self, size, out=None):
         self.exponentials += size
         self.calls += 1
+        self.largest = max(self.largest, size)
         return self.rng.standard_exponential(size, out=out)
 
     def __getattr__(self, name):
@@ -96,7 +99,9 @@ class TestConfig:
 
 
 class TestHorizon:
-    @pytest.mark.parametrize("horizon", [np.inf, -np.inf, np.nan, -1.0])
+    # 15 expects 2 (e^15 - 1) = 6.5 * 10^6 events from size 1 at beta = 1,
+    # above MAX_PATH_EVENTS = 2^22; 30 and 10^6 would grow until killed
+    @pytest.mark.parametrize("horizon", [np.inf, -np.inf, np.nan, -1.0, 15.0, 30.0, 1e6])
     @pytest.mark.parametrize("representation", ["jump-chain", "superposition"])
     def test_horizon_must_be_finite_and_nonnegative(self, horizon, representation):
         cfg = BranchingConfig(edge_law=deterministic(1), beta=1.0, initial=1)
@@ -382,3 +387,21 @@ class TestPathKernel:
     def test_eventless_path_at_horizon_zero(self):
         ((kernel, public),), _ = self._pairs(deterministic(1), 1.0, 10, 0.0, 2, 1)
         assert kernel == public == (0.0, 10.0)
+
+
+class TestPathBuffers:
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_buffers_grow_by_an_eighth_at_most(self, beta):
+        # A path asks for 1 + every variate it draws (all blocks but the last
+        # are kept whole): its n before the last block + 1 + that block.
+        buffers = _PathBuffers()
+        rng = CountingGenerator(substream(46, int(beta)))
+        longest = 0
+        for _ in range(5):
+            drawn = rng.exponentials
+            buffers.draw(10, beta, deterministic(1), 8.0, rng)
+            longest = max(longest, 1 + rng.exponentials - drawn)
+        assert rng.calls > 5  # some path took two blocks or more
+        assert buffers.sizes.shape == buffers.times.shape
+        assert buffers.times.shape[0] <= 1.125 * longest + 1
+        assert buffers._work.shape[0] <= 1.125 * rng.largest

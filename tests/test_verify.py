@@ -7,6 +7,7 @@ here we exercise the machinery itself at the cheap profiles.
 import dataclasses
 import json
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 from prefattach import graph, verify
 from prefattach.branching import _PathBuffers
 from prefattach.errors import RangeError
+from prefattach.laws import deterministic
+from prefattach.streams import substream
 from prefattach.verify import ALL_CHECKS, DEFAULT_MASTER_SEED, VerifySession
 
 # Every threshold key with its default, as (full, quick); theory uses full.
@@ -180,6 +183,70 @@ class TestSessionMechanics:
         assert [c.name for c in report.checks] == list(ALL_CHECKS)
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == []
+
+
+def serial_size_limit_detail(master, runs, osc_tol):
+    """The per-beta counts of ``scaled-size-limit`` from one loop after the
+    other, each on one _PathBuffers and substream(master, 10 + beta)."""
+    detail = {}
+    for beta in (0.0, 1.0):
+        paths = _PathBuffers()
+        rng = substream(master, 10 + int(beta))
+        hits = positive = 0
+        for _ in range(runs):
+            n = paths.draw(10, beta, deterministic(1), 8.0, rng)
+            osc, last = paths.plateau(n, m=1.0)
+            positive += last > 0
+            hits += osc < osc_tol
+        detail[f"beta={beta:g}"] = {
+            "plateau_pass_fraction": hits / runs,
+            "positive_fraction": positive / runs,
+        }
+    return detail
+
+
+class TestSizeLimitThreads:
+    """``scaled-size-limit`` runs its beta = 1 loop on a worker thread."""
+
+    def test_two_threads_give_the_serial_report(self, monkeypatch):
+        session = VerifySession(profile="quick")
+        osc_tol = session.defaults["scaled-size-limit.osc"]
+        expected = serial_size_limit_detail(session.master_seed, session.zeta_runs, osc_tol)
+        real = _PathBuffers.draw
+        threads = {0.0: set(), 1.0: set()}
+
+        def recording(self, initial, beta, law, horizon, rng):
+            threads[beta].add(threading.get_ident())
+            return real(self, initial, beta, law, horizon, rng)
+
+        monkeypatch.setattr(_PathBuffers, "draw", recording)
+        (check,) = session.run(("scaled-size-limit",)).checks
+        assert len(threads[0.0]) == len(threads[1.0]) == 1
+        assert threads[0.0] != threads[1.0]
+        assert {k: check.detail[k] for k in expected} == expected
+        assert check.passed
+
+    @pytest.mark.parametrize("failing", [0.0, 1.0])
+    def test_an_error_in_either_loop_surfaces(self, monkeypatch, failing):
+        real = _PathBuffers.draw
+        calls = {0.0: 0, 1.0: 0}
+
+        def broken(self, initial, beta, law, horizon, rng):
+            calls[beta] += 1
+            if beta == failing:
+                raise RangeError("path.times", "event times must be strictly increasing")
+            return real(self, initial, beta, law, horizon, rng)
+
+        monkeypatch.setattr(_PathBuffers, "draw", broken)
+        session = VerifySession(profile="quick")
+        before = threading.active_count()
+        with pytest.raises(RangeError) as err:
+            session.run(("scaled-size-limit",))
+        assert type(err.value) is RangeError and err.value.field == "path.times"
+        assert threading.active_count() == before
+        assert calls[failing] == 1
+        if failing == 0.0:  # the worker stops at its next path
+            assert calls[1.0] < session.zeta_runs
 
 
 class TestNegativeControls:
