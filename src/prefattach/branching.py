@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MismatchedLengths, NonPositiveMean, RangeError, checked_int, checked_real
+from .errors import (
+    MAX_BETA,
+    MismatchedLengths,
+    NonPositiveMean,
+    RangeError,
+    checked_int,
+    checked_real,
+)
 from .laws import EdgeCountDistribution, validate_edge_law
 
 
@@ -36,7 +43,7 @@ class BranchingConfig:
     initial: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", checked_real("branching.beta", self.beta))
+        object.__setattr__(self, "beta", checked_real("branching.beta", self.beta, 0.0, MAX_BETA))
         object.__setattr__(self, "initial", checked_int("branching.initial", self.initial, 1))
         object.__setattr__(self, "edge_law", validate_edge_law(self.edge_law))
 
@@ -82,26 +89,43 @@ def _grown(length: int) -> int:
     return length + length // 8
 
 
+def _size_table(initial: int, x0: int, length: int) -> np.ndarray:
+    """initial + k x0 for k < length, as float64 (exact integers)."""
+    table = np.arange(length, dtype=np.float64)
+    table *= x0
+    table += initial
+    return table
+
+
 class _PathBuffers:
     """Jump chains drawn into arrays that one caller reuses from path to path.
 
     After ``draw`` returns n, ``times[:n + 1]`` and ``sizes[:n + 1]`` hold the
-    path with its t = 0 point first.  The arrays grow by an eighth when they
-    must and are never shrunk, so a run of similar paths allocates a few
-    times at most.
+    path with its t = 0 point first.  ``sizes`` is float64 holding exact
+    integers.  For a deterministic law X = x0 it holds initial + k x0 over its
+    whole length, built once per (initial, x0), so such a path draws only its
+    waits.  The arrays grow by an eighth when they must and are never shrunk,
+    so a run of similar paths allocates a few times at most.
     """
 
     def __init__(self):
         self.times = np.empty(1)
-        self.sizes = np.empty(1, dtype=np.int64)
+        self.sizes = np.empty(1)
+        self._table = None  # the (initial, x0) whose table ``sizes`` holds
         self._work = np.empty(1)  # one block's exponentials
 
     def _reserve(self, length: int, keep: int, block: int) -> None:
         if length > self.times.shape[0]:
             length = max(length, _grown(self.times.shape[0]))
-            times, sizes = np.empty(length), np.empty(length, dtype=np.int64)
-            times[:keep], sizes[:keep] = self.times[:keep], self.sizes[:keep]
-            self.times, self.sizes = times, sizes
+            times = np.empty(length)
+            times[:keep] = self.times[:keep]
+            self.times = times
+            if self._table is None:
+                sizes = np.empty(length)
+                sizes[:keep] = self.sizes[:keep]
+                self.sizes = sizes
+            else:
+                self.sizes = _size_table(*self._table, length)
         if block > self._work.shape[0]:
             self._work = np.empty(max(block, _grown(self._work.shape[0])))
 
@@ -120,16 +144,21 @@ class _PathBuffers:
         (e^{m(horizon - t)} - 1) / m, plus a small margin; the first block past
         the horizon is cut there.  Returns the number of events kept.
         """
+        table = (initial, law.x0) if law.kind == "deterministic" else None
+        if table != self._table:
+            self._table = table
+            if table is not None:
+                self.sizes = _size_table(initial, law.x0, self.sizes.shape[0])
         m, t, size, n = law.mean, 0.0, initial, 0
         self.times[0], self.sizes[0] = 0.0, initial
         while True:
             expected = (size + beta) * math.expm1(min(m * (horizon - t), _MAX_EXPONENT)) / m
             b = int(min(expected + _BLOCK_MARGIN, _BLOCK_CAP))
             self._reserve(n + 1 + b, n + 1, b)
-            xs = law.sample(rng, b)
-            post = self.sizes[n + 1 : n + 1 + b]
-            np.add.accumulate(xs, out=post)
-            post += size
+            if table is None:
+                post = self.sizes[n + 1 : n + 1 + b]
+                np.add.accumulate(law.sample(rng, b), out=post)
+                post += size
             ts = self.times[n + 1 : n + 1 + b]
             # the rates, from the sizes before each jump, until the times overwrite them
             np.add(self.sizes[n : n + b], beta, out=ts)
@@ -142,7 +171,7 @@ class _PathBuffers:
             n += cut
             if cut < b:
                 break
-            t, size = float(ts[-1]), int(post[-1])
+            t, size = float(ts[-1]), int(self.sizes[n])
         times = self.times[: n + 1]
         if not (times[1:] > times[:-1]).all():
             raise RangeError("path.times", "event times must be strictly increasing")
@@ -161,7 +190,8 @@ class _PathBuffers:
     def path(self, initial, beta, law, horizon, rng) -> JumpPath:
         """A path drawn as by ``draw``, copied out of the buffers."""
         n = self.draw(initial, beta, law, horizon, rng)
-        return JumpPath(initial, self.times[1 : n + 1].copy(), self.sizes[1 : n + 1].copy())
+        values = self.sizes[1 : n + 1].astype(np.int64)
+        return JumpPath(initial, self.times[1 : n + 1].copy(), values)
 
 
 def simulate_mbp(config: BranchingConfig, horizon: float, rng: np.random.Generator) -> JumpPath:
@@ -267,7 +297,7 @@ def run_embedding(
     """
     n = checked_int("n", n, 0)
     law = validate_edge_law(edge_law)
-    beta = checked_real("beta", beta)
+    beta = checked_real("beta", beta, 0.0, MAX_BETA)
 
     xs = law.sample(rng, n)
     jumps = xs.tolist()
@@ -334,7 +364,7 @@ def tau_diagnostics(
         )
     if not (math.isfinite(m) and m > 0):
         raise NonPositiveMean(f"mean edge count must be finite and positive, got {m}")
-    beta = checked_real("beta", beta)
+    beta = checked_real("beta", beta, 0.0, MAX_BETA)
     alpha = 1.0 / (2.0 * m + beta)
     drift = np.cumsum(1.0 / s_values[:n])
     mart = taus - drift

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .errors import ParseError, PrefattachError, RangeError, checked_int, checked_real
+from .errors import MAX_BETA, ParseError, PrefattachError, RangeError, checked_int, checked_real
 from .graph import ModelConfig
 from .laws import validate_edge_law
 from .streams import MAX_SEED
@@ -15,14 +15,14 @@ from .verify import PROFILES, validate_thresholds
 
 # Every run key once, in flag order: key -> (default, kind, bounds, flag help).
 # kind int or float: a number checked as "run.<key>" by checked_int(lo, hi) or
-# checked_real(lo), with ``bounds`` as those arguments (None: no bound); a
+# checked_real(lo, hi), with ``bounds`` as those arguments (None: no bound); a
 # tuple: one of its choices; None: read by parse_config's own code.  A key
 # with no help is read from a config file only.  A null is refused where the
 # default is not null.  beta's sign is left to ModelConfig ("model.beta"),
 # and fit_j_max must also exceed fit_j_min.
 RUN_KEYS: dict[str, tuple[Any, Any, tuple, str | None]] = {
     "law": ("det:1", None, (), "edge-count law: det:K | geom:Q | explicit:p1,p2,..."),
-    "beta": (0.0, float, (None,), "uniform attachment weight beta >= 0"),
+    "beta": (0.0, float, (None, MAX_BETA), "uniform attachment weight beta >= 0"),
     "n": (10000, int, (0, None), "number of attachment steps / events"),
     "reps": (1, int, (1, None), "independent replications"),
     "seed": (0, int, (0, MAX_SEED), "master seed"),

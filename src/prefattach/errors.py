@@ -48,20 +48,33 @@ def checked_int(field: str, value, lo: int | None, hi: int | None = None) -> int
     return int(value)
 
 
-def checked_real(field: str, value, lo: float | None = 0.0) -> float:
-    """``value`` as a finite float >= ``lo``, else RangeError naming ``field``.
+# Largest uniform attachment weight beta accepted anywhere.  Far below float
+# overflow, so beta (n + 2) at the largest chain and 2m + 2 beta + j_max in the
+# spectra stay finite; above about 9e307 they overflow to inf and the spectra
+# silently become zeros.
+MAX_BETA = 1e200
 
-    A None ``lo`` is no bound.  A bool and a non-number are refused.
+
+def checked_real(field: str, value, lo: float | None = 0.0, hi: float | None = None) -> float:
+    """``value`` as a finite float in [lo, hi], else RangeError naming ``field``.
+
+    A None bound is no bound.  A bool and a non-number are refused.
     """
     if not isinstance(value, float) and (
         isinstance(value, bool) or not isinstance(value, numbers.Real)
     ):
         raise RangeError(field, f"must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise RangeError(field, f"must be finite, got {value}")
-    if lo is not None and value < lo:
-        raise RangeError(field, f"must be >= {lo:g}, got {value}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise RangeError(field, f"must be finite, got {number}")
+    if lo is not None and number < lo:
+        raise RangeError(field, f"must be >= {lo:g}, got {number}")
+    if hi is not None and number > hi:
+        raise RangeError(field, f"must be <= {hi:g}, got {number:g}")
+    return number
 
 
 class EmptyLaw(PrefattachError):

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import RangeError, checked_int, checked_real
+from .errors import MAX_BETA, RangeError, checked_int, checked_real
 from .laws import EdgeCountDistribution, validate_edge_law
 from .streams import MAX_SEED
 
@@ -50,7 +50,7 @@ class ModelConfig:
 
     def __post_init__(self):
         checked = {
-            "beta": checked_real("model.beta", self.beta),
+            "beta": checked_real("model.beta", self.beta, 0.0, MAX_BETA),
             "n": checked_int("model.n", self.n, 0),
             "record_stride": checked_int("model.record_stride", self.record_stride, 1),
             "probe_vertices": tuple(

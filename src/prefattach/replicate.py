@@ -16,7 +16,7 @@ import numpy as np
 
 from .branching import run_embedding
 from .errors import RangeError, checked_int
-from .graph import ModelConfig, run_chain
+from .graph import ModelConfig, _degree_counts, run_chain
 from .streams import MAX_SEED, mix64
 
 
@@ -69,10 +69,9 @@ def _embed_worker(args) -> EmbedSummary:
     model, master_seed, index = args
     rng = np.random.default_rng(mix64(master_seed, index))
     res = run_embedding(model.edge_law, model.beta, model.n, rng)
-    sizes, counts = np.unique(res.sizes, return_counts=True)
     return EmbedSummary(
         index=index,
-        counts={int(s): int(c) for s, c in zip(sizes, counts)},
+        counts=_degree_counts(res.sizes),
         taus=res.taus,
         s_values=res.s_values,
     )

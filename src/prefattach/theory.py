@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NonPositiveMean, RangeError, StepTooCoarse, checked_int, checked_real
+from .errors import MAX_BETA, NonPositiveMean, RangeError, StepTooCoarse, checked_int, checked_real
 from .laws import EdgeCountDistribution, validate_edge_law
 
 _Y_MAX_MASS = 1e-12  # default domain cutoff: exp(-rate * y_max) below this
@@ -59,7 +59,7 @@ def theta(m: float, beta: float) -> float:
     """Growth exponent m / (2m + beta)."""
     if not (math.isfinite(m) and m > 0):
         raise NonPositiveMean(f"mean edge count must be positive, got {m}")
-    beta = checked_real("beta", beta)
+    beta = checked_real("beta", beta, 0.0, MAX_BETA)
     return m / (2.0 * m + beta)
 
 
@@ -67,7 +67,7 @@ def tail_exponent_theory(m: float, beta: float) -> float:
     """Decay exponent of the spectrum tail: pi_j ~ const * j^-(3 + beta/m)."""
     if not (math.isfinite(m) and m > 0):
         raise NonPositiveMean(f"mean edge count must be positive, got {m}")
-    beta = checked_real("beta", beta)
+    beta = checked_real("beta", beta, 0.0, MAX_BETA)
     return 3.0 + beta / m
 
 
@@ -101,7 +101,7 @@ def pi_explicit(x0: int, beta: float, j: int) -> float:
     and for beta = 0 this collapses to pi_{l x0} = 4 / (l (l+1) (l+2)).
     """
     x0 = checked_int("x0", x0, 1)
-    beta = checked_real("beta", beta)
+    beta = checked_real("beta", beta, 0.0, MAX_BETA)
     j = checked_int("j", j, None)
     if j < 1 or j % x0 != 0:
         return 0.0
@@ -124,7 +124,7 @@ def pi_recursive(edge_law: EdgeCountDistribution, beta: float, j_max: int) -> Li
     """The spectrum via the lower-triangular Laplace recursion (exact)."""
     law = validate_edge_law(edge_law)
     j_max = checked_int("j_max", j_max, 1, MAX_J_MAX)
-    beta = checked_real("beta", beta)
+    beta = checked_real("beta", beta, 0.0, MAX_BETA)
     m = law.mean
     rate = 2.0 * m + beta
 
@@ -198,7 +198,7 @@ def pi_quadrature(
     law = validate_edge_law(edge_law)
     j_max = checked_int("j_max", j_max, 1, MAX_QUAD_J_MAX)
     steps = checked_int("steps", steps, MIN_QUAD_STEPS)
-    beta = checked_real("beta", beta)
+    beta = checked_real("beta", beta, 0.0, MAX_BETA)
     rate = 2.0 * law.mean + beta
     if y_max is None:
         y_max = -np.log(_Y_MAX_MASS) / rate

@@ -1,6 +1,7 @@
 """Continuous-time growth processes and the event-time construction."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -336,13 +337,30 @@ def concatenated_jump_chain(initial, beta, law, horizon, rng):
         t, size = float(ts[-1]), int(post[-1])
 
 
-class TestPathKernel:
-    """The size-limit check's in-place kernel against the public route."""
+# horizon 8 in units of 1/m: det:1 runs to t = 8 (about 30,000 events from
+# size 10), geom:0.5 and det:2 (m = 2) to t = 4 (about 16,000), det:3 to 8/3.
+# det:2 and det:3 give the det laws' size table steps other than 1.
+KERNEL_CASES = pytest.mark.parametrize(
+    "law, horizon, beta",
+    [
+        pytest.param(deterministic(1), 8.0, 0.0, id="det:1-0.0"),
+        pytest.param(deterministic(1), 8.0, 1.0, id="det:1-1.0"),
+        pytest.param(geometric(0.5), 4.0, 0.0, id="geom:0.5-0.0"),
+        pytest.param(geometric(0.5), 4.0, 1.0, id="geom:0.5-1.0"),
+        pytest.param(deterministic(2), 4.0, 0.5, id="det:2-0.5"),
+        pytest.param(deterministic(3), 8.0 / 3.0, 1.234, id="det:3-1.234"),
+    ],
+)
 
-    @pytest.mark.parametrize("beta", [0.0, 1.0])
-    @pytest.mark.parametrize(
-        "law, horizon", [(deterministic(1), 8.0), (geometric(0.5), 4.0)], ids=["det:1", "geom:0.5"]
-    )
+
+class TestPathKernel:
+    """The size-limit check's in-place kernel against the public route.
+
+    The reference, ``concatenated_jump_chain``, draws every X through
+    ``law.sample``, so it also checks the det laws' size table.
+    """
+
+    @KERNEL_CASES
     def test_public_paths_equal_the_concatenated_block_loop(self, law, horizon, beta):
         cfg = BranchingConfig(edge_law=law, beta=beta, initial=10)
         rng_a = CountingGenerator(substream(45, int(beta)))
@@ -372,12 +390,7 @@ class TestPathKernel:
             pairs.append((kernel, (traj.tail_oscillation, float(traj.scaled[-1]))))
         return pairs, most_blocks
 
-    # horizon 8 in units of 1/m: det:1 runs to t = 8 (about 30,000 events
-    # from size 10), geom:0.5 (m = 2) to t = 4 (about 16,000)
-    @pytest.mark.parametrize("beta", [0.0, 1.0])
-    @pytest.mark.parametrize(
-        "law, horizon", [(deterministic(1), 8.0), (geometric(0.5), 4.0)], ids=["det:1", "geom:0.5"]
-    )
+    @KERNEL_CASES
     def test_kernel_statistic_equals_the_public_trajectory(self, law, horizon, beta):
         pairs, most_blocks = self._pairs(law, beta, 10, horizon, int(beta), 12)
         assert most_blocks >= 2
@@ -405,3 +418,39 @@ class TestPathBuffers:
         assert buffers.sizes.shape == buffers.times.shape
         assert buffers.times.shape[0] <= 1.125 * longest + 1
         assert buffers._work.shape[0] <= 1.125 * rng.largest
+
+    def test_reused_buffers_draw_the_paths_of_fresh_ones(self):
+        # each det law start rebuilds the size table, a random law overwrites
+        # it, and the last path returns to the first table: a stale table
+        # would show as wrong sizes
+        buffers = _PathBuffers()
+        runs = [
+            (deterministic(1), 10, 8.0),
+            (geometric(0.5), 10, 4.0),
+            (deterministic(1), 3, 8.0),
+            (deterministic(2), 3, 4.0),
+            (deterministic(1), 10, 8.0),
+        ]
+        for k, (law, initial, horizon) in enumerate(runs):
+            reused = buffers.path(initial, 0.5, law, horizon, substream(48, k))
+            fresh = _PathBuffers().path(initial, 0.5, law, horizon, substream(48, k))
+            assert reused.times.size > 100
+            assert np.array_equal(reused.times, fresh.times)
+            assert np.array_equal(reused.values, fresh.values)
+            assert reused.values.dtype == np.int64
+
+    def test_det_path_on_warmed_buffers_allocates_no_block(self):
+        # the same path twice: the second finds its table and arrays in place
+        # and allocates only the strictly-increasing check's n bools, where a
+        # block of drawn X would take 8 bytes per event
+        buffers = _PathBuffers()
+        buffers.draw(10, 1.0, deterministic(1), 8.0, substream(47, 0))
+        rng = substream(47, 0)
+        tracemalloc.start()
+        try:
+            n = buffers.draw(10, 1.0, deterministic(1), 8.0, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n > 20_000
+        assert peak < 64 * 1024

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prefattach
 from prefattach.cli import main
 from prefattach.theory import MAX_J_MAX, MAX_QUAD_J_MAX
 
@@ -72,6 +77,19 @@ class TestTheory:
         assert main(["theory", "--law", "geom:0.5", "--jmax", "30", "--out", str(out)]) == 0
         rows = _read_csv(out / "pi.csv")
         assert all(r["pi_explicit_or_blank"] == "" for r in rows)
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        src = str(Path(prefattach.__file__).resolve().parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        argv = [sys.executable, "-m", "prefattach", "theory", "--jmax", "10", "--out", "res"]
+        proc = subprocess.run(
+            argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(_read_csv(tmp_path / "res" / "pi.csv")) == 10
 
 
 class TestAnalyze:
@@ -196,8 +214,12 @@ class TestUsageErrors:
             (["simulate", "--law", "explicit:"], "run.law"),
             (["simulate", "--law", "explicit:nan,1"], "run.law"),
             (["simulate", "--law", "explicit:inf,1"], "run.law"),
+            (["analyze", "--n", "100", "--beta", "1e308"], "run.beta"),
+            (["theory", "--beta", "1e308"], "run.beta"),
+            (["simulate", "--beta", "2e200"], "run.beta"),
             # a dict is written to a config file whose path takes its place
             (["theory", "--config", {"law": [True]}], "run.law"),
+            (["theory", "--config", {"beta": 10**400}], "run.beta"),
         ],
     )
     def test_refusals_name_their_field(self, tmp_path, capsys, argv, field):

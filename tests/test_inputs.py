@@ -3,6 +3,7 @@ wrong type, or a bool, ends in a RangeError naming its field, never in a
 numpy TypeError and never silently truncated."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from prefattach.branching import (
     tau_diagnostics,
     zeta_trajectory,
 )
-from prefattach.errors import NonPositiveMean, NotNormalized, ParseError, RangeError
+from prefattach.errors import (
+    MAX_BETA,
+    NonPositiveMean,
+    NotNormalized,
+    ParseError,
+    RangeError,
+    checked_real,
+)
 from prefattach.graph import ModelConfig, run_chain
 from prefattach.laws import deterministic, explicit, validate_edge_law
 from prefattach.replicate import replicate
@@ -41,36 +49,43 @@ def _rng():
     return np.random.default_rng(0)
 
 
+# Past the cap, and where rate + j + beta overflows to inf.
+HUGE_BETAS = [2 * MAX_BETA, 1e308]
+
 # (entry point, field it must name, call with the bad value, bad values).
-# Out-of-range values are covered next to each entry point's own tests.
+# Out-of-range values are covered next to each entry point's own tests, apart
+# from the beta cap, which every beta shares.
 CASES = [
     ("ModelConfig", "model.n", lambda v: _model(n=v), [10.5, True]),
     ("ModelConfig", "model.record_stride", lambda v: _model(record_stride=v), [10.5, True]),
     ("ModelConfig", "model.probe_vertices", lambda v: _model(probe_vertices=(v,)), [10.5, True]),
-    ("ModelConfig", "model.beta", lambda v: _model(beta=v), [True]),
-    ("BranchingConfig", "branching.beta", lambda v: BranchingConfig(LAW, beta=v), [True]),
+    ("ModelConfig", "model.beta", lambda v: _model(beta=v), [True, *HUGE_BETAS]),
+    (
+        "BranchingConfig", "branching.beta", lambda v: BranchingConfig(LAW, beta=v),
+        [True, *HUGE_BETAS],
+    ),
     ("replicate", "replications", lambda v: replicate(_model(), replications=v), [10.5, True]),
     ("run_embedding", "n", lambda v: run_embedding(LAW, 0.0, v, _rng()), [10.5, True]),
-    ("run_embedding", "beta", lambda v: run_embedding(LAW, v, 5, _rng()), [True]),
+    ("run_embedding", "beta", lambda v: run_embedding(LAW, v, 5, _rng()), [True, *HUGE_BETAS]),
     ("simulate_mbpi", "horizon", lambda v: simulate_mbpi(BranchingConfig(LAW), v, _rng()), [True]),
-    ("theta", "beta", lambda v: theta(1.0, v), [True]),
-    ("tail_exponent_theory", "beta", lambda v: tail_exponent_theory(1.0, v), [True]),
+    ("theta", "beta", lambda v: theta(1.0, v), [True, *HUGE_BETAS]),
+    ("tail_exponent_theory", "beta", lambda v: tail_exponent_theory(1.0, v), [True, *HUGE_BETAS]),
     ("deterministic", "x0", deterministic, [2.5, True]),
     ("pi_explicit", "x0", lambda v: pi_explicit(v, 0.0, 5), [2.5, True]),
-    ("pi_explicit", "beta", lambda v: pi_explicit(1, v, 5), [True]),
+    ("pi_explicit", "beta", lambda v: pi_explicit(1, v, 5), [True, *HUGE_BETAS]),
     ("pi_explicit", "j", lambda v: pi_explicit(1, 0.0, v), [2.5, True]),
     ("pi_recursive", "j_max", lambda v: pi_recursive(LAW, 0.0, v), [10.5, True]),
-    ("pi_recursive", "beta", lambda v: pi_recursive(LAW, v, 10), [True]),
+    ("pi_recursive", "beta", lambda v: pi_recursive(LAW, v, 10), [True, *HUGE_BETAS]),
     ("pi_quadrature", "j_max", lambda v: pi_quadrature(LAW, 0.0, v), [10.5, True]),
     ("pi_quadrature", "steps", lambda v: pi_quadrature(LAW, 0.0, 5, steps=v), [2000.5]),
-    ("pi_quadrature", "beta", lambda v: pi_quadrature(LAW, v, 5), [True]),
+    ("pi_quadrature", "beta", lambda v: pi_quadrature(LAW, v, 5), [True, *HUGE_BETAS]),
     (
         "pi_quadrature", "y_max", lambda v: pi_quadrature(LAW, 0.0, 5, y_max=v),
         [True, math.nan, math.inf],
     ),
     (
         "tau_diagnostics", "beta", lambda v: tau_diagnostics([0.5, 0.7], [2.0, 4.0], 1.0, v),
-        [math.nan, -1.0, True],
+        [math.nan, -1.0, True, *HUGE_BETAS],
     ),
     ("tail_fit", "j_min", lambda v: tail_fit(pi_recursive(LAW, 0.0, 40), v, 30), [1.5, True]),
     ("tail_fit", "j_max", lambda v: tail_fit(pi_recursive(LAW, 0.0, 40), 3, v), [30.5, True]),
@@ -116,6 +131,26 @@ def test_bad_input_is_refused_naming_its_field(field, call, value):
     with pytest.raises(RangeError) as err:
         call(value)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)])
+def test_an_int_past_the_float_range_is_refused_as_not_finite(value):
+    with pytest.raises(RangeError, match="must be finite") as err:
+        checked_real("run.ymax", value, None)
+    assert err.value.field == "run.ymax"
+
+
+def test_the_largest_beta_gives_finite_spectra_and_chains():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow in numpy fails the test
+        spectrum = pi_recursive(LAW, MAX_BETA, 50)
+        quad = pi_quadrature(LAW, MAX_BETA, 50)
+        closed = pi_explicit(1, MAX_BETA, 5)
+        run = run_chain(_model(beta=MAX_BETA, n=1000))
+    assert np.isfinite(spectrum.pi).all() and spectrum.pi[1] > 0.4
+    assert np.abs(quad - spectrum.pi).max() < 1e-6
+    assert 0 < closed < 1
+    assert sum(run.ledger.counts.values()) == 1002
 
 
 def _flat_path():

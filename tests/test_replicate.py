@@ -7,10 +7,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from prefattach.branching import run_embedding
 from prefattach.cli import main
 from prefattach.errors import RangeError
 from prefattach.graph import ModelConfig, run_chain
-from prefattach.laws import deterministic
+from prefattach.laws import deterministic, geometric
 from prefattach.replicate import replicate
 from prefattach.streams import mix64
 from prefattach.verify import VerifySession
@@ -110,6 +111,17 @@ class TestEmbedTask:
             assert rep.s_values.shape == (n + 1,)
             assert np.all(np.diff(rep.taus) > 0)
         assert sum(agg.pooled_counts.values()) == 3 * (n + 2)
+
+    @pytest.mark.parametrize("law", [deterministic(1), deterministic(3), geometric(0.5)])
+    @pytest.mark.parametrize("n", [1, 100, 5000])
+    def test_embed_counts_are_the_size_multiset_in_size_order(self, law, n):
+        model = _model(n=n, edge_law=law)
+        (rep,) = replicate(model, 1, task="embed", master_seed=9).replicates
+        res = run_embedding(law, 0.0, n, np.random.default_rng(mix64(9, 0)))
+        sizes, counts = np.unique(res.sizes, return_counts=True)
+        expected = dict(zip(sizes.tolist(), counts.tolist()))
+        assert list(rep.counts.items()) == list(expected.items())
+        assert all(type(k) is int and type(c) is int for k, c in rep.counts.items())
 
     def test_unknown_task_is_rejected(self):
         with pytest.raises(RangeError):
