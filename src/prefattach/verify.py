@@ -1,13 +1,16 @@
 """The acceptance-check suite: every headline limit theorem, desk-scale.
 
 ``CATALOGUE`` lists the checks in report order, one ``Check`` record each:
-name, claim, comparison, threshold defaults and the dotted sub-parameters a
-threshold override may move.  ``ALL_CHECKS``, the profiles and their check
-lists, and the accepted threshold keys all derive from it.
+name, claim, comparison, threshold defaults, the dotted sub-parameters a
+threshold override may move, and the (law, beta) cases an empirical check
+runs.  A check derives its expected limits from its cases by closed forms,
+never from the sampler or the spectrum recursion it tests.  ``ALL_CHECKS``,
+the profiles and their check lists, and the accepted threshold keys all
+derive from the catalogue.
 
 VerifySession owns the expensive shared artifacts (the large chain run, the
 run ensembles) so checks can share them, and its ``run`` is the one runner:
-it calls each ``check_<name>`` with its thresholds, times it, applies the
+it calls each ``check_<name>`` with its row, times it, applies the
 catalogue's runtime bound and builds the CheckResult.  All randomness
 derives from one master seed through fixed substream indices, so a report
 is reproducible byte-for-byte.
@@ -18,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 from typing import Mapping
 
@@ -38,10 +41,11 @@ from .analysis import (
 from .branching import _PathBuffers, run_embedding, tau_diagnostics
 from .errors import RangeError, checked_int, checked_real
 from .graph import ModelConfig, run_chain
-from .laws import deterministic, explicit, geometric
+from .laws import EdgeCountDistribution, deterministic, explicit, geometric
 from .replicate import replicate
 from .streams import MAX_SEED, mix64, substream
 from .theory import moment_profile, pi_explicit, pi_quadrature, pi_recursive
+from .theory import tail_exponent_theory, theta
 
 DEFAULT_MASTER_SEED = 20260815
 
@@ -54,6 +58,9 @@ class Check:
     the quick profile relaxes it; the theory profile uses the full defaults.
     ``params`` maps each sub-parameter, overridden as "<name>.<param>", to
     its default; a "runtime" entry holds the check to that many seconds.
+    ``cases`` lists the (law, beta) models an empirical check runs, and its
+    limits follow from them; a part of a check that runs one model (such as
+    the shared ``lln_run`` and ``ensemble``) runs the first case.
     """
 
     name: str
@@ -62,6 +69,7 @@ class Check:
     threshold: float | tuple[float, float]
     params: Mapping[str, float | tuple[float, float]] = field(default_factory=dict)
     theory: bool = False  # part of the theory profile
+    cases: tuple[tuple[EdgeCountDistribution, float], ...] = ()
 
     def defaults(self, quick: bool) -> dict[str, float]:
         """Every threshold key of this check with its default at one scale."""
@@ -89,44 +97,51 @@ CATALOGUE = (
         "degree-lln",
         "degree frequencies converge to the limit spectrum",
         "<=", (0.01, 0.06), {"r1": (0.01, 0.04), "runtime": 60.0},
+        cases=((deterministic(1), 0.0),),
     ),
     # The headline key bounds the empirical slope gap; the reported value is
-    # the largest gap-to-band ratio, held to 1.
+    # the largest gap-to-band ratio, held to 1.  Each case's band is keyed by
+    # its beta.
     Check(
         "tail-exponent",
         "tail decay exponent matches 3 + beta/m",
         "<=", (0.4, 0.7), {"band_beta0": 0.15, "band_beta1": 0.2}, theory=True,
+        cases=((deterministic(1), 0.0), (deterministic(1), 1.0)),
     ),
     Check(
         "moment-dichotomy",
         "moment partial sums split at s = 2 + beta/m (boundary diverges)",
-        ">=", 1.0, theory=True,
+        ">=", 1.0, theory=True, cases=((deterministic(1), 0.0),),
     ),
     Check(
         "growth-exponents",
         "fixed-vertex and maximum degrees grow like n^theta with a plateau",
         ">=", (0.85, 0.7), {"trajectory_osc": 0.2, "max_osc": 0.25, "runtime": 300.0},
+        cases=((deterministic(1), 0.0),),
     ),
     Check(
         "index-freezing",
         "the maximal-degree vertex index eventually freezes",
-        ">=", (0.85, 0.7),
+        ">=", (0.85, 0.7), cases=((deterministic(1), 0.0),),
     ),
     Check(
         "embedding-equivalence",
         "discrete chain and event-clock construction share one degree law",
-        ">", 0.001, {"calibration_ks": (0.1, 0.25)},
+        ">", 0.001, {"calibration_ks": (0.1, 0.25)}, cases=((deterministic(1), 0.0),),
     ),
+    # S_n/n runs every case; the tau_1 and drift parts run the first.
     Check(
         "event-time-asymptotics",
         "event times follow the 1/S drift and alpha log n asymptotics",
         ">=", (0.90, 0.8),
         {"tau1_sigmas": 3.0, "drift_osc": 0.1, "sn": 0.05, "runtime": 300.0},
+        cases=((deterministic(1), 0.0), (geometric(0.5), 1.0)),
     ),
     Check(
         "scaled-size-limit",
         "scaled size D(t)e^{-mt} settles on a positive limit",
         ">=", (0.90, 0.8), {"osc": 0.05},
+        cases=((deterministic(1), 0.0), (deterministic(1), 1.0)),
     ),
 )
 
@@ -146,8 +161,9 @@ def validate_thresholds(thresholds: Mapping) -> dict[str, float]:
     """Threshold overrides as floats, keyed "<check>" or "<check>.<param>".
 
     Raises RangeError, naming the offending "thresholds.<key>", for an unknown
-    check, an unknown parameter, a value that is not a number, one that is
-    not finite or is negative, and 0 for a key the checks divide by.
+    check, an unknown parameter, a value that is not a number (a bool is
+    not), one that is not finite or is negative, and 0 for a key the checks
+    divide by.
     """
     out = {}
     for key, value in thresholds.items():
@@ -157,6 +173,8 @@ def validate_thresholds(thresholds: Mapping) -> dict[str, float]:
             raise RangeError(field_path, f"unknown check {head!r}")
         if dot and param not in _BY_NAME[head].params:
             raise RangeError(field_path, f"unknown parameter {param!r} of {head}")
+        if isinstance(value, (bool, np.bool_)):
+            raise RangeError(field_path, f"not a number: {value!r}")
         try:
             number = float(value)
         except (TypeError, ValueError):
@@ -181,15 +199,7 @@ class CheckResult:
     detail: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "value": self.value,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -256,22 +266,22 @@ class VerifySession:
         self.drift_reps = 100 if full else 20
         self.drift_n = 10**4 if full else 2000
         # S_n/n has sd 2 sqrt(Var X / n), 0.0115 for geom:0.5 at 6 * 10^4,
-        # so its 0.05 bound stays above 4 sd at quick too.
+        # so the default "sn" bound stays above 4 sd at quick too.
         self.sn_n = 10**5 if full else 60_000
         self.zeta_runs = 10**4 if full else 500
         self.moment_j_max = 5000 if full else 2000
 
     # -- helpers ---------------------------------------------------------
 
-    def _limits(self, check: Check) -> SimpleNamespace:
-        """A check's thresholds after overrides: ``headline`` plus one
-        attribute per sub-parameter."""
+    def _row(self, check: Check) -> SimpleNamespace:
+        """A check's catalogue row after threshold overrides: ``headline``,
+        one attribute per sub-parameter, and ``cases``."""
 
         def get(key):
             return self.thresholds.get(key, self.defaults[key])
 
         params = {p: get(f"{check.name}.{p}") for p in check.params}
-        return SimpleNamespace(headline=get(check.name), **params)
+        return SimpleNamespace(headline=get(check.name), cases=check.cases, **params)
 
     def _rng(self, stream: int) -> np.random.Generator:
         return substream(self.master_seed, stream)
@@ -279,50 +289,40 @@ class VerifySession:
     def _seed(self, stream: int) -> int:
         return mix64(self.master_seed, stream)
 
+    @staticmethod
+    def _model(law, beta, n, seed=0, records=1000, probes=(1, 2)) -> ModelConfig:
+        """An n-step chain of one case, recording about ``records`` points."""
+        return ModelConfig(
+            beta, law, n, probe_vertices=probes, record_stride=max(1, n // records), seed=seed
+        )
+
+    def _replicate(self, model, reps, task, stream):
+        return replicate(model, reps, task, self._seed(stream), self.parallelism)
+
     # -- shared artifacts --------------------------------------------------
 
     def lln_run(self):
-        """One X=1, beta=0 chain at the LLN scale with decade snapshots."""
+        """One chain of ``lln_n`` steps (10^6 full, 10^4 quick) at the first
+        case of ``degree-lln``, with snapshots at n/100 and n/10."""
         if "lln_run" not in self._cache:
             n = self.lln_n
-            model = ModelConfig(
-                beta=0.0,
-                edge_law=deterministic(1),
-                n=n,
-                probe_vertices=(1, 2),
-                record_stride=max(1, n // 1000),
-                seed=self._seed(3),
-            )
-            self._cache["lln_run"] = run_chain(
-                model, snapshot_steps=(n // 100, n // 10)
-            )
+            model = self._model(*_BY_NAME["degree-lln"].cases[0], n, self._seed(3))
+            self._cache["lln_run"] = run_chain(model, snapshot_steps=(n // 100, n // 10))
         return self._cache["lln_run"]
 
     def ensemble(self):
-        """100 independent X=1, beta=0 chains at the trajectory scale."""
+        """``ensemble_reps`` independent chains (100 full, 20 quick) of
+        ``ensemble_n`` steps at the first case of ``growth-exponents``."""
         if "ensemble" not in self._cache:
-            model = ModelConfig(
-                beta=0.0,
-                edge_law=deterministic(1),
-                n=self.ensemble_n,
-                probe_vertices=(1, 2),
-                record_stride=max(1, self.ensemble_n // 1000),
-                seed=0,
-            )
-            self._cache["ensemble"] = replicate(
-                model,
-                replications=self.ensemble_reps,
-                task="simulate",
-                master_seed=self._seed(6),
-                parallelism=self.parallelism,
-            )
+            model = self._model(*_BY_NAME["growth-exponents"].cases[0], self.ensemble_n)
+            self._cache["ensemble"] = self._replicate(model, self.ensemble_reps, "simulate", 6)
         return self._cache["ensemble"]
 
-    # -- checks: each takes its thresholds (see _limits) and returns
+    # -- checks: each takes its catalogue row (see _row) and returns
     # (value, threshold, passed, detail) -----------------------------------
 
-    def check_explicit_spectrum_crosscheck(self, thr):
-        tol = thr.headline
+    def check_explicit_spectrum_crosscheck(self, row):
+        tol = row.headline
         worst = 0.0
         per_combo = {}
         for x0 in (1, 2, 3):
@@ -337,8 +337,8 @@ class VerifySession:
         detail = {"per_combo_max_abs_gap": per_combo, "j_max": 300}
         return worst, tol, worst <= tol, detail
 
-    def check_dual_route_pi(self, thr):
-        tol = thr.headline
+    def check_dual_route_pi(self, row):
+        tol = row.headline
         laws = [deterministic(1), deterministic(2), explicit([0.5, 0.5]), geometric(0.5)]
         worst = 0.0
         per_combo = {}
@@ -352,10 +352,11 @@ class VerifySession:
         detail = {"per_combo_max_abs_gap": per_combo, "j_max": 100}
         return worst, tol, worst <= tol, detail
 
-    def check_degree_lln(self, thr):
+    def check_degree_lln(self, row):
+        [(law, beta)] = row.cases
         run = self.lln_run()
         n = run.config.n
-        spec = pi_recursive(deterministic(1), 0.0, 50)
+        spec = pi_recursive(law, beta, 50)
         tvs = []
         scales = sorted(run.snapshots) + [n]
         for scale in scales:
@@ -363,9 +364,9 @@ class VerifySession:
             emp = empirical_distribution(counts)
             tvs.append(distribution_distance(emp, spec).tv_core)
         r1_over_n = run.ledger.counts.get(1, 0) / n
-        r1_gap = abs(r1_over_n - 2.0 / 3.0)
-        tv_tol = thr.headline
-        r1_tol = thr.r1
+        r1_gap = abs(r1_over_n - pi_explicit(law.x0, beta, 1))
+        tv_tol = row.headline
+        r1_tol = row.r1
         decreasing = all(a > b for a, b in zip(tvs, tvs[1:]))
         passed = tvs[-1] <= tv_tol and r1_gap <= r1_tol and decreasing
         return tvs[-1], tv_tol, passed, {
@@ -376,30 +377,26 @@ class VerifySession:
             "r1_tol": r1_tol,
         }
 
-    def check_tail_exponent(self, thr):
-        spec0 = pi_recursive(deterministic(1), 0.0, 500)
-        spec1 = pi_recursive(deterministic(1), 1.0, 500)
-        fit0 = tail_fit(spec0, 20, 500)
-        fit1 = tail_fit(spec1, 20, 500)
-        band0 = thr.band_beta0
-        band1 = thr.band_beta1
-        gap0 = abs(fit0.slope - (-3.0))
-        gap1 = abs(fit1.slope - (-4.0))
-        detail = {
-            "theory_slope_beta0": fit0.slope,
-            "theory_band_beta0": [-3.0 - band0, -3.0 + band0],
-            "theory_slope_beta1": fit1.slope,
-            "theory_band_beta1": [-4.0 - band1, -4.0 + band1],
-        }
-        ok = gap0 <= band0 and gap1 <= band1
-        value = max(gap0 / band0, gap1 / band1)
+    def check_tail_exponent(self, row):
+        detail, ok, ratios = {}, True, []
+        spectra = [pi_recursive(law, beta, 500) for law, beta in row.cases]
+        for (law, beta), spec in zip(row.cases, spectra):
+            slope = -tail_exponent_theory(law.mean, beta)
+            band = getattr(row, f"band_beta{beta:g}")
+            fitted = tail_fit(spec, 20, 500).slope
+            gap = abs(fitted - slope)
+            detail[f"theory_slope_beta{beta:g}"] = fitted
+            detail[f"theory_band_beta{beta:g}"] = [slope - band, slope + band]
+            ok = ok and gap <= band
+            ratios.append(gap / band)
+        value = max(ratios)
 
         if self.profile != "theory":
             run = self.lln_run()
             emp = empirical_distribution(run.ledger.counts)
             emp_fit = tail_fit(emp, 3, 30)
-            th_fit = tail_fit(spec0, 3, 30)
-            emp_tol = thr.headline
+            th_fit = tail_fit(spectra[0], 3, 30)  # lln_run's case
+            emp_tol = row.headline
             emp_gap = abs(emp_fit.slope - th_fit.slope)
             detail.update(
                 {
@@ -414,14 +411,16 @@ class VerifySession:
             value = max(value, emp_gap / emp_tol)
         return value, 1.0, ok, detail
 
-    def check_moment_dichotomy(self, thr):
-        spec = pi_recursive(deterministic(1), 0.0, self.moment_j_max)
-        s_values = (0.0, 1.0, 1.9, 2.0, 2.5)
-        expected = ("plateauing", "plateauing", "plateauing", "diverging", "diverging")
+    def check_moment_dichotomy(self, row):
+        [(law, beta)] = row.cases
+        spec = pi_recursive(law, beta, self.moment_j_max)
+        edge = tail_exponent_theory(law.mean, beta) - 1.0  # s = 2 + beta/m
+        s_values = (0.0, 1.0, edge - 0.1, edge, edge + 0.5)
+        expected = tuple("plateauing" if s < edge else "diverging" for s in s_values)
         curves = moment_profile(spec, s_values)
         got = tuple(c.verdict for c in curves)
         agree = sum(g == e for g, e in zip(got, expected)) / len(expected)
-        tol = thr.headline
+        tol = row.headline
         return agree, tol, agree >= tol, {
             "j_max": self.moment_j_max,
             "verdicts": {
@@ -435,17 +434,19 @@ class VerifySession:
             },
         }
 
-    def check_growth_exponents(self, thr):
+    def check_growth_exponents(self, row):
+        [(law, beta)] = row.cases
+        growth = theta(law.mean, beta)
         agg = self.ensemble()
-        osc_traj = thr.trajectory_osc
-        osc_max = thr.max_osc
-        rate = thr.headline
+        osc_traj = row.trajectory_osc
+        osc_max = row.max_osc
+        rate = row.headline
         traj_pass = max_pass = 0
         levels_ok = True
         worst_level = float("inf")
         for rep in agg.replicates:
-            tr = trajectory_limit_check(rep.steps, rep.probes[1], 0.5, threshold=osc_traj)
-            mx = max_degree_check(rep.steps, rep.max_series, 0.5, threshold=osc_max)
+            tr = trajectory_limit_check(rep.steps, rep.probes[1], growth, threshold=osc_traj)
+            mx = max_degree_check(rep.steps, rep.max_series, growth, threshold=osc_max)
             traj_pass += tr.verdict
             max_pass += mx.verdict
             worst_level = min(worst_level, tr.level, mx.level)
@@ -464,9 +465,10 @@ class VerifySession:
             "worst_level": worst_level,
         }
 
-    def check_index_freezing(self, thr):
+    def check_index_freezing(self, row):
+        # the ensemble runs growth-exponents' first case, which this row shares
         agg = self.ensemble()
-        rate = thr.headline
+        rate = row.headline
         frozen = 0
         fractions = []
         for rep in agg.replicates:
@@ -479,35 +481,18 @@ class VerifySession:
             "median_frozen_fraction": float(np.median(fractions)),
         }
 
-    def check_embedding_equivalence(self, thr):
-        model = ModelConfig(
-            beta=0.0,
-            edge_law=deterministic(1),
-            n=self.embed_eq_n,
-            record_stride=max(1, self.embed_eq_n),
-            seed=0,
-        )
-        chains = replicate(
-            model,
-            replications=self.embed_eq_reps,
-            task="simulate",
-            master_seed=self._seed(8),
-            parallelism=self.parallelism,
-        )
-        embeds = replicate(
-            model,
-            replications=self.embed_eq_reps,
-            task="embed",
-            master_seed=self._seed(88),
-            parallelism=self.parallelism,
-        )
+    def check_embedding_equivalence(self, row):
+        [case] = row.cases
+        model = self._model(*case, self.embed_eq_n, records=1, probes=())
+        chains = self._replicate(model, self.embed_eq_reps, "simulate", 8)
+        embeds = self._replicate(model, self.embed_eq_reps, "embed", 88)
         result = embedding_equivalence_test(chains.pooled_counts, embeds.pooled_counts)
-        p_floor = thr.headline
+        p_floor = row.headline
         pvals = split_half_pvalues(
             chains.pooled_counts, self.calib_trials, self._rng(888)
         )
         ks = uniformity_ks(pvals)
-        ks_tol = thr.calibration_ks
+        ks_tol = row.calibration_ks
         passed = result.p_value > p_floor and ks <= ks_tol
         return result.p_value, p_floor, passed, {
             "chi_square": result.statistic,
@@ -520,51 +505,52 @@ class VerifySession:
             "calibration_ks_tol": ks_tol,
         }
 
-    def check_event_time_asymptotics(self, thr):
-        law = deterministic(1)
-        # (a) mean of tau_1 against 1/S_0 = 1/2, to 3 standard errors.
+    def check_event_time_asymptotics(self, row):
+        law, beta = row.cases[0]
+        # (a) mean of tau_1 ~ Exp(S_0) against 1/S_0; the two founders have
+        # size 1, so S_0 = 2 + 2 beta.
+        mean_tau1_theory = 1.0 / (2.0 + 2.0 * beta)
         rng = self._rng(9)
         reps = self.tau1_reps
-        tau1 = np.empty(reps)
-        for r in range(reps):
-            tau1[r] = run_embedding(law, 0.0, 1, rng).taus[0]
+        tau1 = np.array([run_embedding(law, beta, 1, rng).taus[0] for _ in range(reps)])
         mean_tau1 = float(tau1.mean())
-        sigma = 0.5 / np.sqrt(reps)  # sd of Exp(2) is 1/2
-        tau1_gap = abs(mean_tau1 - 0.5)
-        tau1_tol = thr.tau1_sigmas * sigma
+        sigma = mean_tau1_theory / np.sqrt(reps)  # the sd of Exp(S_0) is its mean
+        tau1_gap = abs(mean_tau1 - mean_tau1_theory)
+        tau1_tol = row.tau1_sigmas * sigma
 
-        # (b) tau_n - alpha log n settles: trailing oscillation < 0.1
-        # in >= 90% of runs (alpha = 1/2 for X=1, beta=0).
+        # (b) tau_n - alpha log n settles.
         rng_b = self._rng(99)
-        osc_tol = thr.drift_osc
+        osc_tol = row.drift_osc
         hits = 0
         oscs = []
         for _ in range(self.drift_reps):
-            res = run_embedding(law, 0.0, self.drift_n, rng_b)
-            diag = tau_diagnostics(res.taus, res.s_values, 1.0, 0.0)
+            res = run_embedding(law, beta, self.drift_n, rng_b)
+            diag = tau_diagnostics(res.taus, res.s_values, law.mean, beta)
             oscs.append(diag.log_drift_tail_osc)
             hits += diag.log_drift_tail_osc < osc_tol
         drift_frac = hits / self.drift_reps
-        drift_rate = thr.headline
+        drift_rate = row.headline
 
-        # (c) S_n / n near 2m + beta at the large scale; X=1 beta=0 is the
-        # pinned case (exact up to 2/n), geometric beta=1 exercises it with
-        # real randomness.
-        sn_tol = thr.sn
-        res1 = run_embedding(law, 0.0, self.sn_n, self._rng(999))
-        sn_gap1 = abs(res1.s_values[-1] / self.sn_n - 2.0)
-        res2 = run_embedding(geometric(0.5), 1.0, self.sn_n, self._rng(9999))
-        sn_gap2 = abs(res2.s_values[-1] / self.sn_n - 5.0)
+        # (c) S_n / n near 2m + beta at the large scale, on substreams 999,
+        # 9999, ...; det:1 is pinned (exact up to 2/n), a random law
+        # exercises it with real randomness.
+        sn_tol = row.sn
+        sn_gaps = {}
+        for i, (sn_law, sn_beta) in enumerate(row.cases):
+            res = run_embedding(sn_law, sn_beta, self.sn_n, self._rng(10 ** (i + 3) - 1))
+            tag = sn_law.label().partition(":")[0] + str(sn_law.x0 or "")  # det1, geom
+            sn_gaps[f"sn_gap_{tag}_beta{sn_beta:g}"] = abs(
+                res.s_values[-1] / self.sn_n - (2.0 * sn_law.mean + sn_beta)
+            )
 
         passed = (
             tau1_gap <= tau1_tol
             and drift_frac >= drift_rate
-            and sn_gap1 <= sn_tol
-            and sn_gap2 <= sn_tol
+            and all(gap <= sn_tol for gap in sn_gaps.values())
         )
         return drift_frac, drift_rate, passed, {
             "tau1_mean": mean_tau1,
-            "tau1_expected": 0.5,
+            "tau1_expected": mean_tau1_theory,
             "tau1_gap": tau1_gap,
             "tau1_tol_3sigma": tau1_tol,
             "tau1_runs": reps,
@@ -572,17 +558,15 @@ class VerifySession:
             "drift_n": self.drift_n,
             "drift_osc_bound": osc_tol,
             "drift_median_osc": float(np.median(oscs)),
-            "sn_gap_det1_beta0": sn_gap1,
-            "sn_gap_geom_beta1": sn_gap2,
+            **sn_gaps,
             "sn_tol": sn_tol,
         }
 
-    def check_scaled_size_limit(self, thr):
-        law = deterministic(1)
+    def check_scaled_size_limit(self, row):
         horizon = 8.0
         initial = 10  # start away from the zeta ~ 0 mass; see claim detail
-        osc_tol = thr.osc
-        rate = thr.headline
+        osc_tol = row.osc
+        rate = row.headline
         detail = {
             "runs_per_beta": self.zeta_runs,
             "horizon": horizon,
@@ -596,34 +580,33 @@ class VerifySession:
         }
         stop = threading.Event()
 
-        def fractions(beta):
-            """(plateau pass fraction, positive fraction) over the runs at beta."""
-            paths = _PathBuffers()  # one set of arrays for every path at this beta
-            rng = self._rng(10 + int(beta))
-            hits = 0
-            positive = 0
+        def fractions(i):
+            """(plateau pass fraction, positive fraction) over the runs of case i."""
+            law, beta = row.cases[i]
+            paths = _PathBuffers()  # one set of arrays for every path of this case
+            rng = self._rng(10 + i)
+            hits = positive = 0
             for _ in range(self.zeta_runs):
                 if stop.is_set():
                     return None
                 n = paths.draw(initial, beta, law, horizon, rng)
-                osc, last = paths.plateau(n, m=1.0)
+                osc, last = paths.plateau(n, m=law.mean)
                 positive += last > 0
                 hits += osc < osc_tol
             return hits / self.zeta_runs, positive / self.zeta_runs
 
-        # The two betas draw from their own substreams into their own
-        # buffers, and numpy releases the GIL for nearly all of a path's
-        # work, so beta = 1 runs on a worker thread while this one runs
-        # beta = 0.
+        # Each case draws from its own substream into its own buffers, and
+        # numpy releases the GIL for nearly all of a path's work, so the
+        # later cases run on a worker thread while this one runs the first.
         with ThreadPoolExecutor(max_workers=1) as pool:
-            later = pool.submit(fractions, 1.0)
+            later = [pool.submit(fractions, i) for i in range(1, len(row.cases))]
             try:
-                counts = [fractions(0.0), later.result()]
+                counts = [fractions(0)] + [f.result() for f in later]
             finally:
                 stop.set()  # a worker still running after an error stops at its next path
         value = 1.0
         all_positive = True
-        for beta, (frac, pos_frac) in zip((0.0, 1.0), counts):
+        for (_, beta), (frac, pos_frac) in zip(row.cases, counts):
             detail[f"beta={beta:g}"] = {
                 "plateau_pass_fraction": frac,
                 "positive_fraction": pos_frac,
@@ -646,14 +629,14 @@ class VerifySession:
             if name not in _BY_NAME:
                 raise RangeError("check", f"unknown check {name!r}")
             check = _BY_NAME[name]
-            thr = self._limits(check)
+            row = self._row(check)
             t0 = time.perf_counter()
             method = getattr(self, "check_" + name.replace("-", "_"))
-            value, threshold, passed, detail = method(thr)
+            value, threshold, passed, detail = method(row)
             detail["elapsed_s"] = elapsed = time.perf_counter() - t0
             if "runtime" in check.params:
-                detail["runtime_bound_s"] = thr.runtime
-                passed = passed and elapsed < thr.runtime
+                detail["runtime_bound_s"] = row.runtime
+                passed = passed and elapsed < row.runtime
             results.append(
                 CheckResult(
                     name,

@@ -182,6 +182,15 @@ class TestUsageErrors:
         assert f"thresholds.{item.partition('=')[0]}" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    def test_boolean_config_threshold_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"thresholds": {"dual-route-pi": True}}))
+        out = tmp_path / "res"
+        code = main(["verify", "--profile", "theory", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "thresholds.dual-route-pi" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_mistyped_config_value_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": "abc"}))

@@ -6,6 +6,7 @@ here we exercise the machinery itself at the cheap profiles.
 
 import dataclasses
 import json
+import math
 import re
 import threading
 from pathlib import Path
@@ -18,7 +19,12 @@ from prefattach.branching import _PathBuffers
 from prefattach.errors import RangeError
 from prefattach.laws import deterministic
 from prefattach.streams import substream
-from prefattach.verify import ALL_CHECKS, DEFAULT_MASTER_SEED, VerifySession
+from prefattach.verify import ALL_CHECKS, CATALOGUE, DEFAULT_MASTER_SEED, VerifySession
+
+# The quick report at the default seed with each check's elapsed_s dropped.
+# It pins every value of a refactor that must not move the random streams; a
+# change that does move them regenerates it from report.to_json().
+GOLDEN_QUICK = Path(__file__).parent / "data" / "verify_quick_20260815.json"
 
 # Every threshold key with its default, as (full, quick); theory uses full.
 REFERENCE_DEFAULTS = {
@@ -70,9 +76,16 @@ def test_every_catalogue_name_has_its_traced_method():
 
 def test_readme_check_table_lists_the_catalogue_in_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    rows = re.findall(r"^\| *(\d+) *\| *`([a-z-]+)` *\|", readme, flags=re.MULTILINE)
-    assert [int(number) for number, _ in rows] == list(range(1, len(ALL_CHECKS) + 1))
-    assert tuple(name for _, name in rows) == ALL_CHECKS
+    rows = re.findall(
+        r"^\| *(\d+) *\| *`([a-z-]+)` *\| *([^|]*?) *\|", readme, flags=re.MULTILINE
+    )
+    assert [int(number) for number, _, _ in rows] == list(range(1, len(ALL_CHECKS) + 1))
+    assert tuple(name for _, name, _ in rows) == ALL_CHECKS
+    for (_, name, cell), check in zip(rows, CATALOGUE):
+        if check.cases:
+            assert cell == "; ".join(f"{law.label()}, β={beta:g}" for law, beta in check.cases)
+        else:  # a cross-route check sweeps a law x beta grid of its own
+            assert "×" in cell, name
 
 
 def test_unknown_profile_is_rejected():
@@ -105,6 +118,9 @@ def test_unknown_check_name_is_rejected():
         {"tail-exponent": 0},
         {"tail-exponent.band_beta0": 0.0},
         {"tail-exponent.band_beta1": "0"},
+        {"dual-route-pi": True},
+        {"degree-lln.r1": False},
+        {"dual-route-pi": np.True_},
     ],
 )
 def test_bad_threshold_overrides_are_rejected(thresholds):
@@ -183,6 +199,26 @@ class TestSessionMechanics:
         assert [c.name for c in report.checks] == list(ALL_CHECKS)
         failing = [c.name for c in report.checks if not c.passed]
         assert failing == []
+        doc = report.to_json()
+        for check in doc["checks"]:
+            del check["detail"]["elapsed_s"]
+        assert_same_document(doc, json.loads(GOLDEN_QUICK.read_text()))
+
+
+def assert_same_document(got, want, where="report"):
+    """Keys, strings, bools and ints equal; floats equal to 1e-9 relative."""
+    if isinstance(want, float):
+        assert type(got) is float and math.isclose(got, want, rel_tol=1e-9), (where, got, want)
+    elif isinstance(want, dict):
+        assert type(got) is dict and sorted(got) == sorted(want), (where, sorted(got))
+        for key, value in want.items():
+            assert_same_document(got[key], value, f"{where}.{key}")
+    elif isinstance(want, list):
+        assert type(got) is list and len(got) == len(want), (where, got)
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert_same_document(a, b, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (where, got, want)
 
 
 def serial_size_limit_detail(master, runs, osc_tol):
@@ -292,3 +328,58 @@ class TestNegativeControls:
         names = ("degree-lln", "tail-exponent", "growth-exponents", "embedding-equivalence")
         report = VerifySession(profile="quick").run(names)
         assert [c.name for c in report.checks if c.passed] == []
+
+    def test_a_spectrum_at_the_wrong_offset_turns_the_theory_checks_red(self, monkeypatch):
+        real = verify.pi_recursive
+
+        def shifted(law, beta, j_max):
+            return real(law, beta + 1.0, j_max)
+
+        monkeypatch.setattr(verify, "pi_recursive", shifted)
+        report = VerifySession(profile="theory").run()
+        assert [c.name for c in report.checks if not c.passed] == [
+            "explicit-spectrum-crosscheck",
+            "dual-route-pi",
+            "tail-exponent",
+            "moment-dichotomy",
+        ]
+
+
+class TestCasesAreData:
+    """Each empirical check runs exactly the (law, beta) cases of its row."""
+
+    def test_rows_sharing_an_artifact_agree_on_their_first_case(self):
+        first = {c.name: c.cases[0] for c in CATALOGUE if c.cases}
+        assert first["tail-exponent"] == first["degree-lln"]  # both read lln_run
+        assert first["index-freezing"] == first["growth-exponents"]  # both read ensemble
+
+    @pytest.mark.parametrize("check", [c for c in CATALOGUE if c.cases], ids=lambda c: c.name)
+    def test_a_check_samples_exactly_its_cases(self, monkeypatch, check):
+        seen = set()
+
+        def recording(real, case_of):
+            def wrapper(*args, **kwargs):
+                law, beta = case_of(*args)
+                seen.add((law.label(), beta))
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        def of_model(model, *_):
+            return model.edge_law, model.beta
+
+        def of_law_beta(law, beta, *_):
+            return law, beta
+
+        for name, case_of in [
+            ("run_chain", of_model),
+            ("replicate", of_model),
+            ("run_embedding", of_law_beta),
+            ("pi_recursive", of_law_beta),
+        ]:
+            monkeypatch.setattr(verify, name, recording(getattr(verify, name), case_of))
+        draw = recording(_PathBuffers.draw, lambda _, initial, beta, law, *__: (law, beta))
+        monkeypatch.setattr(_PathBuffers, "draw", draw)
+        # a fresh session, so the check builds the shared artifacts it reads
+        VerifySession(profile="quick").run((check.name,))
+        assert seen == {(law.label(), beta) for law, beta in check.cases}
