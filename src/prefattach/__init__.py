@@ -39,7 +39,6 @@ from .graph import (
     DegreeLedger,
     ModelConfig,
     RunResult,
-    choose_vertex,
     run_chain,
 )
 from .laws import (
@@ -90,7 +89,6 @@ __all__ = [
     "TailFit",
     "TauDiagnostics",
     "VerifySession",
-    "choose_vertex",
     "deterministic",
     "distribution_distance",
     "embedding_equivalence_test",

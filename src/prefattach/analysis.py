@@ -13,7 +13,8 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import DegenerateBinning, InsufficientBins, SeriesTooShort, checked_int
+from .errors import DegenerateBinning, InsufficientBins, RangeError, SeriesTooShort
+from .errors import checked_int, checked_real
 from .theory import LimitSpectrum
 
 _MIN_TAIL_COUNT = 5  # vertices a degree needs to enter an empirical tail fit
@@ -128,6 +129,8 @@ class ConvergenceReport:
 def _scaled_tail_report(
     ns: np.ndarray, values: np.ndarray, exponent: float, threshold: float
 ) -> ConvergenceReport:
+    exponent = checked_real("exponent", exponent)
+    threshold = checked_real("threshold", threshold)
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     if ns.shape != values.shape:
@@ -185,6 +188,8 @@ def freeze_detector(ns: np.ndarray, series: np.ndarray) -> FreezeReport:
     series = np.asarray(series)
     if ns.shape != series.shape or ns.shape[0] < 2:
         raise SeriesTooShort("need two aligned recorded points at least")
+    if not np.all(ns[1:] > ns[:-1]):
+        raise RangeError("ns", "recorded steps must be strictly increasing")
     changes = np.nonzero(series[1:] != series[:-1])[0]
     last = int(ns[changes[-1] + 1]) if changes.shape[0] else 0
     horizon = int(ns[-1])
@@ -349,7 +354,10 @@ def uniformity_ks(pvalues: np.ndarray) -> float:
     For the sorted sample x_(1) <= ... <= x_(n) it is the larger of
     max_i i/n - x_(i) and max_i x_(i) - (i-1)/n.
     """
-    x = np.sort(np.clip(np.asarray(pvalues, dtype=float), 0.0, 1.0))
+    x = np.asarray(pvalues, dtype=float)
+    if x.ndim != 1 or x.shape[0] == 0 or not np.isfinite(x).all():
+        raise RangeError("pvalues", "need a non-empty sequence of finite values")
+    x = np.sort(np.clip(x, 0.0, 1.0))
     n = x.shape[0]
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - x), np.max(x - (i - 1) / n)))

@@ -22,7 +22,7 @@ same target as that earlier step", a pointer resolved by pointer jumping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -73,60 +73,15 @@ def _degree_counts(degrees: np.ndarray) -> dict[int, int]:
 class DegreeLedger:
     """Degree bookkeeping of one graph state.
 
-    Vertices are labelled from 1.  ``degrees`` is the degree sequence,
-    ``endpoints`` the edge-endpoint multiset (vertex i appears d_i times),
-    ``counts`` maps degree j to the number of vertices of that degree, and
-    ``max_degree`` / ``argmax`` give the maximum and the smallest vertex
-    attaining it.
+    ``degrees`` lists the degrees of vertices 1..n+2 in label order, and
+    ``counts`` maps degree j to the number of vertices of that degree.
     """
 
-    __slots__ = ("_deg", "endpoints", "counts", "total_degree", "step", "max_degree", "argmax")
+    __slots__ = ("degrees", "counts")
 
-    def __init__(self, degrees: np.ndarray, endpoints: np.ndarray):
-        """``degrees[v]`` is the degree of vertex v (entry 0 is unused)."""
-        self._deg = degrees
-        self.endpoints = endpoints
-        self.counts = _degree_counts(degrees[1:])
-        self.total_degree = int(endpoints.shape[0])
-        self.step = degrees.shape[0] - 3
-        self.argmax = int(np.argmax(degrees))  # the first maximum: smallest label
-        self.max_degree = int(degrees[self.argmax])
-
-    @property
-    def degrees(self) -> np.ndarray:
-        """Degrees of vertices 1..n+2 (index 0 of the view is vertex 1)."""
-        return self._deg[1:]
-
-    @classmethod
-    def from_degrees(cls, degrees: Sequence[int]) -> "DegreeLedger":
-        """Assemble a ledger from an explicit degree sequence (vertex 1 first).
-
-        Useful for frozen-state sampling tests; ``step`` is set to
-        len(degrees) - 2 so that the selection weights see the right vertex
-        count.
-        """
-        seq = np.asarray(list(degrees), dtype=np.int64)
-        if seq.ndim != 1 or seq.shape[0] < 1:
-            raise RangeError("degrees", "need at least one vertex")
-        if np.any(seq < 1):
-            raise RangeError("degrees", "degrees must be >= 1")
-        ends = np.repeat(np.arange(1, seq.shape[0] + 1, dtype=np.int64), seq)
-        return cls(np.concatenate(([0], seq)), ends)
-
-
-def choose_vertex(ledger: DegreeLedger, beta: float, rng: np.random.Generator) -> int:
-    """Draw the attachment target from a ledger's state, without mutating it.
-
-    Implements the two-stage mixture described in the module docstring, one
-    draw at a time (for beta = 0 always the endpoint route): the exact-law
-    oracle, on a frozen ledger, for the routes ``run_chain`` takes in bulk.
-    """
-    total = ledger.total_degree
-    if beta > 0.0:
-        n_vert = ledger.step + 2
-        if rng.random() * (total + n_vert * beta) >= total:
-            return 1 + int(rng.random() * n_vert)
-    return int(ledger.endpoints[int(rng.random() * total)])
+    def __init__(self, degrees: np.ndarray):
+        self.degrees = degrees
+        self.counts = _degree_counts(degrees)
 
 
 @dataclass(frozen=True)
@@ -280,10 +235,10 @@ def run_chain(config: ModelConfig, snapshot_steps: Iterable[int] = ()) -> RunRes
         if 0 <= s <= n
     }
     del x
-    degrees = np.bincount(ends, minlength=n + 3)
+    degrees = np.bincount(ends, minlength=n + 3)[1:]
     return RunResult(
         config=config,
-        ledger=DegreeLedger(degrees, ends),
+        ledger=DegreeLedger(degrees),
         steps=steps,
         probes=probes,
         max_series=max_series,

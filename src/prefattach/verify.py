@@ -233,6 +233,14 @@ def _json_safe(value):
     return value
 
 
+def _route_gaps(tol, j_max, routes):
+    """A cross-route check's result: each (key, route A, route B) triple's
+    largest |A - B|, and the worst of them against ``tol`` (a NaN fails)."""
+    per_combo = {key: float(np.max(np.abs(a - b))) for key, a, b in routes}
+    worst = float(np.max(list(per_combo.values())))
+    return worst, tol, worst <= tol, {"per_combo_max_abs_gap": per_combo, "j_max": j_max}
+
+
 class VerifySession:
     """Runs the acceptance checks at a profile's scale, sharing artifacts."""
 
@@ -322,35 +330,24 @@ class VerifySession:
     # (value, threshold, passed, detail) -----------------------------------
 
     def check_explicit_spectrum_crosscheck(self, row):
-        tol = row.headline
-        worst = 0.0
-        per_combo = {}
-        for x0 in (1, 2, 3):
-            for beta in (0.0, 0.5, 1.0, 3.0):
-                spec = pi_recursive(deterministic(x0), beta, 300)
-                closed = np.array(
-                    [pi_explicit(x0, beta, j) for j in range(301)]
-                )
-                gap = float(np.max(np.abs(spec.pi - closed)))
-                per_combo[f"x0={x0},beta={beta:g}"] = gap
-                worst = max(worst, gap)
-        detail = {"per_combo_max_abs_gap": per_combo, "j_max": 300}
-        return worst, tol, worst <= tol, detail
+        routes = (
+            (f"x0={x0},beta={beta:g}", pi_recursive(deterministic(x0), beta, 300).pi,
+             np.array([pi_explicit(x0, beta, j) for j in range(301)]))
+            for x0 in (1, 2, 3)
+            for beta in (0.0, 0.5, 1.0, 3.0)
+        )
+        return _route_gaps(row.headline, 300, routes)
 
     def check_dual_route_pi(self, row):
         tol = row.headline
         laws = [deterministic(1), deterministic(2), explicit([0.5, 0.5]), geometric(0.5)]
-        worst = 0.0
-        per_combo = {}
-        for law in laws:
-            for beta in (0.0, 1.0):
-                spec = pi_recursive(law, beta, 100)
-                quad = pi_quadrature(law, beta, 100, tol=tol)
-                gap = float(np.max(np.abs(spec.pi - quad)))
-                per_combo[f"{law.label()},beta={beta:g}"] = gap
-                worst = max(worst, gap)
-        detail = {"per_combo_max_abs_gap": per_combo, "j_max": 100}
-        return worst, tol, worst <= tol, detail
+        routes = (
+            (f"{law.label()},beta={beta:g}", pi_recursive(law, beta, 100).pi,
+             pi_quadrature(law, beta, 100, tol=tol))
+            for law in laws
+            for beta in (0.0, 1.0)
+        )
+        return _route_gaps(tol, 100, routes)
 
     def check_degree_lln(self, row):
         [(law, beta)] = row.cases

@@ -8,7 +8,15 @@ import warnings
 import numpy as np
 import pytest
 
-from prefattach.analysis import empirical_distribution, split_half_pvalues, tail_fit
+from prefattach.analysis import (
+    empirical_distribution,
+    freeze_detector,
+    max_degree_check,
+    split_half_pvalues,
+    tail_fit,
+    trajectory_limit_check,
+    uniformity_ks,
+)
 from prefattach.branching import (
     BranchingConfig,
     JumpPath,
@@ -51,6 +59,9 @@ def _rng():
 
 # Past the cap, and where rate + j + beta overflows to inf.
 HUGE_BETAS = [2 * MAX_BETA, 1e308]
+
+# A recorded series long enough for the plateau checks.
+STEPS = np.arange(1, 21)
 
 # (entry point, field it must name, call with the bad value, bad values).
 # Out-of-range values are covered next to each entry point's own tests, apart
@@ -112,6 +123,28 @@ CASES = [
     ("mix64", "index", lambda v: mix64(0, v), [-1, 2**64, 1.5, True]),
     ("substream", "master_seed", lambda v: substream(v, 0), [-1, 1.5, True]),
     ("substream", "index", lambda v: substream(0, v), [-1, 1.5, True]),
+    ("uniformity_ks", "pvalues", uniformity_ks, [[], [math.nan, 0.5], [0.5, math.inf]]),
+    (
+        "freeze_detector", "ns", lambda v: freeze_detector(v, [1, 2, 2]),
+        [[0, 5, 3], [0, 5, 5], [0, math.nan, 3]],
+    ),
+    (
+        "trajectory_limit_check", "exponent", lambda v: trajectory_limit_check(STEPS, STEPS, v),
+        [math.nan, math.inf, True],
+    ),
+    (
+        "trajectory_limit_check", "threshold",
+        lambda v: trajectory_limit_check(STEPS, STEPS, 0.5, threshold=v),
+        [math.nan, -1.0, True],
+    ),
+    (
+        "max_degree_check", "exponent", lambda v: max_degree_check(STEPS, STEPS, v),
+        [math.nan, math.inf, True],
+    ),
+    (
+        "max_degree_check", "threshold", lambda v: max_degree_check(STEPS, STEPS, 0.5, threshold=v),
+        [math.nan, -1.0, True],
+    ),
     (
         "moment_profile", "s", lambda v: moment_profile(pi_recursive(LAW, 0.0, 40), [v]),
         [math.nan, math.inf, "a", True],

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from prefattach.analysis import empirical_distribution
 from prefattach.branching import TauDiagnostics, run_embedding, tau_diagnostics
 from prefattach.errors import MismatchedLengths
-from prefattach.graph import DegreeLedger
 from prefattach.laws import deterministic, geometric
 from prefattach.outputs import (
     _CHUNK,
@@ -31,8 +30,7 @@ from prefattach.theory import LimitSpectrum, pi_explicit, pi_quadrature, pi_recu
 
 class TestDegreeDistributionFile:
     def test_starting_graph_row_is_rendered_exactly(self, tmp_path):
-        led = DegreeLedger.from_degrees([1, 1])
-        emp = empirical_distribution(led.counts)
+        emp = empirical_distribution({1: 2})
         spec = pi_recursive(deterministic(1), 0.0, 1)
         path = tmp_path / "dd.csv"
         write_degree_distribution(str(path), emp, spec)
@@ -42,8 +40,7 @@ class TestDegreeDistributionFile:
         )
 
     def test_rows_extend_to_the_spectrum_even_without_counts(self, tmp_path):
-        led = DegreeLedger.from_degrees([1, 1])
-        emp = empirical_distribution(led.counts)
+        emp = empirical_distribution({1: 2})
         spec = pi_recursive(deterministic(1), 0.0, 3)
         path = tmp_path / "dd.csv"
         write_degree_distribution(str(path), emp, spec)

@@ -329,6 +329,22 @@ class TestNegativeControls:
         report = VerifySession(profile="quick").run(names)
         assert [c.name for c in report.checks if c.passed] == []
 
+    def test_a_nan_in_the_last_route_pair_turns_the_cross_route_checks_red(self, monkeypatch):
+        # a NaN gap must fail its check, not drop out of the running maximum
+        explicit_pi, quadrature = verify.pi_explicit, verify.pi_quadrature
+
+        def nan_explicit(x0, beta, j):
+            return np.nan if x0 == 3 else explicit_pi(x0, beta, j)
+
+        def nan_quadrature(law, beta, j_max, tol):
+            pi = quadrature(law, beta, j_max, tol=tol)
+            return pi * np.nan if law.label() == "geom:0.5" and beta == 1.0 else pi
+
+        monkeypatch.setattr(verify, "pi_explicit", nan_explicit)
+        monkeypatch.setattr(verify, "pi_quadrature", nan_quadrature)
+        names = ("explicit-spectrum-crosscheck", "dual-route-pi")
+        assert [c.passed for c in VerifySession(profile="theory").run(names).checks] == [False] * 2
+
     def test_a_spectrum_at_the_wrong_offset_turns_the_theory_checks_red(self, monkeypatch):
         real = verify.pi_recursive
 
