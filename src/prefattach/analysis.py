@@ -82,9 +82,8 @@ def tail_fit(
         raise InsufficientBins(f"bad fit range [{j_min}, {j_max}]")
     xs, ys = [], []
     if isinstance(source, EmpiricalDistribution):
-        for j in range(j_min, j_max + 1):
-            c = source.counts.get(j, 0)
-            if c >= _MIN_TAIL_COUNT:
+        for j in sorted(source.counts):  # the observed degrees, not the whole range
+            if j_min <= j <= j_max and source.counts[j] >= _MIN_TAIL_COUNT:
                 xs.append(j)
                 ys.append(source.freq[j])
     else:
@@ -188,13 +187,12 @@ def freeze_detector(ns: np.ndarray, series: np.ndarray) -> FreezeReport:
     series = np.asarray(series)
     if ns.shape != series.shape or ns.shape[0] < 2:
         raise SeriesTooShort("need two aligned recorded points at least")
-    if not np.all(ns[1:] > ns[:-1]):
-        raise RangeError("ns", "recorded steps must be strictly increasing")
+    if not (ns[0] >= 0 and np.all(ns[1:] > ns[:-1])):
+        raise RangeError("ns", "recorded steps must be non-negative and strictly increasing")
     changes = np.nonzero(series[1:] != series[:-1])[0]
-    last = int(ns[changes[-1] + 1]) if changes.shape[0] else 0
-    horizon = int(ns[-1])
-    frac = (horizon - last) / horizon if horizon > 0 else 1.0
-    return FreezeReport(frozen_fraction=float(frac))
+    last = float(ns[changes[-1] + 1]) if changes.shape[0] else 0.0
+    horizon = float(ns[-1])  # > 0, as ns[0] >= 0 and ns increases
+    return FreezeReport(frozen_fraction=(horizon - last) / horizon)
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,9 @@ CATALOGUE = (
         "discrete chain and event-clock construction share one degree law",
         ">", 0.001, {"calibration_ks": (0.1, 0.25)}, cases=((deterministic(1), 0.0),),
     ),
-    # S_n/n runs every case; the tau_1 and drift parts run the first.
+    # S_n/n runs every case; the wait and drift parts run the first.
+    # "tau1_sigmas" bounds the mean scaled wait S_k (tau_{k+1} - tau_k) in
+    # standard errors; S_0 tau_1 is the first term of that mean.
     Check(
         "event-time-asymptotics",
         "event times follow the 1/S drift and alpha log n asymptotics",
@@ -270,7 +272,6 @@ class VerifySession:
         self.embed_eq_reps = 2000 if full else 300
         self.embed_eq_n = 200 if full else 100
         self.calib_trials = 200 if full else 50
-        self.tau1_reps = 10**5 if full else 5000
         self.drift_reps = 100 if full else 20
         self.drift_n = 10**4 if full else 2000
         # S_n/n has sd 2 sqrt(Var X / n), 0.0115 for geom:0.5 at 6 * 10^4,
@@ -504,31 +505,28 @@ class VerifySession:
 
     def check_event_time_asymptotics(self, row):
         law, beta = row.cases[0]
-        # (a) mean of tau_1 ~ Exp(S_0) against 1/S_0; the two founders have
-        # size 1, so S_0 = 2 + 2 beta.
-        mean_tau1_theory = 1.0 / (2.0 + 2.0 * beta)
-        rng = self._rng(9)
-        reps = self.tau1_reps
-        tau1 = np.array([run_embedding(law, beta, 1, rng).taus[0] for _ in range(reps)])
-        mean_tau1 = float(tau1.mean())
-        sigma = mean_tau1_theory / np.sqrt(reps)  # the sd of Exp(S_0) is its mean
-        tau1_gap = abs(mean_tau1 - mean_tau1_theory)
-        tau1_tol = row.tau1_sigmas * sigma
-
-        # (b) tau_n - alpha log n settles.
-        rng_b = self._rng(99)
+        # (a) tau_n - alpha log n settles; the scaled waits S_k (tau_{k+1} -
+        # tau_k) of the same runs (tau_0 = 0) are iid Exp(1), since a clock's
+        # rate changes only when it fires, so their mean has sd 1/sqrt(N).
+        rng = self._rng(99)
         osc_tol = row.drift_osc
         hits = 0
         oscs = []
+        wait_sum = 0.0
         for _ in range(self.drift_reps):
-            res = run_embedding(law, beta, self.drift_n, rng_b)
+            res = run_embedding(law, beta, self.drift_n, rng)
             diag = tau_diagnostics(res.taus, res.s_values, law.mean, beta)
             oscs.append(diag.log_drift_tail_osc)
             hits += diag.log_drift_tail_osc < osc_tol
+            wait_sum += float(res.s_values[:-1] @ np.diff(res.taus, prepend=0.0))
+        waits = self.drift_reps * self.drift_n
+        wait_mean = wait_sum / waits
+        wait_gap = abs(wait_mean - 1.0)
+        wait_tol = row.tau1_sigmas / np.sqrt(waits)
         drift_frac = hits / self.drift_reps
         drift_rate = row.headline
 
-        # (c) S_n / n near 2m + beta at the large scale, on substreams 999,
+        # (b) S_n / n near 2m + beta at the large scale, on substreams 999,
         # 9999, ...; det:1 is pinned (exact up to 2/n), a random law
         # exercises it with real randomness.
         sn_tol = row.sn
@@ -541,16 +539,15 @@ class VerifySession:
             )
 
         passed = (
-            tau1_gap <= tau1_tol
+            wait_gap <= wait_tol
             and drift_frac >= drift_rate
             and all(gap <= sn_tol for gap in sn_gaps.values())
         )
         return drift_frac, drift_rate, passed, {
-            "tau1_mean": mean_tau1,
-            "tau1_expected": mean_tau1_theory,
-            "tau1_gap": tau1_gap,
-            "tau1_tol_3sigma": tau1_tol,
-            "tau1_runs": reps,
+            "wait_mean": wait_mean,
+            "wait_gap": wait_gap,
+            "wait_tol_3sigma": wait_tol,
+            "waits": waits,
             "drift_runs": self.drift_reps,
             "drift_n": self.drift_n,
             "drift_osc_bound": osc_tol,

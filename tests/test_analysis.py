@@ -1,5 +1,8 @@
 """Empirical summaries, convergence detectors, and two-sample comparison."""
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,13 @@ class TestTailFit:
         emp = empirical_distribution({1: 100, 2: 50, 3: 4, 4: 30, 5: 20, 6: 10, 7: 8})
         fit = tail_fit(emp, 1, 30)
         assert fit.n_bins == 6  # j = 3 excluded
+
+    def test_a_huge_fit_range_costs_only_the_observed_degrees(self):
+        emp = empirical_distribution({int(k): int(1e6 * k**-3.0) + 5 for k in range(1, 200)})
+        start = time.perf_counter()
+        fit = tail_fit(emp, 3, 10**12)
+        assert time.perf_counter() - start < 1.0
+        assert fit == dataclasses.replace(tail_fit(emp, 3, emp.support_max), j_max=10**12)
 
     def test_too_few_usable_points_is_an_error(self):
         emp = empirical_distribution({1: 10, 2: 8, 3: 6})
@@ -124,6 +134,10 @@ class TestFreezeDetector:
             np.array([0, 1, 2, 3, 4]), np.array([1, 1, 2, 2, 2])
         )
         assert report.frozen_fraction == pytest.approx(0.5)
+
+    def test_fractional_steps_are_not_truncated(self):
+        report = freeze_detector([0.5, 1.5, 2.7], [0, 1, 1])
+        assert report.frozen_fraction == pytest.approx(1.2 / 2.7)
 
     def test_two_points_minimum(self):
         with pytest.raises(SeriesTooShort):

@@ -126,7 +126,7 @@ CASES = [
     ("uniformity_ks", "pvalues", uniformity_ks, [[], [math.nan, 0.5], [0.5, math.inf]]),
     (
         "freeze_detector", "ns", lambda v: freeze_detector(v, [1, 2, 2]),
-        [[0, 5, 3], [0, 5, 5], [0, math.nan, 3]],
+        [[0, 5, 3], [0, 5, 5], [0, math.nan, 3], [-5, -3, 0]],
     ),
     (
         "trajectory_limit_check", "exponent", lambda v: trajectory_limit_check(STEPS, STEPS, v),

@@ -312,8 +312,23 @@ class TestNegativeControls:
         monkeypatch.setattr(verify, "run_embedding", slow_clocks)
         (check,) = VerifySession(profile="quick").run(("event-time-asymptotics",)).checks
         assert not check.passed
-        assert check.detail["tau1_gap"] > check.detail["tau1_tol_3sigma"]
+        assert check.detail["wait_gap"] > check.detail["wait_tol_3sigma"]
         assert check.value < check.threshold
+
+    def test_event_times_fail_when_the_waits_after_the_first_run_slow(self, monkeypatch):
+        # tau_1 keeps its law; every later wait is 3 % too long
+        real = verify.run_embedding
+
+        def slow_later_waits(*args):
+            res = real(*args)
+            taus = res.taus.copy()
+            taus[1:] = taus[0] + 1.03 * (taus[1:] - taus[0])
+            return dataclasses.replace(res, taus=taus)
+
+        monkeypatch.setattr(verify, "run_embedding", slow_later_waits)
+        (check,) = VerifySession(profile="quick").run(("event-time-asymptotics",)).checks
+        assert not check.passed
+        assert check.detail["wait_mean"] > 1.0 + check.detail["wait_tol_3sigma"]
 
     def test_uniform_attachment_turns_the_degree_checks_red(self, monkeypatch):
         real = graph._draw_steps
@@ -359,6 +374,23 @@ class TestNegativeControls:
             "tail-exponent",
             "moment-dichotomy",
         ]
+
+
+def test_event_times_draw_no_one_event_embeddings(monkeypatch):
+    # the drift runs and one S_n/n run per case; the waits reuse the drift runs
+    real = verify.run_embedding
+    sizes = []
+
+    def counting(law, beta, n, rng):
+        sizes.append(n)
+        return real(law, beta, n, rng)
+
+    monkeypatch.setattr(verify, "run_embedding", counting)
+    session = VerifySession(profile="quick")
+    session.run(("event-time-asymptotics",))
+    row = verify._BY_NAME["event-time-asymptotics"]
+    assert len(sizes) == session.drift_reps + len(row.cases) == 22
+    assert 1 not in sizes
 
 
 class TestCasesAreData:
