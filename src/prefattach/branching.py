@@ -247,16 +247,22 @@ def simulate_mbpi(
             arrivals.append(t)
     founders = law.sample(rng, len(arrivals))
 
-    base = buffers.path(initial, 0.0, law, horizon, rng)
-    all_times = [base.times]
-    all_jumps = [np.diff(base.values, prepend=initial)]
+    # Each branch is drawn into the buffers and copied out as event times
+    # and jumps; an immigrant's branch starts with its arrival, a jump by X.
+    n = buffers.draw(initial, 0.0, law, horizon, rng)
+    sizes = buffers.sizes
+    all_times = [buffers.times[1 : n + 1].copy()]
+    all_jumps = [sizes[1 : n + 1] - sizes[:n]]
     for t_i, x_i in zip(arrivals, founders.tolist()):
-        branch = buffers.path(x_i, 0.0, law, horizon - t_i, rng)
-        all_times.append(np.concatenate(([t_i], t_i + branch.times)))
-        all_jumps.append(np.diff(branch.values, prepend=[0, x_i]))
+        n = buffers.draw(x_i, 0.0, law, horizon - t_i, rng)
+        sizes = buffers.sizes
+        all_times.append(buffers.times[: n + 1] + t_i)
+        jumps = sizes[: n + 1].copy()
+        jumps[1:] -= sizes[:n]
+        all_jumps.append(jumps)
 
     times = np.concatenate(all_times)
-    jumps = np.concatenate(all_jumps)
+    jumps = np.concatenate(all_jumps).astype(np.int64)
     order = np.argsort(times, kind="stable")
     return JumpPath(initial=initial, times=times[order], values=initial + np.cumsum(jumps[order]))
 
@@ -311,11 +317,12 @@ def run_embedding(
     size_sum = 2
     s_values = [size_sum + 2 * beta]
 
-    pop, push = heapq.heappop, heapq.heappush
+    # The owner's new clock replaces the popped one in a single sift.
+    refire, push = heapq.heapreplace, heapq.heappush
     for j, x in enumerate(jumps, start=3):
-        t, i = pop(heap)
+        t, i = heap[0]
         sizes[i] += x
-        push(heap, (t + clock() / (sizes[i] + beta), i))
+        refire(heap, (t + clock() / (sizes[i] + beta), i))
         push(heap, (t + clock() / (x + beta), j))
         size_sum += 2 * x
         taus.append(t)
@@ -330,6 +337,81 @@ def run_embedding(
         xs=xs,
         s_values=np.array(s_values, dtype=float),
     )
+
+
+def _run_lockstep(
+    edge_law: EdgeCountDistribution,
+    beta: float,
+    n: int,
+    rngs,
+) -> list[EmbeddingResult]:
+    """``run_embedding`` once per generator of ``rngs``, advanced in lockstep.
+
+    One array holds every run's clocks, a row per run and a column per
+    process (+inf until it is born).  Each event takes the row's argmin where
+    ``run_embedding`` takes the top of its heap; a tie goes to the smallest
+    label there too.  Each run draws the same variates in the same order (its X's, then
+    its 2n + 2 unit clocks) and the arithmetic is the same, so every result
+    is bit-identical to ``run_embedding`` on that generator.
+    """
+    n = checked_int("n", n, 0)
+    law = validate_edge_law(edge_law)
+    beta = checked_real("beta", beta, 0.0, MAX_BETA)
+    batch = len(rngs)
+
+    xs = np.empty((batch, n), dtype=np.int64)
+    units = np.empty((batch, 2 * n + 2))
+    for r, rng in enumerate(rngs):
+        xs[r] = law.sample(rng, n)
+        rng.standard_exponential(2 * n + 2, out=units[r])
+    # the event columns, contiguous: the k-th jumps, the k-th refiring unit
+    # clocks and the k-th newborns' first waits
+    jumps = np.ascontiguousarray(xs.T)
+    refire = np.ascontiguousarray(units[:, 2::2].T)
+    newborn = np.ascontiguousarray(units[:, 3::2].T)
+    newborn /= jumps + beta
+
+    clocks = np.full((batch, n + 2), np.inf)
+    clocks[:, :2] = units[:, :2] / (1.0 + beta)
+    sizes = np.empty((batch, n + 2), dtype=np.int64)
+    sizes[:, :2] = 1
+    sizes[:, 2:] = xs  # a newborn's entry already holds its X
+    taus = np.empty((n, batch))
+    chosen = np.empty((n, batch), dtype=np.int64)
+    # the fired clock of each row, as an index into the flattened arrays
+    flat_clocks, flat_sizes = clocks.ravel(), sizes.ravel()
+    row_start = np.arange(batch) * (n + 2)
+    for k in range(n):
+        i = clocks[:, : k + 2].argmin(axis=1)
+        chosen[k] = i
+        i += row_start
+        t = flat_clocks[i]
+        size = flat_sizes[i]
+        size += jumps[k]
+        flat_sizes[i] = size
+        flat_clocks[i] = t + refire[k] / (size + beta)
+        clocks[:, k + 2] = t + newborn[k]
+        taus[k] = t
+    chosen += 1
+    taus, chosen = taus.T.copy(), chosen.T.copy()
+    # S_k = 2 + 2 (X_1 + ... + X_k) + (k + 2) beta, as run_embedding sums it
+    size_sum = np.zeros((batch, n + 1), dtype=np.int64)
+    np.cumsum(xs, axis=1, out=size_sum[:, 1:])
+    size_sum *= 2
+    size_sum += 2
+    s_values = size_sum + np.arange(2, n + 3) * beta
+    zero = np.zeros(2)
+    return [
+        EmbeddingResult(
+            sizes=sizes[r],
+            start_times=np.concatenate((zero, taus[r])),
+            taus=taus[r],
+            chosen=chosen[r],
+            xs=xs[r],
+            s_values=s_values[r],
+        )
+        for r in range(batch)
+    ]
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,18 @@ vertex of the step that made it (edge 0 is the seed pair 1, 2).  Once all X
 are drawn, T before every step is known, so all coins and picks are drawn up
 front.  An odd entry names a new vertex outright; an even entry means "the
 same target as that earlier step", a pointer resolved by pointer jumping.
+
+Short replicates share one such pass (``_run_pass``; ``run_chain`` is the pass
+for one replicate).  Each draws its steps from its own generator, and the
+pass packs replicate r's step k into the index r (n + 1) + k and its vertex v
+into the label r (n + 3) + v, so targets, degrees, probes and M_n/I_n are
+resolved once for the whole batch and unpacked row by row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -132,22 +138,41 @@ def _draw_steps(
     return x, uniform, pick
 
 
-def _resolve_targets(x: np.ndarray, uniform: np.ndarray, pick: np.ndarray) -> np.ndarray:
+def _resolve_targets(
+    x: np.ndarray, uniform: np.ndarray, pick: np.ndarray, batch: int = 1
+) -> np.ndarray:
     """The target of every step (entry 0: vertex 1, the seed edge's first end).
 
     Entry 2e of the endpoint list is the target of the step that made edge e
     and entry 2e + 1 its new vertex.  An unresolved target is stored as the
-    pointer ~s to the step s whose target it shares.
+    pointer ~s to the step s whose target it shares.  For a batch the arrays
+    hold the replicates' draws one after the other, and the targets come back
+    as packed labels (see the module docstring).
     """
-    n = pick.shape[0]
-    step_of_edge = np.repeat(np.arange(n + 1, dtype=np.int32), x)
+    n = pick.shape[0] // batch
+    if batch > 1:
+        # Pack replicate r into its picks: an endpoint index moves past the
+        # endpoints of the replicates before it, a vertex index by r (n + 1).
+        ends = 2 * x.reshape(batch, n + 1).sum(axis=1)
+        shift = np.where(
+            uniform,
+            np.repeat(np.arange(batch) * (n + 1), n),
+            np.repeat(np.cumsum(ends) - ends, n),
+        )
+        pick = pick + shift
+        del shift
+    step_of_edge = np.repeat(np.arange(batch * (n + 1), dtype=np.int32), x)
     owner = step_of_edge[pick >> 1]
     del step_of_edge
     # Odd entry: owner's new vertex, owner + 2.  Even: pointer ~owner.
     body = np.where(pick & 1, owner + 2, ~owner)
     body[uniform] = pick[uniform] + 1
     del owner
-    targets = np.insert(body, 0, 1)
+    targets = np.empty((batch, n + 1), dtype=body.dtype)
+    targets[:, 0] = np.arange(batch) * (n + 1) + 1
+    targets[:, 1:] = body.reshape(batch, n)
+    del body
+    targets = targets.ravel()
     todo = np.flatnonzero(targets < 0)
     while todo.shape[0]:
         # Pointer jumping: take what the pointed-to step holds, a label or its
@@ -155,25 +180,37 @@ def _resolve_targets(x: np.ndarray, uniform: np.ndarray, pick: np.ndarray) -> np
         held = targets[~targets[todo]]
         targets[todo] = held
         todo = todo[held < 0]
+    # Labels were packed by r (n + 1) so far, which is what a step index
+    # gives; the last 2r of the packing is positional.
+    targets.reshape(batch, n + 1)[...] += 2 * np.arange(batch, dtype=targets.dtype)[:, None]
     return targets
 
 
 def _probe_degrees(x: np.ndarray, targets: np.ndarray, v: int, steps: np.ndarray) -> np.ndarray:
-    """Degree of vertex v at the recorded steps, 0 before it is born."""
-    gain = np.where(targets == v, x, 0)  # x[0] = 1 is vertex 1's seed end
-    if 2 <= v < x.shape[0] + 2:
-        gain[v - 2] += x[v - 2]  # its ends as the new vertex of step v - 2
-    return np.cumsum(gain)[steps]
+    """Degree of vertex v at the recorded steps, 0 before it is born.
+
+    ``x`` and ``targets`` hold one row per replicate; so does the result.
+    """
+    batch, size = x.shape
+    label = np.arange(batch)[:, None] * (size + 2) + v
+    gain = np.where(targets == label, x, 0)  # x[0] = 1 is vertex 1's seed end
+    if 2 <= v < size + 2:
+        gain[:, v - 2] += x[:, v - 2]  # its ends as the new vertex of step v - 2
+    return np.cumsum(gain, axis=1)[:, steps]
 
 
-def _max_series(x: np.ndarray, targets: np.ndarray, steps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """M_n and I_n at the recorded steps."""
-    n = x.shape[0] - 1
+def _max_series(x: np.ndarray, targets: np.ndarray, steps: np.ndarray, batch: int):
+    """M_n and I_n at the recorded steps, one row per replicate."""
+    size = x.shape[0]
+    n = size // batch - 1
+    labels = n + 3
     # Sort the steps by (target, step), packed as target << 32 | step: each
-    # vertex's attachments form one run, in time order.
-    key = targets[1:].astype(np.int64)
+    # vertex's attachments form one run, in time order.  A replicate's step 0
+    # (its seed edge) attaches to no one.
+    key = targets.reshape(batch, n + 1)[:, 1:].astype(np.int64)
     key <<= 32
-    key |= np.arange(1, n + 1)
+    key |= np.arange(size).reshape(batch, n + 1)[:, 1:]
+    key = key.ravel()
     key.sort()
     order = key & 0xFFFFFFFF
     key >>= 32
@@ -182,27 +219,101 @@ def _max_series(x: np.ndarray, targets: np.ndarray, steps: np.ndarray) -> tuple[
     # the run, started at the vertex's degree at birth (x[0] = 1 for both
     # roots) and cut off from the previous run by subtracting its total.
     reached = x[order]
-    reached[first] += x[np.maximum(key[first] - 2, 0)]
+    # Label r (n + 3) + v was born at step r (n + 1) + max(v - 2, 0).
+    born_at, vertex = np.divmod(key[first], labels)
     del key
+    born_at *= n + 1
+    vertex -= 2
+    born_at += np.maximum(vertex, 0, out=vertex)
+    del vertex
+    reached[first] += x[born_at]
+    del born_at
     reached[first[1:]] -= np.add.reduceat(reached, first)[:-1]
     np.cumsum(reached, out=reached)
 
-    after = np.empty(n + 1, dtype=np.int64)
-    after[0] = 1  # step 0: vertex 1 holds the maximum, degree 1
+    after = np.empty(size, dtype=np.int64)
+    after[:: n + 1] = 1  # step 0: vertex 1 holds the maximum, degree 1
     after[order] = reached
     del order, reached
 
-    peak = np.maximum.accumulate(after)
+    peak = np.maximum.accumulate(after.reshape(batch, n + 1), axis=1).ravel()
     hits = np.flatnonzero(after == peak)
     del after
     # I_n is the smallest label at the running maximum: a running minimum over
-    # the steps whose target reaches the maximum, restarted whenever it rises.
-    # Later levels get smaller offsets, so one minimum.accumulate restarts.
-    level = np.cumsum(np.diff(peak[hits], prepend=0) > 0)
-    offset = (level[-1] - level) * (n + 3)
+    # the steps whose target reaches the maximum, restarted whenever it rises
+    # and at each replicate's step 0.  Later levels get smaller offsets, so
+    # one minimum.accumulate restarts.
+    rise = np.diff(peak[hits], prepend=0) > 0
+    rise[hits % (n + 1) == 0] = True
+    level = np.cumsum(rise)
+    offset = (level[-1] - level) * (batch * labels)
     best = np.minimum.accumulate(offset + targets[hits]) - offset
-    argmax_series = best[np.searchsorted(hits, steps, side="right") - 1]
-    return peak[steps], argmax_series
+    at = np.arange(batch)[:, None] * (n + 1) + steps
+    argmax_series = best[np.searchsorted(hits, at, side="right") - 1]
+    argmax_series -= np.arange(batch)[:, None] * labels
+    return peak[at], argmax_series
+
+
+class _Pass(NamedTuple):
+    """What one pass records, row r (or item r) for replicate r."""
+
+    steps: np.ndarray  # recorded step indices, shared by every replicate
+    degrees: np.ndarray  # degrees of vertices 1..n+2
+    probes: dict[int, np.ndarray]  # vertex -> degree at each recorded step
+    max_series: np.ndarray
+    argmax_series: np.ndarray
+    snapshots: list[dict[int, dict[int, int]]]
+
+
+def _run_pass(config: ModelConfig, seeds, snapshot_steps=()) -> _Pass:
+    """Run config's chain once per seed, all resolved in one pass.
+
+    Each replicate draws all its steps from its own generator, so each row
+    is what the run at that seed alone gives.  ``snapshot_steps`` is a sorted
+    list of steps to record the degree counts at; steps outside 0..n are
+    ignored.
+    """
+    _check_size(config)
+    n, batch = config.n, len(seeds)
+    draws = [_draw_steps(config, np.random.default_rng(seed)) for seed in seeds]
+    x, uniform, pick = (parts[0] if batch == 1 else np.concatenate(parts) for parts in zip(*draws))
+    del draws
+    targets = _resolve_targets(x, uniform, pick, batch)
+    del uniform, pick
+
+    steps = np.arange(0, n + 1, config.record_stride)
+    if steps[-1] != n:
+        steps = np.append(steps, n)
+    rows = x.reshape(batch, n + 1), targets.reshape(batch, n + 1)
+    probes = {v: _probe_degrees(*rows, v, steps) for v in config.probe_vertices}
+    del rows
+    max_series, argmax_series = _max_series(x, targets, steps, batch)
+
+    # Edge e is endpoint pair (2e, 2e + 1); the edges of steps 0..s of
+    # replicate r fill a prefix of that replicate's stretch.
+    labels = n + 3
+    ends = np.empty(2 * int(x.sum()), dtype=np.int64)
+    ends[0::2] = np.repeat(targets, x)
+    del targets
+    # step k of replicate r creates vertex k + 2, labelled r (n + 3) + k + 2
+    blocks = np.arange(batch, dtype=np.int32)[:, None] * np.int32(labels)
+    born = blocks + np.arange(2, n + 3, dtype=np.int32)
+    ends[1::2] = np.repeat(born.ravel(), x)
+    del born
+    snapshots = [{} for _ in seeds]
+    if snapshot_steps:
+        start = 0
+        for r, snaps in enumerate(snapshots):
+            made = x[r * (n + 1) : (r + 1) * (n + 1)]
+            for s in snapshot_steps:
+                if 0 <= s <= n:
+                    stop = start + 2 * int(made[: s + 1].sum())
+                    seen = np.bincount(ends[start:stop], minlength=r * labels + s + 3)
+                    snaps[s] = _degree_counts(seen[r * labels + 1 :])
+            start += 2 * int(made.sum())
+    del x
+    degrees = np.bincount(ends, minlength=batch * labels).reshape(batch, labels)[:, 1:]
+    return _Pass(steps, degrees, probes, max_series, argmax_series, snapshots)
 
 
 def run_chain(config: ModelConfig, snapshot_steps: Iterable[int] = ()) -> RunResult:
@@ -212,37 +323,13 @@ def run_chain(config: ModelConfig, snapshot_steps: Iterable[int] = ()) -> RunRes
     counts; other integers are ignored, and a non-integer raises RangeError.
     """
     snapshot_steps = sorted({checked_int("snapshot_steps", s, None) for s in snapshot_steps})
-    _check_size(config)
-    n = config.n
-    x, uniform, pick = _draw_steps(config, np.random.default_rng(config.seed))
-    targets = _resolve_targets(x, uniform, pick)
-    del uniform, pick
-
-    steps = np.arange(0, n + 1, config.record_stride)
-    if steps[-1] != n:
-        steps = np.append(steps, n)
-    probes = {v: _probe_degrees(x, targets, v, steps) for v in config.probe_vertices}
-    max_series, argmax_series = _max_series(x, targets, steps)
-
-    # Edge e is endpoint pair (2e, 2e + 1); the edges of steps 0..s fill a prefix.
-    ends = np.empty(2 * int(x.sum()), dtype=np.int64)
-    ends[0::2] = np.repeat(targets, x)
-    del targets
-    ends[1::2] = np.repeat(np.arange(2, n + 3, dtype=np.int32), x)
-    snapshots = {
-        s: _degree_counts(np.bincount(ends[: 2 * int(x[: s + 1].sum())], minlength=s + 3)[1:])
-        for s in snapshot_steps
-        if 0 <= s <= n
-    }
-    del x
-    degrees = np.bincount(ends, minlength=n + 3)[1:]
+    run = _run_pass(config, (config.seed,), snapshot_steps)
     return RunResult(
         config=config,
-        ledger=DegreeLedger(degrees),
-        steps=steps,
-        probes=probes,
-        max_series=max_series,
-        argmax_series=argmax_series,
-        snapshots=snapshots,
+        ledger=DegreeLedger(run.degrees[0]),
+        steps=run.steps,
+        probes={v: series[0] for v, series in run.probes.items()},
+        max_series=run.max_series[0],
+        argmax_series=run.argmax_series[0],
+        snapshots=run.snapshots[0],
     )
-

@@ -4,6 +4,14 @@ Replicate r of master seed s runs on a generator seeded by mix64(s, r); the
 workers share nothing, results are merged sorted by replicate index, so the
 aggregate is bit-identical whatever the parallelism degree or completion
 order.
+
+Short replicates run in batches: a call batches when at least
+``_BATCH_MIN`` replicates of at most ``_BATCH_MAX_N`` steps (or events) fit in
+a batch of at most ``_BATCH_STEPS`` steps.  A batch of chains is resolved in
+one pass of ``graph``, and a batch of embeddings advances in lockstep; each
+replicate still draws from its own generator, so its summary is bit-identical
+to a run on its own.  Other calls make one ``run_chain`` or
+``run_embedding`` call per replicate.
 """
 
 from __future__ import annotations
@@ -14,10 +22,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .branching import run_embedding
+from .branching import _run_lockstep, run_embedding
 from .errors import RangeError, checked_int
-from .graph import ModelConfig, _degree_counts, run_chain
+from .graph import ModelConfig, _degree_counts, _run_pass, run_chain
 from .streams import MAX_SEED, mix64
+
+_BATCH_STEPS = 1 << 15
+_BATCH_MAX_N = 1000
+_BATCH_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -52,29 +64,52 @@ class AggregateResult:
     pooled_counts: dict[int, int]
 
 
-def _chain_worker(args) -> ChainSummary:
-    model, master_seed, index = args
-    run = run_chain(replace(model, seed=mix64(master_seed, index)))
-    return ChainSummary(
-        index=index,
-        counts=dict(run.ledger.counts),
-        steps=run.steps,
-        probes=run.probes,
-        max_series=run.max_series,
-        argmax_series=run.argmax_series,
-    )
+def _chains(args) -> list[ChainSummary]:
+    """The replicates' chains: one pass for a batch, else a run_chain call each."""
+    model, master_seed, indices, batched = args
+    seeds = [mix64(master_seed, index) for index in indices]
+    if batched:
+        run = _run_pass(model, seeds)
+        rows = [
+            (
+                _degree_counts(run.degrees[r]),
+                run.steps,
+                {v: series[r] for v, series in run.probes.items()},
+                run.max_series[r],
+                run.argmax_series[r],
+            )
+            for r in range(len(seeds))
+        ]
+    else:
+        runs = [run_chain(replace(model, seed=seed)) for seed in seeds]
+        rows = [
+            (dict(run.ledger.counts), run.steps, run.probes, run.max_series, run.argmax_series)
+            for run in runs
+        ]
+    return [ChainSummary(index, *row) for index, row in zip(indices, rows)]
 
 
-def _embed_worker(args) -> EmbedSummary:
-    model, master_seed, index = args
-    rng = np.random.default_rng(mix64(master_seed, index))
-    res = run_embedding(model.edge_law, model.beta, model.n, rng)
-    return EmbedSummary(
-        index=index,
-        counts=_degree_counts(res.sizes),
-        taus=res.taus,
-        s_values=res.s_values,
-    )
+def _embeddings(args) -> list[EmbedSummary]:
+    """The replicates' embeddings: in lockstep for a batch, else a run_embedding call each."""
+    model, master_seed, indices, batched = args
+    law, beta, n = model.edge_law, model.beta, model.n
+    rngs = [np.random.default_rng(mix64(master_seed, index)) for index in indices]
+    if batched:
+        results = _run_lockstep(law, beta, n, rngs)
+    else:
+        results = [run_embedding(law, beta, n, rng) for rng in rngs]
+    return [
+        EmbedSummary(index, _degree_counts(res.sizes), res.taus, res.s_values)
+        for index, res in zip(indices, results)
+    ]
+
+
+def _batch_size(n: int, replications: int) -> int:
+    """Replicates per batch, or 1 when the call does not batch."""
+    size = _BATCH_STEPS // max(n, 1)
+    if n > _BATCH_MAX_N or min(size, replications) < _BATCH_MIN:
+        return 1
+    return size
 
 
 def replicate(
@@ -100,15 +135,24 @@ def replicate(
         seed = model.seed
     else:
         seed = checked_int("master_seed", master_seed, 0, MAX_SEED)
-    worker = _chain_worker if task == "simulate" else _embed_worker
-    jobs = [(model, seed, r) for r in range(replications)]
-
     workers = min(parallelism, replications, os.cpu_count() or 1)
+    worker = _chains if task == "simulate" else _embeddings
+    size = _batch_size(model.n, replications)
+    batched = size > 1
+    if batched:
+        size = min(size, -(-replications // workers))  # a batch for every worker
+    jobs = [
+        (model, seed, range(lo, min(lo + size, replications)), batched)
+        for lo in range(0, replications, size)
+    ]
+
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, jobs, chunksize=max(1, replications // (4 * workers))))
+            chunks = pool.map(worker, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
+            results = [summary for chunk in chunks for summary in chunk]
     else:
-        results = [worker(job) for job in jobs]
+        results = [summary for job in jobs for summary in worker(job)]
     results.sort(key=lambda s: s.index)
 
     pooled: dict[int, int] = {}

@@ -2,17 +2,23 @@
 
 import importlib
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from prefattach.branching import run_embedding
+from prefattach.branching import _run_lockstep, run_embedding
 from prefattach.cli import main
 from prefattach.errors import RangeError
 from prefattach.graph import ModelConfig, run_chain
-from prefattach.laws import deterministic, geometric
-from prefattach.replicate import replicate
+from prefattach.laws import deterministic, explicit, geometric
+from prefattach.replicate import (
+    _BATCH_STEPS,
+    ChainSummary,
+    EmbedSummary,
+    _batch_size,
+    replicate,
+)
 from prefattach.streams import mix64
 from prefattach.verify import VerifySession
 
@@ -197,3 +203,117 @@ class TestPoolCap:
         session.ensemble_n = 100
         session.ensemble()
         assert pool_sizes == [4]
+
+
+# -- batches -------------------------------------------------------------------
+
+BATCH_LAWS = [deterministic(1), deterministic(3), geometric(0.5), explicit([0.5, 0.3, 0.2])]
+
+
+def _one_at_a_time(model, replications, task, master_seed):
+    """The summaries of ``replicate``, from one run_chain or run_embedding call each."""
+    out = []
+    for index in range(replications):
+        seed = mix64(master_seed, index)
+        if task == "simulate":
+            run = run_chain(replace(model, seed=seed))
+            out.append(
+                ChainSummary(
+                    index, dict(run.ledger.counts), run.steps, run.probes,
+                    run.max_series, run.argmax_series,
+                )
+            )
+        else:
+            res = run_embedding(model.edge_law, model.beta, model.n, np.random.default_rng(seed))
+            sizes, counts = np.unique(res.sizes, return_counts=True)
+            counts = dict(zip(sizes.tolist(), counts.tolist()))
+            out.append(EmbedSummary(index, counts, res.taus, res.s_values))
+    return out
+
+
+def _assert_each_replicate_alone(model, replications, task, master_seed=21, parallelism=1):
+    agg = replicate(model, replications, task, master_seed, parallelism)
+    expected = _one_at_a_time(model, replications, task, master_seed)
+    assert len(agg.replicates) == replications
+    for got, want in zip(agg.replicates, expected):
+        assert type(got) is type(want)
+        for f in fields(want):
+            assert _equal(getattr(got, f.name), getattr(want, f.name)), (got.index, f.name)
+    pooled = {}
+    for summary in expected:
+        for j, c in summary.counts.items():
+            pooled[j] = pooled.get(j, 0) + c
+    assert agg.pooled_counts == pooled
+
+
+class TestBatches:
+    """Batched replicates equal the same replicates run one at a time, field by field."""
+
+    @pytest.mark.parametrize(
+        ("n", "replications", "batch"),
+        [(100, 31, 1), (100, 32, 327), (0, 32, _BATCH_STEPS), (1000, 32, 32), (1001, 500, 1)],
+    )
+    def test_the_size_rule(self, n, replications, batch):
+        assert _batch_size(n, replications) == batch
+
+    @pytest.mark.parametrize(("replications", "singles"), [(31, 31), (32, 0)])
+    def test_only_small_calls_make_one_run_per_replicate(self, monkeypatch, replications, singles):
+        # the package attribute ``replicate`` is the function, not the module
+        replicate_module = importlib.import_module("prefattach.replicate")
+        calls = []
+        real = replicate_module.run_chain
+
+        def counting(config, *args):
+            calls.append(config.seed)
+            return real(config, *args)
+
+        monkeypatch.setattr(replicate_module, "run_chain", counting)
+        replicate(_model(n=100), replications, master_seed=3)
+        assert len(calls) == singles
+
+    @pytest.mark.parametrize("law", BATCH_LAWS, ids=lambda law: law.label())
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [0, 1, 100, 1000])
+    @pytest.mark.parametrize("task", ["simulate", "embed"])
+    def test_every_field_matches_a_run_alone(self, law, beta, n, task):
+        # 33 replicates: one batch below n = 1000, a full batch plus one at it
+        for stride in (1, max(n, 1)) if task == "simulate" else (1,):
+            model = _model(
+                n=n, beta=beta, edge_law=law, probe_vertices=(1, 2, n + 7), record_stride=stride
+            )
+            _assert_each_replicate_alone(model, 33, task)
+
+    @pytest.mark.parametrize("task", ["simulate", "embed"])
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("replications", [32, 33, 328])  # 327 replicates fill a batch at n = 100
+    def test_replication_counts_and_parallelism(self, task, parallelism, replications):
+        model = _model(n=100, beta=1.0, edge_law=geometric(0.5), probe_vertices=(1, 50))
+        _assert_each_replicate_alone(model, replications, task, parallelism=parallelism)
+
+
+class UnitClocks:
+    """A generator whose exponentials are all 1.0, so clocks tie often."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def standard_exponential(self, size, out=None):
+        if out is None:
+            return np.ones(size)
+        out[...] = 1.0
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("law", [deterministic(1), geometric(0.5)], ids=lambda law: law.label())
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_lockstep_breaks_clock_ties_as_the_heap_does(law, beta):
+    n = 200
+    batch = _run_lockstep(law, beta, n, [UnitClocks(s) for s in range(8)])
+    for seed, got in enumerate(batch):
+        want = run_embedding(law, beta, n, UnitClocks(seed))
+        assert np.unique(want.taus).shape[0] < n  # event times do tie
+        for f in fields(want):
+            assert _equal(getattr(got, f.name), getattr(want, f.name)), (seed, f.name)
