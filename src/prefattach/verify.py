@@ -546,7 +546,8 @@ class VerifySession:
         return drift_frac, drift_rate, passed, {
             "wait_mean": wait_mean,
             "wait_gap": wait_gap,
-            "wait_tol_3sigma": wait_tol,
+            "wait_tol": wait_tol,
+            "wait_sigmas": row.tau1_sigmas,
             "waits": waits,
             "drift_runs": self.drift_reps,
             "drift_n": self.drift_n,

@@ -312,7 +312,7 @@ class TestNegativeControls:
         monkeypatch.setattr(verify, "run_embedding", slow_clocks)
         (check,) = VerifySession(profile="quick").run(("event-time-asymptotics",)).checks
         assert not check.passed
-        assert check.detail["wait_gap"] > check.detail["wait_tol_3sigma"]
+        assert check.detail["wait_gap"] > check.detail["wait_tol"]
         assert check.value < check.threshold
 
     def test_event_times_fail_when_the_waits_after_the_first_run_slow(self, monkeypatch):
@@ -328,7 +328,7 @@ class TestNegativeControls:
         monkeypatch.setattr(verify, "run_embedding", slow_later_waits)
         (check,) = VerifySession(profile="quick").run(("event-time-asymptotics",)).checks
         assert not check.passed
-        assert check.detail["wait_mean"] > 1.0 + check.detail["wait_tol_3sigma"]
+        assert check.detail["wait_mean"] > 1.0 + check.detail["wait_tol"]
 
     def test_uniform_attachment_turns_the_degree_checks_red(self, monkeypatch):
         real = graph._draw_steps
@@ -374,6 +374,14 @@ class TestNegativeControls:
             "tail-exponent",
             "moment-dichotomy",
         ]
+
+
+def test_the_wait_bound_is_recorded_at_its_own_sigmas():
+    session = VerifySession(profile="quick", thresholds={"event-time-asymptotics.tau1_sigmas": 2})
+    (check,) = session.run(("event-time-asymptotics",)).checks
+    assert check.detail["wait_sigmas"] == 2.0
+    assert check.detail["wait_tol"] == 2.0 / math.sqrt(check.detail["waits"])
+    assert "wait_tol_3sigma" not in check.detail
 
 
 def test_event_times_draw_no_one_event_embeddings(monkeypatch):
