@@ -18,17 +18,21 @@ where P_j(y) = P(size at age y = j) solves the forward system
     P_j'(y) = -(j + beta) P_j(y) + sum_{k>=1} (j - k + beta) p_k P_{j-k}(y),
     P_j(0) = p_j.
 
-Two independent routes to pi are implemented.  Taking Laplace transforms of
-the forward system turns it into the lower-triangular recursion
+Two codings of pi are implemented.  Taking Laplace transforms of the
+forward system turns it into the lower-triangular recursion
 
     (rate + j + beta) L_j = p_j + sum_{k=1}^{j-1} (j - k + beta) p_k L_{j-k},
     pi_j = rate * L_j,
 
 which is exact for every j <= j_max (states above the cutoff never feed back
-down).  Alternatively the damped system R_j = P_j exp(-rate*y) is integrated
-directly with a fixed-step 4th-order scheme, accumulating Q' = rate * R so
-that Q(y_max) -> pi.  Agreement between the two is a strong correctness
-check, since they share only the coefficients.
+down).  Alternatively the damped system R' = G R, R_j = P_j exp(-rate*y), is
+integrated directly with a fixed-step 4th-order scheme, accumulating
+Q' = rate * R so that Q(y_max) -> pi.  The two are not independent routes:
+Q - rate G^{-1} R is a linear invariant that every Runge-Kutta step keeps,
+and the recursion is pi = -rate G^{-1} R(0), so the quadrature returns the
+recursion plus rate G^{-1} R(y_max), a term of the order of
+exp(-rate * y_max), whatever the step size.  Their agreement checks the
+coding of G and of the step, not the integral form itself.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from prefattach.theory import (
     _TRIL_BLOCK,
     MAX_J_MAX,
     MAX_QUAD_J_MAX,
+    MIN_QUAD_STEPS,
     _products,
     _tril_matmul,
     moment_profile,
@@ -333,6 +334,20 @@ class TestQuadrature:
             spec = pi_recursive(law, beta, 41)
             quad = pi_quadrature(law, beta, 41)
             assert np.max(np.abs(spec.pi - quad)) < 1e-8
+
+    @pytest.mark.parametrize(
+        "law",
+        [deterministic(1), deterministic(2), explicit([0.5, 0.5]), geometric(0.5)],
+        ids=lambda law: law.label(),
+    )
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_quadrature_is_the_recursion_plus_the_cut_off_tail(self, law, beta):
+        # Q - rate G^-1 R is a linear invariant of the damped system, and RK4
+        # steps keep linear invariants, so the quadrature equals the recursion
+        # plus rate G^-1 R(y_max), a term of order exp(-rate y_max) = 1e-12,
+        # whatever the step count.  dual-route-pi's pairs at its j_max.
+        quad = pi_quadrature(law, beta, 100, steps=MIN_QUAD_STEPS)
+        assert np.max(np.abs(quad - pi_recursive(law, beta, 100).pi)) <= 1e-12
 
     @pytest.mark.parametrize("j_max", [41, 201])
     def test_quadrature_keeps_exact_lattice_zeros(self, j_max):
