@@ -340,7 +340,7 @@ def run_embedding(
 
 
 def _run_lockstep(
-    edge_law: EdgeCountDistribution,
+    law: EdgeCountDistribution,
     beta: float,
     n: int,
     rngs,
@@ -352,11 +352,9 @@ def _run_lockstep(
     ``run_embedding`` takes the top of its heap; a tie goes to the smallest
     label there too.  Each run draws the same variates in the same order (its X's, then
     its 2n + 2 unit clocks) and the arithmetic is the same, so every result
-    is bit-identical to ``run_embedding`` on that generator.
+    is bit-identical to ``run_embedding`` on that generator.  The arguments
+    come from a validated ``ModelConfig``.
     """
-    n = checked_int("n", n, 0)
-    law = validate_edge_law(edge_law)
-    beta = checked_real("beta", beta, 0.0, MAX_BETA)
     batch = len(rngs)
 
     xs = np.empty((batch, n), dtype=np.int64)

@@ -199,17 +199,20 @@ def _probe_degrees(x: np.ndarray, targets: np.ndarray, v: int, steps: np.ndarray
     return np.cumsum(gain, axis=1)[:, steps]
 
 
-def _max_series(x: np.ndarray, targets: np.ndarray, steps: np.ndarray, batch: int):
-    """M_n and I_n at the recorded steps, one row per replicate."""
-    size = x.shape[0]
-    n = size // batch - 1
-    labels = n + 3
+def _max_series(x: np.ndarray, targets: np.ndarray, steps: np.ndarray):
+    """M_n and I_n at the recorded steps.
+
+    ``x`` and ``targets`` hold one row per replicate; so do the results.
+    """
+    batch, size = x.shape
+    labels = size + 2
+    flat_x = x.ravel()
     # Sort the steps by (target, step), packed as target << 32 | step: each
     # vertex's attachments form one run, in time order.  A replicate's step 0
     # (its seed edge) attaches to no one.
-    key = targets.reshape(batch, n + 1)[:, 1:].astype(np.int64)
+    key = targets[:, 1:].astype(np.int64)
     key <<= 32
-    key |= np.arange(size).reshape(batch, n + 1)[:, 1:]
+    key |= np.arange(batch * size).reshape(batch, size)[:, 1:]
     key = key.ravel()
     key.sort()
     order = key & 0xFFFFFFFF
@@ -218,64 +221,66 @@ def _max_series(x: np.ndarray, targets: np.ndarray, steps: np.ndarray, batch: in
     # Degree of the target just after each step: a cumulative sum of x along
     # the run, started at the vertex's degree at birth (x[0] = 1 for both
     # roots) and cut off from the previous run by subtracting its total.
-    reached = x[order]
+    reached = flat_x[order]
     # Label r (n + 3) + v was born at step r (n + 1) + max(v - 2, 0).
     born_at, vertex = np.divmod(key[first], labels)
     del key
-    born_at *= n + 1
+    born_at *= size
     vertex -= 2
     born_at += np.maximum(vertex, 0, out=vertex)
     del vertex
-    reached[first] += x[born_at]
+    reached[first] += flat_x[born_at]
     del born_at
     reached[first[1:]] -= np.add.reduceat(reached, first)[:-1]
     np.cumsum(reached, out=reached)
 
-    after = np.empty(size, dtype=np.int64)
-    after[:: n + 1] = 1  # step 0: vertex 1 holds the maximum, degree 1
-    after[order] = reached
+    after = np.empty((batch, size), dtype=np.int64)
+    after[:, 0] = 1  # step 0: vertex 1 holds the maximum, degree 1
+    after.ravel()[order] = reached
     del order, reached
 
-    peak = np.maximum.accumulate(after.reshape(batch, n + 1), axis=1).ravel()
+    peak = np.maximum.accumulate(after, axis=1)
     hits = np.flatnonzero(after == peak)
     del after
+    peak = peak.ravel()
     # I_n is the smallest label at the running maximum: a running minimum over
     # the steps whose target reaches the maximum, restarted whenever it rises
     # and at each replicate's step 0.  Later levels get smaller offsets, so
     # one minimum.accumulate restarts.
     rise = np.diff(peak[hits], prepend=0) > 0
-    rise[hits % (n + 1) == 0] = True
+    rise[hits % size == 0] = True
     level = np.cumsum(rise)
     offset = (level[-1] - level) * (batch * labels)
-    best = np.minimum.accumulate(offset + targets[hits]) - offset
-    at = np.arange(batch)[:, None] * (n + 1) + steps
+    best = np.minimum.accumulate(offset + targets.ravel()[hits]) - offset
+    at = np.arange(batch)[:, None] * size + steps
     argmax_series = best[np.searchsorted(hits, at, side="right") - 1]
     argmax_series -= np.arange(batch)[:, None] * labels
     return peak[at], argmax_series
 
 
 class _Pass(NamedTuple):
-    """What one pass records, row r (or item r) for replicate r."""
+    """What one pass records; row r of each array is replicate r."""
 
     steps: np.ndarray  # recorded step indices, shared by every replicate
     degrees: np.ndarray  # degrees of vertices 1..n+2
     probes: dict[int, np.ndarray]  # vertex -> degree at each recorded step
     max_series: np.ndarray
     argmax_series: np.ndarray
-    snapshots: list[dict[int, dict[int, int]]]
+    snapshots: dict[int, dict[int, int]]  # of a one-replicate pass
 
 
 def _run_pass(config: ModelConfig, seeds, snapshot_steps=()) -> _Pass:
     """Run config's chain once per seed, all resolved in one pass.
 
     Each replicate draws all its steps from its own generator, so each row
-    is what the run at that seed alone gives.  ``snapshot_steps`` is a sorted
-    list of steps to record the degree counts at; steps outside 0..n are
-    ignored.
+    is what the run at that seed alone gives.  ``snapshot_steps`` lists steps
+    at which to record the degree counts, for a pass over one seed (only
+    ``run_chain`` asks); steps outside 0..n are ignored.
     """
     _check_size(config)
     n, batch = config.n, len(seeds)
     draws = [_draw_steps(config, np.random.default_rng(seed)) for seed in seeds]
+    # one replicate's arrays are used as drawn, not copied
     x, uniform, pick = (parts[0] if batch == 1 else np.concatenate(parts) for parts in zip(*draws))
     del draws
     targets = _resolve_targets(x, uniform, pick, batch)
@@ -286,33 +291,25 @@ def _run_pass(config: ModelConfig, seeds, snapshot_steps=()) -> _Pass:
         steps = np.append(steps, n)
     rows = x.reshape(batch, n + 1), targets.reshape(batch, n + 1)
     probes = {v: _probe_degrees(*rows, v, steps) for v in config.probe_vertices}
+    max_series, argmax_series = _max_series(*rows, steps)
     del rows
-    max_series, argmax_series = _max_series(x, targets, steps, batch)
 
-    # Edge e is endpoint pair (2e, 2e + 1); the edges of steps 0..s of
-    # replicate r fill a prefix of that replicate's stretch.
-    labels = n + 3
+    # Edge e is endpoint pair (2e, 2e + 1); the edges of steps 0..s fill a prefix.
     ends = np.empty(2 * int(x.sum()), dtype=np.int64)
     ends[0::2] = np.repeat(targets, x)
     del targets
     # step k of replicate r creates vertex k + 2, labelled r (n + 3) + k + 2
-    blocks = np.arange(batch, dtype=np.int32)[:, None] * np.int32(labels)
+    blocks = np.arange(batch, dtype=np.int32)[:, None] * np.int32(n + 3)
     born = blocks + np.arange(2, n + 3, dtype=np.int32)
     ends[1::2] = np.repeat(born.ravel(), x)
     del born
-    snapshots = [{} for _ in seeds]
-    if snapshot_steps:
-        start = 0
-        for r, snaps in enumerate(snapshots):
-            made = x[r * (n + 1) : (r + 1) * (n + 1)]
-            for s in snapshot_steps:
-                if 0 <= s <= n:
-                    stop = start + 2 * int(made[: s + 1].sum())
-                    seen = np.bincount(ends[start:stop], minlength=r * labels + s + 3)
-                    snaps[s] = _degree_counts(seen[r * labels + 1 :])
-            start += 2 * int(made.sum())
+    snapshots = {
+        s: _degree_counts(np.bincount(ends[: 2 * int(x[: s + 1].sum())], minlength=s + 3)[1:])
+        for s in snapshot_steps
+        if 0 <= s <= n
+    }
     del x
-    degrees = np.bincount(ends, minlength=batch * labels).reshape(batch, labels)[:, 1:]
+    degrees = np.bincount(ends, minlength=batch * (n + 3)).reshape(batch, n + 3)[:, 1:]
     return _Pass(steps, degrees, probes, max_series, argmax_series, snapshots)
 
 
@@ -331,5 +328,5 @@ def run_chain(config: ModelConfig, snapshot_steps: Iterable[int] = ()) -> RunRes
         probes={v: series[0] for v, series in run.probes.items()},
         max_series=run.max_series[0],
         argmax_series=run.argmax_series[0],
-        snapshots=run.snapshots[0],
+        snapshots=run.snapshots,
     )
