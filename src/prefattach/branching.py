@@ -350,10 +350,10 @@ def _run_lockstep(
     One array holds every run's clocks, a row per run and a column per
     process (+inf until it is born).  Each event takes the row's argmin where
     ``run_embedding`` takes the top of its heap; a tie goes to the smallest
-    label there too.  Each run draws the same variates in the same order (its X's, then
-    its 2n + 2 unit clocks) and the arithmetic is the same, so every result
-    is bit-identical to ``run_embedding`` on that generator.  The arguments
-    come from a validated ``ModelConfig``.
+    label there too.  Each run draws the same variates in the same order
+    (its X's, then its 2n + 2 unit clocks) and the arithmetic is the same, so
+    every result is bit-identical to ``run_embedding`` on that generator.
+    The arguments come from a validated ``ModelConfig``.
     """
     batch = len(rngs)
 
