@@ -35,18 +35,21 @@ class EmpiricalDistribution:
     support_max: int
 
 
+def _checked_counts(source: Mapping[int, int]) -> dict[int, int]:
+    """A {degree: count} map with integer degrees >= 1 and integer counts >= 0.
+
+    Anything else raises RangeError naming ``degree`` or ``count``.
+    """
+    return {checked_int("degree", j, 1): checked_int("count", c, 0) for j, c in source.items()}
+
+
 def empirical_distribution(source: Mapping[int, int]) -> EmpiricalDistribution:
     """Build degree frequencies from a {degree: count} map.
 
     Degrees must be integers >= 1 and counts integers >= 0; a zero count is
     dropped.
     """
-    counts = {}
-    for j, c in source.items():
-        j = checked_int("degree", j, 1)
-        c = checked_int("count", c, 0)
-        if c:
-            counts[j] = c
+    counts = {j: c for j, c in _checked_counts(source).items() if c}
     total = sum(counts.values())
     if total == 0:
         raise SeriesTooShort("no vertices to tabulate")
@@ -185,6 +188,9 @@ def freeze_detector(ns: np.ndarray, series: np.ndarray) -> FreezeReport:
     """The share of the horizon after the last recorded change of a series."""
     ns = np.asarray(ns)
     series = np.asarray(series)
+    for field, values in (("ns", ns), ("series", series)):
+        if values.ndim != 1:
+            raise RangeError(field, f"need a 1-D series, got shape {values.shape}")
     if ns.shape != series.shape or ns.shape[0] < 2:
         raise SeriesTooShort("need two aligned recorded points at least")
     if not (ns[0] >= 0 and np.all(ns[1:] > ns[:-1])):
@@ -249,17 +255,26 @@ def embedding_equivalence_test(
     Adjacent degrees are merged (ascending) until every merged bin has
     expected count >= 5 in both samples under the pooled frequencies; a
     trailing short bin is folded into the last one.  Raises DegenerateBinning
-    when fewer than two merged bins remain.
+    when fewer than two merged bins remain.  Degrees and counts are checked
+    as by ``empirical_distribution``; a degree with a zero count still bounds
+    a bin.
     """
+    counts_a, counts_b = _checked_counts(counts_a), _checked_counts(counts_b)
     support = sorted(set(counts_a) | set(counts_b))
     if not support:
         raise DegenerateBinning("both pools are empty")
     a = np.array([counts_a.get(j, 0) for j in support], dtype=float)
     b = np.array([counts_b.get(j, 0) for j in support], dtype=float)
+    return _chi_square(support, a, b)
+
+
+def _chi_square(support: list[int], a: np.ndarray, b: np.ndarray) -> ChiSquareResult:
+    """The test of ``embedding_equivalence_test`` on float counts a, b of ``support``."""
     tot_a, tot_b = a.sum(), b.sum()
     if tot_a == 0 or tot_b == 0:
         raise DegenerateBinning("one pool is empty")
     pooled = (a + b) / (tot_a + tot_b)
+    a, b, pooled = a.tolist(), b.tolist(), pooled.tolist()  # fast to index, same values
 
     bins: list[tuple[int, int]] = []
     obs_a: list[float] = []
@@ -306,9 +321,11 @@ def split_half_pvalues(
     random at the observation level (a hypergeometric split), and runs the
     two-sample chi-square on the halves.  Under this permutation null the
     test's p-values must be uniform, so the returned sample is a positive
-    control of the statistic, binning, and dof bookkeeping.
+    control of the statistic, binning, and dof bookkeeping.  The pool is
+    checked as by ``empirical_distribution``.
     """
     n_trials = checked_int("n_trials", n_trials, 1)
+    pooled_counts = _checked_counts(pooled_counts)
     support = sorted(j for j, c in pooled_counts.items() if c)
     if not support:
         raise DegenerateBinning("empty pool")
@@ -320,9 +337,7 @@ def split_half_pvalues(
     for t in range(n_trials):
         half_a = rng.multivariate_hypergeometric(colors, total // 2)
         half_b = colors - half_a
-        pool_a = {j: int(c) for j, c in zip(support, half_a)}
-        pool_b = {j: int(c) for j, c in zip(support, half_b)}
-        pvals[t] = embedding_equivalence_test(pool_a, pool_b).p_value
+        pvals[t] = _chi_square(support, half_a.astype(float), half_b.astype(float)).p_value
     return pvals
 
 

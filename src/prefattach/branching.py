@@ -31,6 +31,7 @@ from .errors import (
     checked_int,
     checked_real,
 )
+from .graph import _MAX_LABEL
 from .laws import EdgeCountDistribution, validate_edge_law
 
 
@@ -299,9 +300,11 @@ def run_embedding(
     born at that instant.  Reading off the owners and the X's reproduces the
     discrete chain's attachment steps, and the event times carry the
     continuous-time information.  All n jumps and the 2n + 2 unit clocks are
-    drawn up front; a clock is scaled by its rate when it is pushed.
+    drawn up front; a clock is scaled by its rate when it is pushed.  An n
+    whose labels n + 2 pass 2^31 - 1, the chain's limit, is refused before
+    anything is drawn.
     """
-    n = checked_int("n", n, 0)
+    n = checked_int("n", n, 0, _MAX_LABEL - 2)
     law = validate_edge_law(edge_law)
     beta = checked_real("beta", beta, 0.0, MAX_BETA)
 
@@ -356,42 +359,32 @@ def _run_lockstep(
     The arguments come from a validated ``ModelConfig``.
     """
     batch = len(rngs)
-
     xs = np.empty((batch, n), dtype=np.int64)
     units = np.empty((batch, 2 * n + 2))
     for r, rng in enumerate(rngs):
         xs[r] = law.sample(rng, n)
         rng.standard_exponential(2 * n + 2, out=units[r])
-    # the event columns, contiguous: the k-th jumps, the k-th refiring unit
-    # clocks and the k-th newborns' first waits
-    jumps = np.ascontiguousarray(xs.T)
-    refire = np.ascontiguousarray(units[:, 2::2].T)
-    newborn = np.ascontiguousarray(units[:, 3::2].T)
-    newborn /= jumps + beta
 
+    rows = np.arange(batch)
     clocks = np.full((batch, n + 2), np.inf)
     clocks[:, :2] = units[:, :2] / (1.0 + beta)
     sizes = np.empty((batch, n + 2), dtype=np.int64)
     sizes[:, :2] = 1
     sizes[:, 2:] = xs  # a newborn's entry already holds its X
-    taus = np.empty((n, batch))
-    chosen = np.empty((n, batch), dtype=np.int64)
-    # the fired clock of each row, as an index into the flattened arrays
-    flat_clocks, flat_sizes = clocks.ravel(), sizes.ravel()
-    row_start = np.arange(batch) * (n + 2)
+    taus = np.empty((batch, n))
+    chosen = np.empty((batch, n), dtype=np.int64)
     for k in range(n):
         i = clocks[:, : k + 2].argmin(axis=1)
-        chosen[k] = i
-        i += row_start
-        t = flat_clocks[i]
-        size = flat_sizes[i]
-        size += jumps[k]
-        flat_sizes[i] = size
-        flat_clocks[i] = t + refire[k] / (size + beta)
-        clocks[:, k + 2] = t + newborn[k]
-        taus[k] = t
+        t = clocks[rows, i]
+        x = xs[:, k]
+        size = sizes[rows, i] + x
+        sizes[rows, i] = size
+        # event k uses unit clocks 2k + 2 (the owner's) and 2k + 3 (the newborn's)
+        clocks[rows, i] = t + units[:, 2 * k + 2] / (size + beta)
+        clocks[:, k + 2] = t + units[:, 2 * k + 3] / (x + beta)
+        taus[:, k] = t
+        chosen[:, k] = i
     chosen += 1
-    taus, chosen = taus.T.copy(), chosen.T.copy()
     # S_k = 2 + 2 (X_1 + ... + X_k) + (k + 2) beta, as run_embedding sums it
     size_sum = np.zeros((batch, n + 1), dtype=np.int64)
     np.cumsum(xs, axis=1, out=size_sum[:, 1:])
@@ -432,9 +425,17 @@ class TauDiagnostics:
 def tau_diagnostics(
     taus: np.ndarray, s_values: np.ndarray, m: float, beta: float
 ) -> TauDiagnostics:
-    """Center the event times by their exact and asymptotic drifts."""
+    """Center the event times by their exact and asymptotic drifts.
+
+    ``taus`` must be a 1-D series of finite times and ``s_values`` a 1-D
+    series of finite, positive rates, else RangeError names the field.
+    """
     taus = np.asarray(taus, dtype=float)
     s_values = np.asarray(s_values, dtype=float)
+    if taus.ndim != 1 or not np.isfinite(taus).all():
+        raise RangeError("taus", "need a 1-D series of finite event times")
+    if s_values.ndim != 1 or not (np.isfinite(s_values).all() and (s_values > 0).all()):
+        raise RangeError("s_values", "need a 1-D series of finite, positive rates")
     n = taus.shape[0]
     if n < 1:
         raise MismatchedLengths("need at least one event time")

@@ -219,18 +219,14 @@ def _max_series(x: np.ndarray, targets: np.ndarray, steps: np.ndarray):
     key >>= 32
     first = np.flatnonzero(np.diff(key, prepend=0))
     # Degree of the target just after each step: a cumulative sum of x along
-    # the run, started at the vertex's degree at birth (x[0] = 1 for both
-    # roots) and cut off from the previous run by subtracting its total.
+    # the run, started at the vertex's degree at birth and cut off from the
+    # previous run by subtracting its total.  Label r (n + 3) + v is born
+    # with degree 1 for v = 1 and x[r, v - 2] for v >= 2.
     reached = flat_x[order]
-    # Label r (n + 3) + v was born at step r (n + 1) + max(v - 2, 0).
-    born_at, vertex = np.divmod(key[first], labels)
-    del key
-    born_at *= size
-    vertex -= 2
-    born_at += np.maximum(vertex, 0, out=vertex)
-    del vertex
-    reached[first] += flat_x[born_at]
-    del born_at
+    birth = np.ones((batch, labels), dtype=x.dtype)
+    birth[:, 2:] = x
+    reached[first] += birth.ravel()[key[first]]
+    del key, birth
     reached[first[1:]] -= np.add.reduceat(reached, first)[:-1]
     np.cumsum(reached, out=reached)
 

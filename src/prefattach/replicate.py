@@ -5,13 +5,12 @@ workers share nothing, results are merged sorted by replicate index, so the
 aggregate is bit-identical whatever the parallelism degree or completion
 order.
 
-Short replicates run in batches: a call batches when at least
-``_BATCH_MIN`` replicates of at most ``_BATCH_MAX_N`` steps (or events) fit in
-a batch of at most ``_BATCH_STEPS`` steps.  A batch of chains is resolved in
-one pass of ``graph``, and a batch of embeddings advances in lockstep; each
-replicate still draws from its own generator, so its summary is bit-identical
-to a run on its own.  Other calls make one ``run_chain`` or
-``run_embedding`` call per replicate.
+Short replicates run in batches: a call batches when a batch of at most
+``_BATCH_STEPS`` steps (or events) holds at least ``_BATCH_MIN`` of its
+replicates.  A batch of chains is resolved in one pass of ``graph``, and a
+batch of embeddings advances in lockstep; each replicate still draws from its
+own generator, so its summary is bit-identical to a run on its own.  Other
+calls make one ``run_chain`` or ``run_embedding`` call per replicate.
 """
 
 from __future__ import annotations
@@ -24,11 +23,10 @@ import numpy as np
 
 from .branching import _run_lockstep, run_embedding
 from .errors import RangeError, checked_int
-from .graph import ModelConfig, _degree_counts, _run_pass, run_chain
+from .graph import ModelConfig, _check_size, _degree_counts, _run_pass, run_chain
 from .streams import MAX_SEED, mix64
 
 _BATCH_STEPS = 1 << 15
-_BATCH_MAX_N = 1000
 _BATCH_MIN = 32
 
 
@@ -68,25 +66,27 @@ def _chains(args) -> list[ChainSummary]:
     """The replicates' chains: one pass for a batch, else a run_chain call each."""
     model, master_seed, indices, batched = args
     seeds = [mix64(master_seed, index) for index in indices]
-    if batched:
-        run = _run_pass(model, seeds)
-        rows = [
-            (
-                _degree_counts(run.degrees[r]),
-                run.steps,
-                {v: series[r] for v, series in run.probes.items()},
-                run.max_series[r],
-                run.argmax_series[r],
-            )
-            for r in range(len(seeds))
-        ]
-    else:
+    if not batched:
         runs = [run_chain(replace(model, seed=seed)) for seed in seeds]
-        rows = [
-            (dict(run.ledger.counts), run.steps, run.probes, run.max_series, run.argmax_series)
-            for run in runs
+        return [
+            ChainSummary(
+                index, dict(run.ledger.counts), run.steps, run.probes, run.max_series,
+                run.argmax_series,
+            )
+            for index, run in zip(indices, runs)
         ]
-    return [ChainSummary(index, *row) for index, row in zip(indices, rows)]
+    run = _run_pass(model, seeds)
+    return [
+        ChainSummary(
+            index,
+            _degree_counts(run.degrees[r]),
+            run.steps,
+            {v: series[r] for v, series in run.probes.items()},
+            run.max_series[r],
+            run.argmax_series[r],
+        )
+        for r, index in enumerate(indices)
+    ]
 
 
 def _embeddings(args) -> list[EmbedSummary]:
@@ -107,9 +107,7 @@ def _embeddings(args) -> list[EmbedSummary]:
 def _batch_size(n: int, replications: int) -> int:
     """Replicates per batch, or 1 when the call does not batch."""
     size = _BATCH_STEPS // max(n, 1)
-    if n > _BATCH_MAX_N or min(size, replications) < _BATCH_MIN:
-        return 1
-    return size
+    return size if min(size, replications) >= _BATCH_MIN else 1
 
 
 def replicate(
@@ -125,10 +123,11 @@ def replicate(
     with seed mix64(master_seed, r).  At most min(parallelism, replications,
     cpu count) worker processes run; with one, everything runs in-process.
     A ``replications`` or ``parallelism`` that is not an integer >= 1 raises
-    RangeError.
+    RangeError, and so does a model too large to run, before any job starts.
     """
     if task not in ("simulate", "embed"):
         raise RangeError("task", f"unknown task {task!r}")
+    _check_size(model)
     replications = checked_int("replications", replications, 1)
     parallelism = checked_int("parallelism", parallelism, 1)
     if master_seed is None:

@@ -57,6 +57,9 @@ MAX_J_MAX = 5000
 # O(j_max^3).  At the cap `theory` took 16.7 s (geom:0.5, beta 1) and 7.4 s (det:1), 196 MB,
 # on one BLAS thread of 2 vCPUs.  det:1 at 20,000 steps fails step doubling from 2500.
 MAX_QUAD_J_MAX = 2000
+# Largest degree pi_explicit accepts, checked before its product table (one float per
+# multiple of x0 up to j, 8 MB at the cap) is built.
+MAX_EXPLICIT_J = 1 << 20
 
 
 def theta(m: float, beta: float) -> float:
@@ -103,10 +106,11 @@ def pi_explicit(x0: int, beta: float, j: int) -> float:
                     * prod_{k=1}^{l-1} (k x0 + beta) / ((k + 2) x0 + 2 beta)
 
     and for beta = 0 this collapses to pi_{l x0} = 4 / (l (l+1) (l+2)).
+    A j above MAX_EXPLICIT_J raises RangeError.
     """
     x0 = checked_int("x0", x0, 1)
     beta = checked_real("beta", beta, 0.0, MAX_BETA)
-    j = checked_int("j", j, None)
+    j = checked_int("j", j, None, MAX_EXPLICIT_J)
     if j < 1 or j % x0 != 0:
         return 0.0
     l = j // x0

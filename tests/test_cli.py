@@ -209,6 +209,8 @@ class TestUsageErrors:
         ("argv", "field"),
         [
             (["embed", "--n", "0"], "run.n"),
+            # refused before the arrays of three billion events are allocated
+            (["embed", "--n", "3000000000"], "model.n"),
             (["analyze", "--n", "0"], "run.n"),
             (["analyze", "--n", "1"], "run.n"),
             (["analyze", "--n", "100", "--stride", "20"], "run.stride"),

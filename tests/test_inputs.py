@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from prefattach.analysis import (
+    embedding_equivalence_test,
     empirical_distribution,
     freeze_detector,
     max_degree_check,
@@ -38,6 +39,7 @@ from prefattach.laws import deterministic, explicit, validate_edge_law
 from prefattach.replicate import replicate
 from prefattach.streams import MAX_SEED, mix64, substream
 from prefattach.theory import (
+    MAX_EXPLICIT_J,
     moment_profile,
     pi_explicit,
     pi_quadrature,
@@ -63,6 +65,12 @@ HUGE_BETAS = [2 * MAX_BETA, 1e308]
 # A recorded series long enough for the plateau checks.
 STEPS = np.arange(1, 21)
 
+# An n past the 2^31 - 1 label limit, refused before anything is allocated.
+HUGE_N = 3_000_000_000
+
+# A second pool for the chi-square rows.
+POOL = {1: 50, 2: 100, 3: 100}
+
 # (entry point, field it must name, call with the bad value, bad values).
 # Out-of-range values are covered next to each entry point's own tests, apart
 # from the beta cap, which every beta shares.
@@ -76,7 +84,12 @@ CASES = [
         [True, *HUGE_BETAS],
     ),
     ("replicate", "replications", lambda v: replicate(_model(), replications=v), [10.5, True]),
-    ("run_embedding", "n", lambda v: run_embedding(LAW, 0.0, v, _rng()), [10.5, True]),
+    ("replicate-simulate", "model.n", lambda v: replicate(_model(n=v), 1), [HUGE_N]),
+    ("replicate-embed", "model.n", lambda v: replicate(_model(n=v), 1, task="embed"), [HUGE_N]),
+    (
+        "run_embedding", "n", lambda v: run_embedding(LAW, 0.0, v, _rng()),
+        [10.5, True, 2**31 - 2, HUGE_N],
+    ),
     ("run_embedding", "beta", lambda v: run_embedding(LAW, v, 5, _rng()), [True, *HUGE_BETAS]),
     ("simulate_mbpi", "horizon", lambda v: simulate_mbpi(BranchingConfig(LAW), v, _rng()), [True]),
     ("theta", "beta", lambda v: theta(1.0, v), [True, *HUGE_BETAS]),
@@ -84,7 +97,10 @@ CASES = [
     ("deterministic", "x0", deterministic, [2.5, True]),
     ("pi_explicit", "x0", lambda v: pi_explicit(v, 0.0, 5), [2.5, True]),
     ("pi_explicit", "beta", lambda v: pi_explicit(1, v, 5), [True, *HUGE_BETAS]),
-    ("pi_explicit", "j", lambda v: pi_explicit(1, 0.0, v), [2.5, True]),
+    (
+        "pi_explicit", "j", lambda v: pi_explicit(1, 0.0, v),
+        [2.5, True, MAX_EXPLICIT_J + 1, 10**12],
+    ),
     ("pi_recursive", "j_max", lambda v: pi_recursive(LAW, 0.0, v), [10.5, True]),
     ("pi_recursive", "beta", lambda v: pi_recursive(LAW, v, 10), [True, *HUGE_BETAS]),
     ("pi_quadrature", "j_max", lambda v: pi_quadrature(LAW, 0.0, v), [10.5, True]),
@@ -98,11 +114,37 @@ CASES = [
         "tau_diagnostics", "beta", lambda v: tau_diagnostics([0.5, 0.7], [2.0, 4.0], 1.0, v),
         [math.nan, -1.0, True, *HUGE_BETAS],
     ),
+    (
+        "tau_diagnostics", "taus", lambda v: tau_diagnostics(v, [2.0, 4.0], 1.0, 0.0),
+        [[0.5, math.nan], [math.inf, 0.7], [[0.5], [0.7]], 0.5],
+    ),
+    (
+        "tau_diagnostics", "s_values", lambda v: tau_diagnostics([0.5, 0.7], v, 1.0, 0.0),
+        [[0.0, 1.0], [-2.0, 4.0], [2.0, math.nan], [2.0, math.inf], [[2.0], [4.0]]],
+    ),
     ("tail_fit", "j_min", lambda v: tail_fit(pi_recursive(LAW, 0.0, 40), v, 30), [1.5, True]),
     ("tail_fit", "j_max", lambda v: tail_fit(pi_recursive(LAW, 0.0, 40), 3, v), [30.5, True]),
     (
         "split_half_pvalues", "n_trials", lambda v: split_half_pvalues({1: 40, 2: 20}, v, _rng()),
         [2.5, -1, 0, True],
+    ),
+    (
+        "split_half_pvalues", "count", lambda v: split_half_pvalues({1: v, 2: 20}, 5, _rng()),
+        [20.7, True, -5, "3"],
+    ),
+    (
+        "split_half_pvalues", "degree", lambda v: split_half_pvalues({v: 20, 2: 20}, 5, _rng()),
+        [1.5, True, 0],
+    ),
+    (
+        "embedding_equivalence_test", "count",
+        lambda v: embedding_equivalence_test({1: v, 2: 100, 3: 100}, POOL),
+        [-50, 50.5, True],
+    ),
+    (
+        "embedding_equivalence_test", "degree",
+        lambda v: embedding_equivalence_test(POOL, {v: 50, 2: 100, 3: 100}),
+        [1.5, True, 0, "1"],
     ),
     ("run_chain", "snapshot_steps", lambda v: run_chain(_model(), snapshot_steps=(v,)), [2.5, True]),
     (
@@ -128,6 +170,8 @@ CASES = [
         "freeze_detector", "ns", lambda v: freeze_detector(v, [1, 2, 2]),
         [[0, 5, 3], [0, 5, 5], [0, math.nan, 3], [-5, -3, 0]],
     ),
+    ("freeze_detector", "ns", lambda v: freeze_detector(v, np.ones((2, 2))), [[[0, 1], [2, 3]]]),
+    ("freeze_detector", "series", lambda v: freeze_detector([0, 1, 2], v), [[[1], [2], [2]]]),
     (
         "trajectory_limit_check", "exponent", lambda v: trajectory_limit_check(STEPS, STEPS, v),
         [math.nan, math.inf, True],

@@ -251,7 +251,10 @@ class TestBatches:
 
     @pytest.mark.parametrize(
         ("n", "replications", "batch"),
-        [(100, 31, 1), (100, 32, 327), (0, 32, _BATCH_STEPS), (1000, 32, 32), (1001, 500, 1)],
+        [
+            (100, 31, 1), (100, 32, 327), (0, 32, _BATCH_STEPS), (1000, 32, 32), (1024, 500, 32),
+            (1025, 500, 1),
+        ],
     )
     def test_the_size_rule(self, n, replications, batch):
         assert _batch_size(n, replications) == batch
@@ -273,10 +276,10 @@ class TestBatches:
 
     @pytest.mark.parametrize("law", BATCH_LAWS, ids=lambda law: law.label())
     @pytest.mark.parametrize("beta", [0.0, 1.0])
-    @pytest.mark.parametrize("n", [0, 1, 100, 1000])
+    @pytest.mark.parametrize("n", [0, 1, 100, 1024])
     @pytest.mark.parametrize("task", ["simulate", "embed"])
     def test_every_field_matches_a_run_alone(self, law, beta, n, task):
-        # 33 replicates: one batch below n = 1000, a full batch plus one at it
+        # 33 replicates: one batch below n = 1024, a full batch plus one at it
         for stride in (1, max(n, 1)) if task == "simulate" else (1,):
             model = _model(
                 n=n, beta=beta, edge_law=law, probe_vertices=(1, 2, n + 7), record_stride=stride
