@@ -12,7 +12,8 @@ Subcommands:
 * ``verify``   -- run the acceptance checks at a profile; emit report.json;
   exit 1 on any failing check.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error or out of
+memory.
 """
 
 from __future__ import annotations
@@ -47,25 +48,9 @@ from .theory import MAX_QUAD_J_MAX, pi_quadrature, pi_recursive
 from .verify import VerifySession
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    for key, (_, kind, _, text) in RUN_KEYS.items():
-        if isinstance(kind, tuple):
-            sub.add_argument(f"--{key}", choices=kind, help=text)
-        elif text is not None:
-            sub.add_argument(f"--{key}", type=kind, help=text)
-    sub.add_argument(
-        "--threshold",
-        action="append",
-        default=None,
-        metavar="NAME=VALUE",
-        help="override a verification threshold (repeatable)",
-    )
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {key: value for key, value in vars(args).items() if key in RUN_KEYS}
-    if args.threshold:
+    if getattr(args, "threshold", None):
         overrides["thresholds"] = {}
         for item in args.threshold:
             name, _, value = item.partition("=")
@@ -240,7 +225,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     report = session.run()
     doc = report.to_json()
-    doc["config"].update({"law": cfg.model.edge_law.label(), "out": cfg.out_dir})
+    doc["config"]["out"] = cfg.out_dir
     write_report(os.path.join(cfg.out_dir, "report.json"), doc)
     for check in report.checks:
         mark = "PASS" if check.passed else "FAIL"
@@ -269,7 +254,21 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify", cmd_verify, "run the acceptance checks; exit 1 on failure"),
     ):
         p = sub.add_parser(name, help=desc, description=desc)
-        _add_common_flags(p)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        for key, (_, kind, _, text, readers) in RUN_KEYS.items():
+            if name not in readers:
+                continue
+            if key == "thresholds":
+                p.add_argument(
+                    "--threshold",
+                    action="append",
+                    metavar="NAME=VALUE",
+                    help="override a verification threshold (repeatable)",
+                )
+            elif isinstance(kind, tuple):
+                p.add_argument(f"--{key}", choices=kind, help=text)
+            elif text is not None:
+                p.add_argument(f"--{key}", type=kind, help=text)
         p.set_defaults(func=func)
     return parser
 
@@ -280,6 +279,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except PrefattachError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        size = {"theory": "jmax", "verify": "profile"}.get(args.command, "n")
+        print(f"error: run.{size}: out of memory; try a smaller {size}", file=sys.stderr)
         return 2
 
 

@@ -13,30 +13,34 @@ from .streams import MAX_SEED
 from .theory import MAX_J_MAX, MIN_QUAD_STEPS
 from .verify import PROFILES, validate_thresholds
 
-# Every run key once, in flag order: key -> (default, kind, bounds, flag help).
-# kind int or float: a number checked as "run.<key>" by checked_int(lo, hi) or
-# checked_real(lo, hi), with ``bounds`` as those arguments (None: no bound); a
-# tuple: one of its choices; None: read by parse_config's own code.  A key
-# with no help is read from a config file only.  A null is refused where the
-# default is not null.  beta's sign is left to ModelConfig ("model.beta"),
-# and fit_j_max must also exceed fit_j_min.
-RUN_KEYS: dict[str, tuple[Any, Any, tuple, str | None]] = {
-    "law": ("det:1", None, (), "edge-count law: det:K | geom:Q | explicit:p1,p2,..."),
-    "beta": (0.0, float, (None, MAX_BETA), "uniform attachment weight beta >= 0"),
-    "n": (10000, int, (0, None), "number of attachment steps / events"),
-    "reps": (1, int, (1, None), "independent replications"),
-    "seed": (0, int, (0, MAX_SEED), "master seed"),
-    "jmax": (200, int, (1, MAX_J_MAX), "spectrum truncation degree"),
-    "out": ("results", None, (), "output directory (default: results)"),
-    "profile": ("full", PROFILES, (), "verification profile"),
-    "parallelism": (1, int, (1, None), "max concurrent workers"),
-    "stride": (None, int, (1, None), "trajectory recording stride"),
-    "probes": ((1, 2), None, (), "comma-separated probe vertex labels"),
-    "ymax": (None, float, (0.0,), None),
-    "quad_steps": (20000, int, (MIN_QUAD_STEPS, None), None),
-    "fit_j_min": (3, int, (1, None), None),
-    "fit_j_max": (30, int, (1, None), None),
-    "thresholds": ({}, None, (), None),
+# Every run key once, in flag order: key -> (default, kind, bounds, flag help,
+# readers).  kind int or float: a number checked as "run.<key>" by
+# checked_int(lo, hi) or checked_real(lo, hi), with ``bounds`` as those
+# arguments (None: no bound); a tuple: one of its choices; None: read by
+# parse_config's own code.  A key with no help has no flag of its own
+# (--threshold sets thresholds).  The readers are the subcommands that use the
+# key, and only they take its flag; a config file may hold any key.  A null is
+# refused where the default is not null.  beta's sign is left to ModelConfig
+# ("model.beta"), and fit_j_max must also exceed fit_j_min.
+_RUNS = ("simulate", "analyze", "embed")
+_MODEL = _RUNS + ("theory",)
+RUN_KEYS: dict[str, tuple[Any, Any, tuple, str | None, tuple[str, ...]]] = {
+    "law": ("det:1", None, (), "edge-count law: det:K | geom:Q | explicit:p1,p2,...", _MODEL),
+    "beta": (0.0, float, (None, MAX_BETA), "uniform attachment weight beta >= 0", _MODEL),
+    "n": (10000, int, (0, None), "number of attachment steps / events", _RUNS),
+    "reps": (1, int, (1, None), "independent replications", _RUNS),
+    "seed": (0, int, (0, MAX_SEED), "master seed", _RUNS + ("verify",)),
+    "jmax": (200, int, (1, MAX_J_MAX), "spectrum truncation degree", _MODEL),
+    "out": ("results", None, (), "output directory (default: results)", _MODEL + ("verify",)),
+    "profile": ("full", PROFILES, (), "verification profile", ("verify",)),
+    "parallelism": (1, int, (1, None), "max concurrent workers", _RUNS + ("verify",)),
+    "stride": (None, int, (1, None), "trajectory recording stride", ("simulate", "analyze")),
+    "probes": ((1, 2), None, (), "comma-separated probe vertex labels", ("simulate", "analyze")),
+    "ymax": (None, float, (0.0,), None, ("theory",)),
+    "quad_steps": (20000, int, (MIN_QUAD_STEPS, None), None, ("theory",)),
+    "fit_j_min": (3, int, (1, None), None, ("analyze",)),
+    "fit_j_max": (30, int, (1, None), None, ("analyze",)),
+    "thresholds": ({}, None, (), None, ("verify",)),
 }
 
 
@@ -106,7 +110,7 @@ def parse_config(
         merged[key] = value
 
     for key, value in merged.items():
-        default, kind, bounds, _ = RUN_KEYS[key]
+        default, kind, bounds, _, _ = RUN_KEYS[key]
         field = f"run.{key}"
         if value is None:
             if default is not None:
@@ -137,11 +141,14 @@ def parse_config(
         beta=merged["beta"],
         edge_law=law,
         n=n,
-        probe_vertices=tuple(checked_int("run.probes", _number(p), 1) for p in probes),
+        probe_vertices=tuple(checked_int("run.probes", _number(p), 1, n + 2) for p in probes),
         record_stride=stride,
         seed=merged["seed"],
     )
 
+    out = str(merged["out"])
+    if not out:
+        raise RangeError("run.out", "must name a directory, got an empty string")
     fit_j_min, fit_j_max = merged["fit_j_min"], merged["fit_j_max"]
     if fit_j_max <= fit_j_min:
         raise RangeError("run.fit_j_max", f"must exceed fit_j_min = {fit_j_min}")
@@ -154,7 +161,7 @@ def parse_config(
         model=model,
         replications=merged["reps"],
         parallelism=merged["parallelism"],
-        out_dir=str(merged["out"]),
+        out_dir=out,
         j_max=merged["jmax"],
         y_max=merged["ymax"],
         quad_steps=merged["quad_steps"],

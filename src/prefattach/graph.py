@@ -55,12 +55,14 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        n = checked_int("model.n", self.n, 0)
         checked = {
             "beta": checked_real("model.beta", self.beta, 0.0, MAX_BETA),
-            "n": checked_int("model.n", self.n, 0),
+            "n": n,
             "record_stride": checked_int("model.record_stride", self.record_stride, 1),
+            # the last vertex, n + 2, is born at step n
             "probe_vertices": tuple(
-                checked_int("model.probe_vertices", v, 1) for v in self.probe_vertices
+                checked_int("model.probe_vertices", v, 1, n + 2) for v in self.probe_vertices
             ),
             "seed": checked_int("model.seed", self.seed, 0, MAX_SEED),
             "edge_law": validate_edge_law(self.edge_law),

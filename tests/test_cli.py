@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import prefattach
+from prefattach import cli
 from prefattach.cli import main
+from prefattach.config import RUN_KEYS
 from prefattach.theory import MAX_J_MAX, MAX_QUAD_J_MAX
 
 
@@ -123,6 +126,10 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is True
         assert len(report["checks"]) == 4
+        # no check reads a law, so the report names none
+        assert report["config"] == {
+            "profile": "theory", "master_seed": 0, "parallelism": 1, "thresholds": {}, "out": str(out)
+        }
         printed = capsys.readouterr().out
         assert printed.count("PASS") == 4
 
@@ -231,17 +238,51 @@ class TestUsageErrors:
             # a dict is written to a config file whose path takes its place
             (["theory", "--config", {"law": [True]}], "run.law"),
             (["theory", "--config", {"beta": 10**400}], "run.beta"),
+            # vertex 13 is the largest label of ten steps plus one: it is never born
+            (["simulate", "--n", "10", "--probes", "99999999999"], "run.probes"),
+            (["analyze", "--n", "10", "--probes", "1,13"], "run.probes"),
+            # an empty name would put the files in the working directory
+            (["simulate", "--out", ""], "run.out"),
         ],
     )
-    def test_refusals_name_their_field(self, tmp_path, capsys, argv, field):
+    def test_refusals_name_their_field(self, tmp_path, monkeypatch, capsys, argv, field):
+        monkeypatch.chdir(tmp_path)
         if isinstance(argv[-1], dict):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(argv[-1]))
             argv = argv[:-1] + [str(cfg)]
         out = tmp_path / "res"
-        assert main(argv + ["--out", str(out)]) == 2
+        # the row's own flags come last, so an --out among them wins
+        assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_the_last_vertex_is_a_probe(self, tmp_path):
+        assert main(["simulate", "--n", "10", "--probes", "12", "--out", str(tmp_path)]) == 0
+        rows = _read_csv(tmp_path / "trajectories.csv")
+        assert [int(r["degree"]) for r in rows if r["vertex"] == "12"][-1] == 1
+
+    @pytest.mark.parametrize(
+        ("argv", "target", "field"),
+        [
+            (["simulate"], "replicate", "run.n"),
+            (["embed"], "replicate", "run.n"),
+            (["analyze"], "replicate", "run.n"),
+            (["theory"], "pi_recursive", "run.jmax"),
+            (["verify", "--profile", "theory"], "VerifySession", "run.profile"),
+        ],
+    )
+    def test_running_out_of_memory_names_the_size_key(
+        self, tmp_path, monkeypatch, capsys, argv, target, field
+    ):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, target, exhausted)
+        assert main(argv + ["--out", str(tmp_path / "res")]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "out of memory" in err
 
     def test_analyze_keeps_the_recursion_cap(self, tmp_path):
         # only theory runs the quadrature, whose cap is lower
@@ -258,4 +299,76 @@ class TestUsageErrors:
         code = main(["analyze", "--config", str(cfg), "--n", "200", "--out", str(out)])
         assert code == 2
         assert "run.fit_j_max" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# Each subcommand's flags as the README's table lists them (--config aside).
+DOCUMENTED_FLAGS = {
+    "simulate": "law beta n reps seed jmax out parallelism stride probes",
+    "embed": "law beta n reps seed jmax out parallelism",
+    "theory": "law beta jmax out",
+    "analyze": "law beta n reps seed jmax out parallelism stride probes",
+    "verify": "seed out profile parallelism threshold",
+}
+
+
+def _flag(key):
+    return "--threshold" if key == "thresholds" else f"--{key}"
+
+
+# The keys that have a flag on some subcommand.
+FLAGGED = [key for key, row in RUN_KEYS.items() if row[3] is not None or key == "thresholds"]
+
+
+class TestFlagsPerSubcommand:
+    """Generated from RUN_KEYS: a subcommand takes the flags of the keys it reads."""
+
+    @pytest.mark.parametrize("command", list(DOCUMENTED_FLAGS))
+    def test_help_lists_exactly_the_keys_read(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z_]+", capsys.readouterr().out))
+        read = {_flag(key) for key in FLAGGED if command in RUN_KEYS[key][4]}
+        assert listed == read | {"--help", "--config"}
+        assert read == {f"--{flag}" for flag in DOCUMENTED_FLAGS[command].split()}
+
+    def test_the_subcommands_hold_42_flags(self):
+        assert sum(len(flags.split()) + 1 for flags in DOCUMENTED_FLAGS.values()) == 42
+
+    @pytest.mark.parametrize(
+        ("command", "key"),
+        [
+            (command, key)
+            for command in DOCUMENTED_FLAGS
+            for key in FLAGGED
+            if command not in RUN_KEYS[key][4]
+        ],
+    )
+    def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
+        self, tmp_path, capsys, command, key
+    ):
+        kind = RUN_KEYS[key][1]
+        value = {"thresholds": "degree-lln=1"}.get(key, kind[0] if isinstance(kind, tuple) else "1")
+        out = tmp_path / "res"
+        with pytest.raises(SystemExit) as exc:
+            main([command, _flag(key), value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert _flag(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "key"),
+        [
+            (command, key)
+            for command in DOCUMENTED_FLAGS
+            for key, (_, kind, bounds, text, readers) in RUN_KEYS.items()
+            if command in readers and text and kind in (int, float) and bounds[:1] != (None,)
+        ],
+    )
+    def test_a_number_below_its_bound_names_its_key(self, tmp_path, capsys, command, key):
+        below = RUN_KEYS[key][2][0] - 1
+        out = tmp_path / "res"
+        assert main([command, f"--{key}", str(below), "--out", str(out)]) == 2
+        assert f"run.{key}" in capsys.readouterr().err
         assert not out.exists()

@@ -172,6 +172,8 @@ class TestValidation:
             ({"jmax": None}, "run.jmax"),
             ({"beta": None}, "run.beta"),
             ({"out": None}, "run.out"),
+            ({"out": ""}, "run.out"),
+            ({"n": 10, "probes": [1, 13]}, "run.probes"),
             ({"law": None}, "run.law"),
             ({"law": 2.5}, "run.law"),
             ({"law": True}, "run.law"),
@@ -251,7 +253,8 @@ class TestRunKeyTable:
     @pytest.mark.parametrize("key", list(FLAG_SAMPLES))
     def test_a_flag_and_a_file_value_give_the_same_config(self, tmp_path, key):
         text, value = FLAG_SAMPLES[key]
-        args = build_parser().parse_args(["simulate", f"--{key}", text])
+        reader = RUN_KEYS[key][4][0]
+        args = build_parser().parse_args([reader, f"--{key}", text])
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: value}))
         from_file = parse_config(str(path), {})

@@ -259,7 +259,8 @@ class TestAgainstReferenceLoop:
                 beta=beta,
                 edge_law=law,
                 n=n,
-                probe_vertices=(1, 2, 3, 9, 10**6),
+                # n + 2, the last vertex, is born at the last step
+                probe_vertices=tuple(v for v in (1, 2, 3, 9) if v < n + 2) + (n + 2,),
                 record_stride=1 if seed % 2 else 3,
                 seed=seed,
             )
@@ -298,6 +299,11 @@ class TestConfigValidation:
     def test_vertex_labels_start_at_one(self):
         with pytest.raises(RangeError):
             ModelConfig(beta=0.0, edge_law=deterministic(1), n=10, probe_vertices=(0,))
+
+    def test_the_last_vertex_is_a_probe(self):
+        # vertex n + 2 is born at step n; test_inputs refuses n + 3
+        cfg = ModelConfig(beta=0.0, edge_law=deterministic(1), n=10, probe_vertices=(12,))
+        assert run_chain(cfg).probes[12].tolist() == [0] * 10 + [1]
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5, 1.0, True])
     def test_seeds_outside_64_bits_are_rejected(self, seed):

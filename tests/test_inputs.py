@@ -77,7 +77,8 @@ POOL = {1: 50, 2: 100, 3: 100}
 CASES = [
     ("ModelConfig", "model.n", lambda v: _model(n=v), [10.5, True]),
     ("ModelConfig", "model.record_stride", lambda v: _model(record_stride=v), [10.5, True]),
-    ("ModelConfig", "model.probe_vertices", lambda v: _model(probe_vertices=(v,)), [10.5, True]),
+    # n = 10: vertex 13 is never born
+    ("ModelConfig", "model.probe_vertices", lambda v: _model(probe_vertices=(v,)), [10.5, True, 13]),
     ("ModelConfig", "model.beta", lambda v: _model(beta=v), [True, *HUGE_BETAS]),
     (
         "BranchingConfig", "branching.beta", lambda v: BranchingConfig(LAW, beta=v),

@@ -282,7 +282,7 @@ class TestBatches:
         # 33 replicates: one batch below n = 1024, a full batch plus one at it
         for stride in (1, max(n, 1)) if task == "simulate" else (1,):
             model = _model(
-                n=n, beta=beta, edge_law=law, probe_vertices=(1, 2, n + 7), record_stride=stride
+                n=n, beta=beta, edge_law=law, probe_vertices=(1, 2, n + 2), record_stride=stride
             )
             _assert_each_replicate_alone(model, 33, task)
 
