@@ -281,8 +281,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        size = {"theory": "jmax", "verify": "profile"}.get(args.command, "n")
-        print(f"error: run.{size}: out of memory; try a smaller {size}", file=sys.stderr)
+        sizes = {"theory": "run.jmax, run.quad_steps", "verify": "run.profile"}
+        size = sizes.get(args.command, "run.n, run.reps")
+        print(f"error: out of memory (size keys: {size})", file=sys.stderr)
         return 2
 
 

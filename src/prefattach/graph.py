@@ -196,7 +196,7 @@ def _probe_degrees(x: np.ndarray, targets: np.ndarray, v: int, steps: np.ndarray
     batch, size = x.shape
     label = np.arange(batch)[:, None] * (size + 2) + v
     gain = np.where(targets == label, x, 0)  # x[0] = 1 is vertex 1's seed end
-    if 2 <= v < size + 2:
+    if v >= 2:
         gain[:, v - 2] += x[:, v - 2]  # its ends as the new vertex of step v - 2
     return np.cumsum(gain, axis=1)[:, steps]
 

@@ -114,10 +114,9 @@ def pi_explicit(x0: int, beta: float, j: int) -> float:
     if j < 1 or j % x0 != 0:
         return 0.0
     l = j // x0
-    # Tables come in powers of two so that a sweep reuses few: 32 of up to 8192 entries
-    # are cached, and one longer table.
+    # Tables of up to 8192 entries are cached, in powers of two so that a sweep reuses few.
     size = max(64, 1 << (l - 1).bit_length())
-    products = (_products if size <= 8192 else _long_products)(x0, beta, size)
+    products = _products(x0, beta, size) if size <= 8192 else _products.__wrapped__(x0, beta, l)
     return (2.0 * x0 + beta) / ((l + 2.0) * x0 + 2.0 * beta) * float(products[l - 1])
 
 
@@ -127,9 +126,6 @@ def _products(x0: int, beta: float, length: int) -> np.ndarray:
     k = np.arange(1.0, length)
     ratios = (k * x0 + beta) / ((k + 2.0) * x0 + 2.0 * beta)
     return np.cumprod(np.concatenate(([1.0], ratios)))
-
-
-_long_products = functools.lru_cache(maxsize=1)(_products.__wrapped__)
 
 
 def pi_recursive(edge_law: EdgeCountDistribution, beta: float, j_max: int) -> LimitSpectrum:

@@ -12,7 +12,7 @@ import pytest
 
 import prefattach
 from prefattach import cli
-from prefattach.cli import main
+from prefattach.cli import build_parser, main
 from prefattach.config import RUN_KEYS
 from prefattach.theory import MAX_J_MAX, MAX_QUAD_J_MAX
 
@@ -241,6 +241,8 @@ class TestUsageErrors:
             # vertex 13 is the largest label of ten steps plus one: it is never born
             (["simulate", "--n", "10", "--probes", "99999999999"], "run.probes"),
             (["analyze", "--n", "10", "--probes", "1,13"], "run.probes"),
+            # a file's probes are held to the n in force, also where they are not read
+            (["embed", "--n", "100", "--config", {"n": 10000, "probes": [1, 2, 5000]}], "run.probes"),
             # an empty name would put the files in the working directory
             (["simulate", "--out", ""], "run.out"),
         ],
@@ -266,10 +268,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         ("argv", "target", "field"),
         [
-            (["simulate"], "replicate", "run.n"),
-            (["embed"], "replicate", "run.n"),
-            (["analyze"], "replicate", "run.n"),
-            (["theory"], "pi_recursive", "run.jmax"),
+            (["simulate"], "replicate", "run.n, run.reps"),
+            (["embed"], "replicate", "run.n, run.reps"),
+            (["analyze"], "replicate", "run.n, run.reps"),
+            (["theory"], "pi_recursive", "run.jmax, run.quad_steps"),
             (["verify", "--profile", "theory"], "VerifySession", "run.profile"),
         ],
     )
@@ -333,8 +335,16 @@ class TestFlagsPerSubcommand:
         assert listed == read | {"--help", "--config"}
         assert read == {f"--{flag}" for flag in DOCUMENTED_FLAGS[command].split()}
 
-    def test_the_subcommands_hold_42_flags(self):
-        assert sum(len(flags.split()) + 1 for flags in DOCUMENTED_FLAGS.values()) == 42
+    def test_the_subparsers_hold_42_flags(self):
+        (subparsers,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+        flags = [
+            flag
+            for parser in subparsers.choices.values()
+            for action in parser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        ]
+        assert len(flags) == 42
 
     @pytest.mark.parametrize(
         ("command", "key"),

@@ -16,7 +16,6 @@ from prefattach.theory import (
     MAX_J_MAX,
     MAX_QUAD_J_MAX,
     MIN_QUAD_STEPS,
-    _long_products,
     _products,
     _tril_matmul,
     moment_profile,
@@ -88,7 +87,6 @@ class TestClosedForm:
 
     def test_product_tables_stay_bounded(self):
         _products.cache_clear()
-        _long_products.cache_clear()
         tracemalloc.start()
         try:
             for x0 in (1, 2, 3):
@@ -100,18 +98,9 @@ class TestClosedForm:
         finally:
             tracemalloc.stop()
         # 45 (x0, beta) pairs: at most 32 tables of at most 8192 entries are
-        # kept, and one longer table (32768 entries for 20,000 factors)
+        # kept, and the products past 8192 factors are not kept at all
         assert _products.cache_info().currsize == 32
-        assert _long_products.cache_info().currsize == 1
-        assert held < (32 * 8192 + 32768) * 8 + 2**16
-
-    def test_a_sweep_past_8192_builds_one_table_per_power_of_two(self):
-        _long_products.cache_clear()
-        for j in range(8193, 40_000, 7):
-            pi_explicit(1, 0.5, j)
-        # tables of 2^14, 2^15 and 2^16 entries
-        assert _long_products.cache_info().misses == 3
-        assert pi_explicit(1, 0.5, 39_999) == direct_pi_explicit(1, 0.5, 39_999)
+        assert held < 32 * 8192 * 8 + 2**16
 
 
 def loop_pi_recursive(law, beta, j_max):
