@@ -13,8 +13,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import DegenerateBinning, InsufficientBins, RangeError, SeriesTooShort
-from .errors import checked_int, checked_real
+from .errors import RangeError, checked_int, checked_real
 from .theory import LimitSpectrum
 
 _MIN_TAIL_COUNT = 5  # vertices a degree needs to enter an empirical tail fit
@@ -52,7 +51,7 @@ def empirical_distribution(source: Mapping[int, int]) -> EmpiricalDistribution:
     counts = {j: c for j, c in _checked_counts(source).items() if c}
     total = sum(counts.values())
     if total == 0:
-        raise SeriesTooShort("no vertices to tabulate")
+        raise RangeError("source", "no vertices to tabulate")
     freq = {j: c / total for j, c in counts.items()}
     return EmpiricalDistribution(counts=counts, freq=freq, support_max=max(counts))
 
@@ -77,28 +76,32 @@ def tail_fit(
 
     Empirical sources only contribute degrees with at least five vertices;
     theoretical sources contribute wherever pi_j > 0.  Needs at least five
-    usable bins.
+    usable bins, else RangeError naming ``source``, which also refuses any
+    other kind of source.
     """
     j_min = checked_int("j_min", j_min, None)
     j_max = checked_int("j_max", j_max, None)
     if not 1 <= j_min < j_max:
-        raise InsufficientBins(f"bad fit range [{j_min}, {j_max}]")
+        raise RangeError("j_min" if j_min < 1 else "j_max", f"bad fit range [{j_min}, {j_max}]")
     xs, ys = [], []
     if isinstance(source, EmpiricalDistribution):
         for j in sorted(source.counts):  # the observed degrees, not the whole range
             if j_min <= j <= j_max and source.counts[j] >= _MIN_TAIL_COUNT:
                 xs.append(j)
                 ys.append(source.freq[j])
-    else:
+    elif isinstance(source, LimitSpectrum):
         top = min(j_max, source.j_max)
         for j in range(j_min, top + 1):
             if source.pi[j] > 0.0:
                 xs.append(j)
                 ys.append(float(source.pi[j]))
-    if len(xs) < 5:
-        raise InsufficientBins(
-            f"only {len(xs)} usable bins in [{j_min}, {j_max}]; need 5"
+    else:
+        raise RangeError(
+            "source",
+            f"need an EmpiricalDistribution or a LimitSpectrum, got {type(source).__name__}",
         )
+    if len(xs) < 5:
+        raise RangeError("source", f"only {len(xs)} usable bins in [{j_min}, {j_max}]; need 5")
     lx, ly = np.log(np.asarray(xs, dtype=float)), np.log(np.asarray(ys))
     slope, offset = np.polyfit(lx, ly, 1)
     pred = slope * lx + offset
@@ -136,11 +139,11 @@ def _scaled_tail_report(
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     if ns.shape != values.shape:
-        raise SeriesTooShort("ns and values differ in length")
+        raise RangeError("values", "ns and values differ in length")
     keep = ns >= 1
     ns, values = ns[keep], values[keep]
     if ns.shape[0] < 10:
-        raise SeriesTooShort(f"need >= 10 recorded points, got {ns.shape[0]}")
+        raise RangeError("ns", f"need >= 10 recorded points, got {ns.shape[0]}")
     scaled = values / ns**exponent
     start = int(np.ceil(ns.shape[0] * (1.0 - _PLATEAU_WINDOW)))
     start = min(start, ns.shape[0] - 2)
@@ -192,7 +195,8 @@ def freeze_detector(ns: np.ndarray, series: np.ndarray) -> FreezeReport:
         if values.ndim != 1:
             raise RangeError(field, f"need a 1-D series, got shape {values.shape}")
     if ns.shape != series.shape or ns.shape[0] < 2:
-        raise SeriesTooShort("need two aligned recorded points at least")
+        field = "ns" if ns.shape == series.shape else "series"
+        raise RangeError(field, "need two aligned recorded points at least")
     if not (ns[0] >= 0 and np.all(ns[1:] > ns[:-1])):
         raise RangeError("ns", "recorded steps must be non-negative and strictly increasing")
     changes = np.nonzero(series[1:] != series[:-1])[0]
@@ -254,25 +258,29 @@ def embedding_equivalence_test(
 
     Adjacent degrees are merged (ascending) until every merged bin has
     expected count >= 5 in both samples under the pooled frequencies; a
-    trailing short bin is folded into the last one.  Raises DegenerateBinning
-    when fewer than two merged bins remain.  Degrees and counts are checked
+    trailing short bin is folded into the last one.  Raises RangeError
+    naming ``counts_a`` or ``counts_b`` for an empty pool, and naming the
+    smaller pool when fewer than two merged bins remain.  Degrees and counts are checked
     as by ``empirical_distribution``; a degree with a zero count still bounds
     a bin.
     """
     counts_a, counts_b = _checked_counts(counts_a), _checked_counts(counts_b)
     support = sorted(set(counts_a) | set(counts_b))
     if not support:
-        raise DegenerateBinning("both pools are empty")
+        raise RangeError("counts_a", "both pools are empty")
     a = np.array([counts_a.get(j, 0) for j in support], dtype=float)
     b = np.array([counts_b.get(j, 0) for j in support], dtype=float)
-    return _chi_square(support, a, b)
+    return _chi_square(support, a, b, "counts_a", "counts_b")
 
 
-def _chi_square(support: list[int], a: np.ndarray, b: np.ndarray) -> ChiSquareResult:
-    """The test of ``embedding_equivalence_test`` on float counts a, b of ``support``."""
+def _chi_square(
+    support: list[int], a: np.ndarray, b: np.ndarray, field_a: str, field_b: str
+) -> ChiSquareResult:
+    """The test of ``embedding_equivalence_test`` on float counts a, b of
+    ``support``; a refusal names ``field_a`` or ``field_b``."""
     tot_a, tot_b = a.sum(), b.sum()
     if tot_a == 0 or tot_b == 0:
-        raise DegenerateBinning("one pool is empty")
+        raise RangeError(field_a if tot_a == 0 else field_b, "one pool is empty")
     pooled = (a + b) / (tot_a + tot_b)
     a, b, pooled = a.tolist(), b.tolist(), pooled.tolist()  # fast to index, same values
 
@@ -298,7 +306,8 @@ def _chi_square(support: list[int], a: np.ndarray, b: np.ndarray) -> ChiSquareRe
         obs_a[-1] += acc_a
         obs_b[-1] += acc_b
     if len(bins) < 2:
-        raise DegenerateBinning(f"only {len(bins)} usable bin(s) after merging")
+        smaller = field_a if tot_a <= tot_b else field_b
+        raise RangeError(smaller, f"only {len(bins)} usable bin(s) after merging")
 
     oa = np.asarray(obs_a)
     ob = np.asarray(obs_b)
@@ -328,16 +337,18 @@ def split_half_pvalues(
     pooled_counts = _checked_counts(pooled_counts)
     support = sorted(j for j, c in pooled_counts.items() if c)
     if not support:
-        raise DegenerateBinning("empty pool")
+        raise RangeError("pooled_counts", "empty pool")
     colors = np.array([pooled_counts[j] for j in support], dtype=np.int64)
     total = int(colors.sum())
     if total < 4:
-        raise DegenerateBinning("need at least 4 pooled observations to split")
+        raise RangeError("pooled_counts", "need at least 4 pooled observations to split")
     pvals = np.empty(n_trials)
     for t in range(n_trials):
         half_a = rng.multivariate_hypergeometric(colors, total // 2)
         half_b = colors - half_a
-        pvals[t] = _chi_square(support, half_a.astype(float), half_b.astype(float)).p_value
+        pvals[t] = _chi_square(
+            support, half_a.astype(float), half_b.astype(float), "pooled_counts", "pooled_counts"
+        ).p_value
     return pvals
 
 

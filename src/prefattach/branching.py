@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MAX_BETA,
-    MismatchedLengths,
-    NonPositiveMean,
-    RangeError,
-    checked_int,
-    checked_real,
-)
+from .errors import MAX_BETA, RangeError, checked_int, checked_real
 from .graph import _MAX_LABEL
 from .laws import EdgeCountDistribution, validate_edge_law
 
@@ -65,7 +58,7 @@ class JumpPath:
     def __post_init__(self):
         times, values = self.times, self.values
         if times.shape != values.shape:
-            raise MismatchedLengths("times and values differ in length")
+            raise RangeError("path.values", "times and values differ in length")
         if times.shape[0]:
             if not (times[0] > 0 and (times[1:] > times[:-1]).all()):
                 raise RangeError("path.times", "event times must be strictly increasing")
@@ -438,13 +431,13 @@ def tau_diagnostics(
         raise RangeError("s_values", "need a 1-D series of finite, positive rates")
     n = taus.shape[0]
     if n < 1:
-        raise MismatchedLengths("need at least one event time")
+        raise RangeError("taus", "need at least one event time")
     if s_values.shape[0] not in (n, n + 1):
-        raise MismatchedLengths(
-            f"need S_0..S_{n - 1} (or through S_n); got {s_values.shape[0]} values"
+        raise RangeError(
+            "s_values", f"need S_0..S_{n - 1} (or through S_n); got {s_values.shape[0]} values"
         )
     if not (math.isfinite(m) and m > 0):
-        raise NonPositiveMean(f"mean edge count must be finite and positive, got {m}")
+        raise RangeError("m", f"mean edge count must be finite and positive, got {m}")
     beta = checked_real("beta", beta, 0.0, MAX_BETA)
     alpha = 1.0 / (2.0 * m + beta)
     drift = np.cumsum(1.0 / s_values[:n])
@@ -494,7 +487,7 @@ def zeta_trajectory(path: JumpPath, m: float) -> ScaledTrajectory:
     not by event count).
     """
     if not (math.isfinite(m) and m > 0):
-        raise NonPositiveMean(f"growth rate m must be finite and positive, got {m}")
+        raise RangeError("m", f"growth rate m must be finite and positive, got {m}")
     times = np.concatenate(([0.0], path.times))
     sizes = np.concatenate(([path.initial], path.values)).astype(float)
     scaled = np.empty_like(times)

@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .branching import tau_diagnostics
 from .config import RUN_KEYS, ExperimentConfig, parse_config
-from .errors import InsufficientBins, PrefattachError, RangeError, checked_int
+from .errors import RangeError, StepTooCoarse, checked_int
 from .outputs import (
     write_degree_distribution,
     write_max_degree,
@@ -55,7 +55,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         for item in args.threshold:
             name, _, value = item.partition("=")
             if not _ or not name:
-                raise PrefattachError(f"--threshold needs NAME=VALUE, got {item!r}")
+                raise RangeError("run.thresholds", f"--threshold needs NAME=VALUE, got {item!r}")
             overrides["thresholds"][name] = value
     return parse_config(args.config, overrides)
 
@@ -134,13 +134,18 @@ def cmd_theory(args: argparse.Namespace) -> int:
     # the quadrature's cap is below the one parse_config applies
     checked_int("run.jmax", cfg.j_max, 1, MAX_QUAD_J_MAX)
     spectrum = _spectrum_for(cfg)
-    quad = pi_quadrature(
-        cfg.model.edge_law,
-        cfg.model.beta,
-        cfg.j_max,
-        y_max=cfg.y_max,
-        steps=cfg.quad_steps,
-    )
+    try:
+        quad = pi_quadrature(
+            cfg.model.edge_law,
+            cfg.model.beta,
+            cfg.j_max,
+            y_max=cfg.y_max,
+            steps=cfg.quad_steps,
+        )
+    except StepTooCoarse as exc:
+        # name the config key behind the quadrature's own argument
+        key = {"y_max": "run.ymax", "steps": "run.quad_steps"}[exc.field]
+        raise RangeError(key, exc.message) from exc
     x0 = (
         cfg.model.edge_law.x0
         if cfg.model.edge_law.kind == "deterministic"
@@ -190,8 +195,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "bins": fit.n_bins,
             "range": [fit.j_min, fit.j_max],
         }
-    except InsufficientBins as exc:
-        summary["tail_fit"] = {"skipped": str(exc)}
+    except RangeError as exc:
+        if exc.field != "source":  # too few bins for a fit is reported, not refused
+            raise
+        summary["tail_fit"] = {"skipped": exc.message}
     per_run = []
     for rep in agg.replicates:
         entry = {"index": rep.index}
@@ -277,7 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PrefattachError as exc:
+    except RangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .errors import MAX_BETA, ParseError, PrefattachError, RangeError, checked_int, checked_real
+from .errors import MAX_BETA, RangeError, checked_int, checked_real
 from .graph import ModelConfig
 from .laws import validate_edge_law
 from .streams import MAX_SEED
@@ -81,11 +81,10 @@ def parse_config(
 ) -> ExperimentConfig:
     """Merge defaults, an optional JSON file, and flag overrides (flags win).
 
-    Raises ParseError for unreadable files and unknown keys, RangeError (with
-    a dotted field path) for out-of-range values and for null where the
-    default is not null.  A refused law keeps the class validate_edge_law
-    gave it, with a message that starts "run.law: " (a RangeError's field is
-    "run.law").
+    Raises RangeError naming the field: ``config`` for an unreadable file,
+    ``run.<key>`` for an unknown key, an out-of-range value and a null where
+    the default is not null.  A refused law names ``run.law``, and its
+    message keeps the parameter validate_edge_law named (x0, q, probs).
     """
     merged = {key: row[0] for key, row in RUN_KEYS.items()}
     if path is not None:
@@ -93,20 +92,20 @@ def parse_config(
             with open(path) as fh:
                 data = json.load(fh)
         except OSError as exc:
-            raise ParseError(f"cannot read config file {path!r}: {exc}") from exc
+            raise RangeError("config", f"cannot read config file {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ParseError(f"config file {path!r} is not valid JSON: {exc}") from exc
+            raise RangeError("config", f"config file {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise ParseError("config file must hold a JSON object")
-        unknown = set(data) - set(RUN_KEYS)
+            raise RangeError("config", "config file must hold a JSON object")
+        unknown = sorted(set(data) - set(RUN_KEYS))
         if unknown:
-            raise ParseError(f"unknown config keys: {sorted(unknown)}")
+            raise RangeError(f"run.{unknown[0]}", f"unknown config keys: {unknown}")
         merged.update(data)
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key not in RUN_KEYS:
-            raise ParseError(f"unknown option {key!r}")
+            raise RangeError(f"run.{key}", f"unknown option {key!r}")
         merged[key] = value
 
     for key, value in merged.items():
@@ -126,9 +125,7 @@ def parse_config(
     try:
         law = validate_edge_law(merged["law"])
     except RangeError as exc:
-        raise RangeError("run.law", str(exc)) from exc
-    except PrefattachError as exc:
-        raise type(exc)(f"run.law: {exc}") from exc
+        raise RangeError("run.law", exc.message if exc.field == "law" else str(exc)) from exc
     n = merged["n"]
     stride = merged["stride"]
     stride = max(1, n // 1000) if stride is None else stride
@@ -154,7 +151,7 @@ def parse_config(
         raise RangeError("run.fit_j_max", f"must exceed fit_j_min = {fit_j_min}")
     thresholds = merged["thresholds"]
     if not isinstance(thresholds, Mapping):
-        raise ParseError("thresholds must be a mapping of check name to bound")
+        raise RangeError("run.thresholds", "thresholds must be a mapping of check name to bound")
     thresholds = validate_thresholds(thresholds)
 
     return ExperimentConfig(

@@ -1,7 +1,10 @@
-"""Exception types shared across the package.
+"""The package's one refusal type and the checkers that raise it.
 
-Everything raised on purpose derives from PrefattachError so callers can
-catch one base class at the CLI boundary.
+Everything raised on purpose is a RangeError naming the field it refuses (a
+dotted path such as ``run.n`` for the CLI, a bare argument name such as
+``j_max`` for the Python API), so the CLI catches one class and every message
+points at its input.  StepTooCoarse is the one subclass: it also carries the
+quadrature's unreliable values and error estimate.
 """
 
 from __future__ import annotations
@@ -10,23 +13,16 @@ import math
 import numbers
 
 
-class PrefattachError(Exception):
-    """Base class for all errors raised by this package."""
-
-
-class ParseError(PrefattachError):
-    """A config file, law string, or CLI value could not be parsed."""
-
-
-class RangeError(PrefattachError):
-    """A numeric field is outside its allowed range.
+class RangeError(Exception):
+    """An input the package refuses: out of range, mistyped or unreadable.
 
     Carries the dotted path of the offending field so CLI messages can
-    point at it.
+    point at it, and the message without that prefix.
     """
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
 
 
@@ -77,46 +73,15 @@ def checked_real(field: str, value, lo: float | None = 0.0, hi: float | None = N
     return number
 
 
-class EmptyLaw(PrefattachError):
-    """An edge-count law was given with no support at all."""
-
-
-class NonPositiveSupport(PrefattachError):
-    """An edge-count law puts mass on j <= 0; support must be {1, 2, ...}."""
-
-
-class NotNormalized(PrefattachError):
-    """Explicit probabilities do not sum to 1 within tolerance."""
-
-
-class NonPositiveMean(PrefattachError):
-    """An operation needs a strictly positive mean edge count."""
-
-
-class MismatchedLengths(PrefattachError):
-    """Two parallel series disagree on length."""
-
-
-class StepTooCoarse(PrefattachError):
+class StepTooCoarse(RangeError):
     """The quadrature grid cannot reach the requested tolerance.
 
-    ``values`` holds the (unreliable) result, ``estimate`` the error bound
-    that tripped the guard.
+    ``field`` is ``y_max`` when the domain cutoff keeps too much mass and
+    ``steps`` when step doubling fails; ``values`` holds the (unreliable)
+    result, ``estimate`` the error bound that tripped the guard.
     """
 
-    def __init__(self, message: str, values=None, estimate: float | None = None):
+    def __init__(self, field: str, message: str, values=None, estimate: float | None = None):
         self.values = values
         self.estimate = estimate
-        super().__init__(message)
-
-
-class InsufficientBins(PrefattachError):
-    """Too few usable degree bins for a tail fit."""
-
-
-class SeriesTooShort(PrefattachError):
-    """A convergence check needs more recorded points."""
-
-
-class DegenerateBinning(PrefattachError):
-    """Bin merging for the chi-square test collapsed to fewer than two bins."""
+        super().__init__(field, message)

@@ -17,15 +17,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .errors import (
-    EmptyLaw,
-    NonPositiveSupport,
-    NotNormalized,
-    ParseError,
-    RangeError,
-    checked_int,
-    checked_real,
-)
+from .errors import RangeError, checked_int, checked_real
 
 _NORMALIZATION_TOL = 1e-9
 
@@ -87,28 +79,26 @@ def deterministic(x0: int) -> EdgeCountDistribution:
     """The law X = x0 a.s."""
     x0 = checked_int("x0", x0, None)
     if x0 < 1:
-        raise NonPositiveSupport(f"deterministic edge count must be >= 1, got {x0}")
+        raise RangeError("x0", f"deterministic edge count must be >= 1, got {x0}")
     return EdgeCountDistribution(kind="deterministic", x0=x0, mean=float(x0))
 
 
 def explicit(probs: Iterable[float]) -> EdgeCountDistribution:
     """A finite table p_1, ..., p_K; normalized if within 1e-9 of mass one.
 
-    A bool or a non-finite entry raises RangeError naming ``probs``; numeric
-    strings are read as numbers.
+    An empty, negative or unnormalized table, a bool or a non-finite entry
+    raises RangeError naming ``probs``; numeric strings are read as numbers.
     """
     table = [checked_real("probs", _probability(p), None) for p in probs]
     if not table:
-        raise EmptyLaw("explicit law needs at least one probability")
+        raise RangeError("probs", "explicit law needs at least one probability")
     if any(p < 0 for p in table):
-        raise NotNormalized("explicit probabilities must be nonnegative")
+        raise RangeError("probs", "explicit probabilities must be nonnegative")
     total = sum(table)
     if abs(total - 1.0) > _NORMALIZATION_TOL:
-        raise NotNormalized(f"explicit probabilities sum to {total!r}, not 1")
-    while table and table[-1] == 0.0:
+        raise RangeError("probs", f"explicit probabilities sum to {total!r}, not 1")
+    while table[-1] == 0.0:  # a table of mass one keeps a positive entry
         table.pop()
-    if not table:
-        raise EmptyLaw("explicit law has zero mass everywhere")
     table = [p / total for p in table]
     mean = sum((i + 1) * p for i, p in enumerate(table))
     return EdgeCountDistribution(kind="explicit", probs=tuple(table), mean=mean)
@@ -125,7 +115,7 @@ def geometric(q: float) -> EdgeCountDistribution:
     """The geometric law on {1, 2, ...} with success probability q."""
     q = float(q)
     if not 0.0 < q <= 1.0:
-        raise ParseError(f"geometric parameter must be in (0, 1], got {q!r}")
+        raise RangeError("q", f"geometric parameter must be in (0, 1], got {q!r}")
     return EdgeCountDistribution(kind="geometric", q=q, mean=1.0 / q)
 
 
@@ -143,12 +133,12 @@ def validate_edge_law(spec: LawSpec) -> EdgeCountDistribution:
     * a mapping {j: p_j} whose keys are ints or integer strings (JSON keys),
     * a sequence (p_1, ..., p_K) read as an explicit table from 1.
 
-    Raises NonPositiveSupport if any mass sits on j <= 0, NotNormalized if an
-    explicit table misses mass one by more than 1e-9, EmptyLaw for an empty
-    table, RangeError naming ``probs`` for a bool or non-finite entry,
-    ParseError for unreadable strings and any other form (a bool, a float,
-    None, a non-integer key, two keys naming one support point, a
-    non-numeric entry).
+    Raises RangeError naming ``probs`` for an explicit table that is empty,
+    negative, misses mass one by more than 1e-9 or holds a bool or
+    non-finite entry; naming ``x0`` or ``q`` for a det or geom parameter out
+    of range; and naming ``law`` for mass on j <= 0, unreadable strings and
+    any other form (a bool, a float, None, a non-integer key, two keys naming
+    one support point, a non-numeric entry).
     """
     if isinstance(spec, EdgeCountDistribution):
         return spec
@@ -159,13 +149,13 @@ def validate_edge_law(spec: LawSpec) -> EdgeCountDistribution:
     try:
         if isinstance(spec, Mapping):
             if not spec:
-                raise EmptyLaw("law mapping is empty")
+                raise RangeError("law", "law mapping is empty")
             keys = [_support_point(j) for j in spec]
             if len(set(keys)) < len(keys):
-                raise ParseError(f"law {spec!r} names a support point twice")
+                raise RangeError("law", f"law {spec!r} names a support point twice")
             if min(keys) < 1:
-                raise NonPositiveSupport(
-                    f"law puts mass on j = {min(keys)}; support must be positive"
+                raise RangeError(
+                    "law", f"law puts mass on j = {min(keys)}; support must be positive"
                 )
             table = [0.0] * max(keys)
             for j, p in zip(keys, spec.values()):
@@ -173,20 +163,20 @@ def validate_edge_law(spec: LawSpec) -> EdgeCountDistribution:
             return explicit(table)
         return explicit(spec)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"could not read law {spec!r}: {exc}") from exc
+        raise RangeError("law", f"could not read law {spec!r}: {exc}") from exc
 
 
 def _support_point(j) -> int:
     """A mapping key as an int; a bool or a float is refused, not truncated."""
     if isinstance(j, str) or (isinstance(j, (int, np.integer)) and not isinstance(j, bool)):
         return int(j)
-    raise ParseError(f"law support point must be an integer, got {j!r}")
+    raise RangeError("law", f"law support point must be an integer, got {j!r}")
 
 
 def _parse_law_string(text: str) -> EdgeCountDistribution:
     head, sep, tail = text.strip().partition(":")
     if not sep:
-        raise ParseError(f"law string needs a 'kind:args' form, got {text!r}")
+        raise RangeError("law", f"law string needs a 'kind:args' form, got {text!r}")
     head = head.strip().lower()
     try:
         if head == "det":
@@ -197,5 +187,5 @@ def _parse_law_string(text: str) -> EdgeCountDistribution:
             parts = [s for s in tail.split(",") if s.strip()]
             return explicit(float(s) for s in parts)
     except (ValueError, TypeError) as exc:
-        raise ParseError(f"could not parse law string {text!r}: {exc}") from exc
-    raise ParseError(f"unknown law kind {head!r} (use det:, geom:, explicit:)")
+        raise RangeError("law", f"could not parse law string {text!r}: {exc}") from exc
+    raise RangeError("law", f"unknown law kind {head!r} (use det:, geom:, explicit:)")

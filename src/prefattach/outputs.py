@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import EmpiricalDistribution
 from .branching import TauDiagnostics
-from .errors import MismatchedLengths
+from .errors import RangeError
 from .theory import LimitSpectrum, pi_explicit
 
 # Rows rendered per write: long tables stream in chunks of bounded memory.
@@ -142,7 +142,7 @@ def write_pi(
     filled only when the law is a fixed edge count (pass its x0, else None).
     """
     if quadrature.shape != spectrum.pi.shape:
-        raise MismatchedLengths("quadrature and spectrum.pi differ in length")
+        raise RangeError("quadrature", "quadrature and spectrum.pi differ in length")
 
     def columns(a, b):
         cols = [range(a, b), spectrum.pi[a:b].tolist(), quadrature[a:b].tolist()]

@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MAX_BETA, NonPositiveMean, RangeError, StepTooCoarse, checked_int, checked_real
+from .errors import MAX_BETA, RangeError, StepTooCoarse, checked_int, checked_real
 from .laws import EdgeCountDistribution, validate_edge_law
 
 _Y_MAX_MASS = 1e-12  # default domain cutoff: exp(-rate * y_max) below this
@@ -65,7 +65,7 @@ MAX_EXPLICIT_J = 1 << 20
 def theta(m: float, beta: float) -> float:
     """Growth exponent m / (2m + beta)."""
     if not (math.isfinite(m) and m > 0):
-        raise NonPositiveMean(f"mean edge count must be positive, got {m}")
+        raise RangeError("m", f"mean edge count must be positive, got {m}")
     beta = checked_real("beta", beta, 0.0, MAX_BETA)
     return m / (2.0 * m + beta)
 
@@ -73,7 +73,7 @@ def theta(m: float, beta: float) -> float:
 def tail_exponent_theory(m: float, beta: float) -> float:
     """Decay exponent of the spectrum tail: pi_j ~ const * j^-(3 + beta/m)."""
     if not (math.isfinite(m) and m > 0):
-        raise NonPositiveMean(f"mean edge count must be positive, got {m}")
+        raise RangeError("m", f"mean edge count must be positive, got {m}")
     beta = checked_real("beta", beta, 0.0, MAX_BETA)
     return 3.0 + beta / m
 
@@ -198,10 +198,11 @@ def pi_quadrature(
     damped occupation vector R and the running integral Q are advanced
     jointly with classical 4th-order steps of size y_max / steps; the same
     propagation at half the step feeds a step-doubling error estimate, and
-    the refined values are returned.  Raises StepTooCoarse when the domain
-    cutoff keeps >= tol of the mass (in particular for y_max = 0) or when
-    the error estimate exceeds tol or is not a number, and RangeError for
-    j_max above MAX_QUAD_J_MAX before anything is allocated.
+    the refined values are returned.  Raises StepTooCoarse naming ``y_max``
+    when the domain cutoff keeps >= tol of the mass (in particular for
+    y_max = 0) and naming ``steps`` when the error estimate exceeds tol or is
+    not a number, and RangeError for j_max above MAX_QUAD_J_MAX before
+    anything is allocated.
     """
     law = validate_edge_law(edge_law)
     j_max = checked_int("j_max", j_max, 1, MAX_QUAD_J_MAX)
@@ -215,6 +216,7 @@ def pi_quadrature(
     cutoff_mass = float(np.exp(-rate * y_max))
     if cutoff_mass >= tol:
         raise StepTooCoarse(
+            "y_max",
             f"domain [0, {y_max:g}] keeps only exp(-rate*y_max) = {cutoff_mass:.3e} "
             f"of the age distribution resolved (tolerance {tol:g})",
             values=np.zeros(j_max + 1),
@@ -272,6 +274,7 @@ def pi_quadrature(
     pi_hat = np.concatenate(([0.0], fine))
     if not estimate <= tol:  # also a NaN estimate from an overflowing step
         raise StepTooCoarse(
+            "steps",
             f"step-doubling error estimate {estimate:.3e} exceeds tolerance {tol:g}",
             values=pi_hat,
             estimate=estimate,

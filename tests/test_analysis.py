@@ -18,7 +18,7 @@ from prefattach.analysis import (
     trajectory_limit_check,
     uniformity_ks,
 )
-from prefattach.errors import DegenerateBinning, InsufficientBins, SeriesTooShort
+from prefattach.errors import RangeError
 from prefattach.graph import ModelConfig, run_chain
 from prefattach.laws import deterministic, explicit
 from prefattach.streams import substream
@@ -74,8 +74,9 @@ class TestTailFit:
 
     def test_too_few_usable_points_is_an_error(self):
         emp = empirical_distribution({1: 10, 2: 8, 3: 6})
-        with pytest.raises(InsufficientBins):
+        with pytest.raises(RangeError) as err:
             tail_fit(emp, 1, 3)
+        assert err.value.field == "source"
 
 
 class TestScaledSeriesChecks:
@@ -120,8 +121,9 @@ class TestScaledSeriesChecks:
         assert report.verdict
 
     def test_short_series_are_rejected(self):
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(RangeError) as err:
             trajectory_limit_check(np.arange(5), np.arange(5) + 1, 0.5)
+        assert err.value.field == "ns"
 
 
 class TestFreezeDetector:
@@ -140,8 +142,9 @@ class TestFreezeDetector:
         assert report.frozen_fraction == pytest.approx(1.2 / 2.7)
 
     def test_two_points_minimum(self):
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(RangeError) as err:
             freeze_detector(np.array([0]), np.array([1]))
+        assert err.value.field == "ns"
 
 
 class TestDistributionDistance:
@@ -185,8 +188,9 @@ class TestTwoSampleComparison:
         assert result.p_value < 1e-6
 
     def test_tiny_pools_cannot_be_binned(self):
-        with pytest.raises(DegenerateBinning):
+        with pytest.raises(RangeError) as err:
             embedding_equivalence_test({1: 3}, {1: 2})
+        assert err.value.field == "counts_b"  # the smaller pool
 
     def test_split_halves_give_valid_pvalues(self):
         pooled = {1: 400, 2: 200, 3: 100}

@@ -18,7 +18,7 @@ from prefattach.branching import (
     tau_diagnostics,
     zeta_trajectory,
 )
-from prefattach.errors import MismatchedLengths, RangeError
+from prefattach.errors import RangeError
 from prefattach.graph import ModelConfig, run_chain
 from prefattach.laws import deterministic, explicit, geometric
 from prefattach.streams import substream
@@ -291,8 +291,9 @@ class TestEventTimeDiagnostics:
 
     def test_misaligned_series_are_rejected(self):
         emb = run_embedding(deterministic(1), 0.0, 20, substream(43, 6))
-        with pytest.raises(MismatchedLengths):
+        with pytest.raises(RangeError) as err:
             tau_diagnostics(emb.taus, emb.s_values[:-3], m=1.0, beta=0.0)
+        assert err.value.field == "s_values"
 
 
 class TestScaledTrajectory:

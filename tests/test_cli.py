@@ -235,7 +235,7 @@ class TestUsageErrors:
             (["analyze", "--n", "100", "--beta", "1e308"], "run.beta"),
             (["theory", "--beta", "1e308"], "run.beta"),
             (["simulate", "--beta", "2e200"], "run.beta"),
-            # a dict is written to a config file whose path takes its place
+            # a dict or a list is written to a config file whose path takes its place
             (["theory", "--config", {"law": [True]}], "run.law"),
             (["theory", "--config", {"beta": 10**400}], "run.beta"),
             # vertex 13 is the largest label of ten steps plus one: it is never born
@@ -245,18 +245,25 @@ class TestUsageErrors:
             (["embed", "--n", "100", "--config", {"n": 10000, "probes": [1, 2, 5000]}], "run.probes"),
             # an empty name would put the files in the working directory
             (["simulate", "--out", ""], "run.out"),
+            # the quadrature's domain keeps all the mass, then its step doubling fails
+            (["theory", "--config", {"ymax": 0}], "run.ymax"),
+            (["theory", "--config", {"ymax": 87.5, "quad_steps": 1000, "jmax": 30}], "run.quad_steps"),
+            (["theory", "--config", [1, 2]], "config"),
+            (["theory", "--config", {"bogus": 1}], "run.bogus"),
+            (["verify", "--profile", "theory", "--config", {"thresholds": [1]}], "run.thresholds"),
+            (["verify", "--profile", "theory", "--threshold", "foo"], "run.thresholds"),
         ],
     )
     def test_refusals_name_their_field(self, tmp_path, monkeypatch, capsys, argv, field):
         monkeypatch.chdir(tmp_path)
-        if isinstance(argv[-1], dict):
+        if isinstance(argv[-1], (dict, list)):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(argv[-1]))
             argv = argv[:-1] + [str(cfg)]
         out = tmp_path / "res"
         # the row's own flags come last, so an --out among them wins
         assert main(argv[:1] + ["--out", str(out)] + argv[1:]) == 2
-        assert field in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
         assert not out.exists()
         assert not list(tmp_path.glob("*.csv"))
 
@@ -293,6 +300,9 @@ class TestUsageErrors:
 
     def test_ten_recorded_steps_are_enough_to_analyze(self, tmp_path):
         assert main(["analyze", "--n", "100", "--stride", "10", "--out", str(tmp_path)]) == 0
+        # too few tail bins skip the fit rather than refuse the run
+        summary = json.loads((tmp_path / "analysis.json").read_text())
+        assert summary["tail_fit"] == {"skipped": "only 2 usable bins in [3, 30]; need 5"}
 
     def test_reversed_fit_range_is_a_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -3,6 +3,8 @@ wrong type, or a bool, ends in a RangeError naming its field, never in a
 numpy TypeError and never silently truncated."""
 
 import math
+import os
+import tempfile
 import warnings
 
 import numpy as np
@@ -26,16 +28,12 @@ from prefattach.branching import (
     tau_diagnostics,
     zeta_trajectory,
 )
-from prefattach.errors import (
-    MAX_BETA,
-    NonPositiveMean,
-    NotNormalized,
-    ParseError,
-    RangeError,
-    checked_real,
-)
+from prefattach.cli import _config_from_args, build_parser
+from prefattach.config import parse_config
+from prefattach.errors import MAX_BETA, RangeError, checked_real
 from prefattach.graph import ModelConfig, run_chain
-from prefattach.laws import deterministic, explicit, validate_edge_law
+from prefattach.laws import deterministic, explicit, geometric, validate_edge_law
+from prefattach.outputs import write_pi
 from prefattach.replicate import replicate
 from prefattach.streams import MAX_SEED, mix64, substream
 from prefattach.theory import (
@@ -70,6 +68,20 @@ HUGE_N = 3_000_000_000
 
 # A second pool for the chi-square rows.
 POOL = {1: 50, 2: 100, 3: 100}
+
+
+def _flat_path():
+    ks = np.arange(2, 20)
+    return JumpPath(initial=1, times=np.log(ks), values=ks.astype(np.int64))
+
+
+def _parse_file(text):
+    """parse_config on a config file holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        return parse_config(path, {})
 
 # (entry point, field it must name, call with the bad value, bad values).
 # Out-of-range values are covered next to each entry point's own tests, apart
@@ -194,6 +206,69 @@ CASES = [
         "moment_profile", "s", lambda v: moment_profile(pi_recursive(LAW, 0.0, 40), [v]),
         [math.nan, math.inf, "a", True],
     ),
+    # Refusals that were classes of their own with no field, one row per site.
+    ("deterministic", "x0", deterministic, [0, -3]),
+    ("explicit", "probs", explicit, [[], [-0.5, 1.5], [0.5, 0.6]]),
+    ("geometric", "q", geometric, [0.0, 1.5, math.nan]),
+    (
+        "validate_edge_law", "law", validate_edge_law,
+        [
+            {}, {1: 0.5, "1": 0.5}, {0: 0.3, 1: 0.7}, 2.5, None, {2.5: 1.0},
+            "det1", "det:abc", "foo:1",
+        ],
+    ),
+    ("parse_config", "config", parse_config, [""]),
+    ("parse_config_file", "config", _parse_file, ["{not json", "[1, 2]"]),
+    ("parse_config_file", "run.bogus", _parse_file, ['{"bogus": 1}']),
+    ("parse_config", "run.bogus", lambda v: parse_config(None, {"bogus": v}), [1]),
+    ("parse_config", "run.law", lambda v: parse_config(None, {"law": v}), ["foo:1", "det:0"]),
+    ("parse_config", "run.thresholds", lambda v: parse_config(None, {"thresholds": v}), [[1]]),
+    (
+        "cli_threshold", "run.thresholds",
+        lambda v: _config_from_args(build_parser().parse_args(["verify", "--threshold", v])),
+        ["foo"],
+    ),
+    (
+        "write_pi", "quadrature",
+        lambda v: write_pi(os.devnull, pi_recursive(LAW, 0.0, 5), v, None, 0.0),
+        [np.zeros(3)],
+    ),
+    ("JumpPath", "path.values", lambda v: JumpPath(1, np.array([1.0]), v), [np.array([2, 3])]),
+    ("tau_diagnostics", "taus", lambda v: tau_diagnostics(v, [2.0], 1.0, 0.0), [[]]),
+    (
+        "tau_diagnostics", "s_values", lambda v: tau_diagnostics([0.5, 0.7], v, 1.0, 0.0),
+        [[2.0], [2.0, 3.0, 4.0, 5.0]],
+    ),
+    (
+        "tau_diagnostics", "m", lambda v: tau_diagnostics([0.5, 0.7], [2.0, 4.0], v, 0.0),
+        [0.0, -1.0, math.nan, math.inf],
+    ),
+    ("zeta_trajectory", "m", lambda v: zeta_trajectory(_flat_path(), v), [0.0, math.nan, math.inf]),
+    ("theta", "m", lambda v: theta(v, 1.0), [0.0, math.nan]),
+    ("tail_exponent_theory", "m", lambda v: tail_exponent_theory(v, 1.0), [0.0, math.inf]),
+    ("empirical_distribution", "source", empirical_distribution, [{}, {1: 0}]),
+    ("tail_fit", "j_min", lambda v: tail_fit(pi_recursive(LAW, 0.0, 40), v, 30), [0, -2]),
+    ("tail_fit", "j_max", lambda v: tail_fit(pi_recursive(LAW, 0.0, 40), 3, v), [3, 2]),
+    # four bins in [3, 6]; then sources of neither kind
+    ("tail_fit", "source", lambda v: tail_fit(v, 3, 6), [pi_recursive(LAW, 0.0, 40)]),
+    ("tail_fit", "source", lambda v: tail_fit(v, 3, 30), [{1: 5, 2: 3}, None]),
+    ("trajectory_limit_check", "values", lambda v: trajectory_limit_check(STEPS, v, 0.5), [STEPS[:5]]),
+    ("max_degree_check", "ns", lambda v: max_degree_check(v, v, 0.5), [STEPS[:9], [0.0] * 20]),
+    ("freeze_detector", "ns", lambda v: freeze_detector(v, [1]), [[0]]),
+    ("freeze_detector", "series", lambda v: freeze_detector([0, 1, 2], v), [[1, 2]]),
+    ("embedding_equivalence_test", "counts_a", lambda v: embedding_equivalence_test(v, {}), [{}]),
+    (
+        "embedding_equivalence_test", "counts_a",
+        lambda v: embedding_equivalence_test(v, POOL), [{1: 0}, {1: 3}],
+    ),
+    ("embedding_equivalence_test", "counts_b", lambda v: embedding_equivalence_test(POOL, v), [{1: 0}]),
+    ("split_half_pvalues", "pooled_counts", lambda v: split_half_pvalues(v, 5, _rng()), [{1: 0}, {1: 3}]),
+    # StepTooCoarse, the one subclass: a cutoff that keeps mass, then a failed step doubling
+    ("pi_quadrature", "y_max", lambda v: pi_quadrature(LAW, 0.0, 30, y_max=v), [0.0, 1.0]),
+    (
+        "pi_quadrature", "steps", lambda v: pi_quadrature(LAW, 0.0, 30, y_max=87.5, steps=v),
+        [1000],
+    ),
 ]
 
 
@@ -231,45 +306,21 @@ def test_the_largest_beta_gives_finite_spectra_and_chains():
     assert sum(run.ledger.counts.values()) == 1002
 
 
-def _flat_path():
-    ks = np.arange(2, 20)
-    return JumpPath(initial=1, times=np.log(ks), values=ks.astype(np.int64))
-
-
-@pytest.mark.parametrize("m", [math.nan, math.inf])
-@pytest.mark.parametrize(
-    "call",
-    [
-        pytest.param(
-            lambda m: tau_diagnostics([0.5, 0.7], [2.0, 4.0], m, 0.0), id="tau_diagnostics"
-        ),
-        pytest.param(lambda m: zeta_trajectory(_flat_path(), m), id="zeta_trajectory"),
-    ],
-)
-def test_non_finite_mean_is_refused(call, m):
-    with pytest.raises(NonPositiveMean):
-        call(m)
-
-
 @pytest.mark.parametrize(
     "law",
     [{1: 0.5, "1": 0.5, 2: 0.5}, {"2": 0.5, np.int64(2): 0.5}],
     ids=["int-and-string", "string-and-numpy"],
 )
 def test_keys_naming_one_support_point_twice_are_refused(law):
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(RangeError) as err:
         validate_edge_law(law)
+    assert err.value.field == "law"
     assert repr(law) in str(err.value)
 
 
 @pytest.mark.parametrize("law", [["0.5", "0.5"], {"1": "0.5", 2: "0.5"}], ids=["list", "mapping"])
 def test_numeric_string_probabilities_stay_readable(law):
     assert validate_edge_law(law).probs == (0.5, 0.5)
-
-
-def test_negative_explicit_entries_stay_normalization_errors():
-    with pytest.raises(NotNormalized):
-        explicit([-0.5, 1.5])
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from prefattach.analysis import empirical_distribution
 from prefattach.branching import TauDiagnostics, run_embedding, tau_diagnostics
-from prefattach.errors import MismatchedLengths
+from prefattach.errors import RangeError
 from prefattach.laws import deterministic, geometric
 from prefattach.outputs import (
     _CHUNK,
@@ -118,8 +118,9 @@ class TestSpectrumFile:
 
     def test_quadrature_must_cover_the_spectrum(self, tmp_path):
         spec = pi_recursive(deterministic(1), 0.0, 3)
-        with pytest.raises(MismatchedLengths):
+        with pytest.raises(RangeError) as err:
             write_pi(str(tmp_path / "pi.csv"), spec, np.zeros(3), explicit_x0=1, beta=0.0)
+        assert err.value.field == "quadrature"
 
 
 class TestReportFile:

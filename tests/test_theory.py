@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefattach.errors import NonPositiveMean, RangeError, StepTooCoarse
+from prefattach.errors import RangeError, StepTooCoarse
 from prefattach import theory
 from prefattach.laws import deterministic, explicit, geometric, validate_edge_law
 from prefattach.theory import (
@@ -34,8 +34,9 @@ class TestScalars:
         assert theta(1, 2) == pytest.approx(0.25)
 
     def test_growth_exponent_requires_positive_mean(self):
-        with pytest.raises(NonPositiveMean):
+        with pytest.raises(RangeError) as err:
             theta(0, 1)
+        assert err.value.field == "m"
 
     def test_tail_exponent_values(self):
         assert tail_exponent_theory(1, 0) == pytest.approx(3.0)
@@ -222,7 +223,7 @@ def dense_pi_quadrature(law, beta, j_max, y_max=None, steps=20000, tol=1e-6):
         y_max = -np.log(1e-12) / rate
     cutoff_mass = float(np.exp(-rate * y_max))
     if cutoff_mass >= tol:
-        raise StepTooCoarse("cutoff", values=np.zeros(j_max + 1), estimate=cutoff_mass)
+        raise StepTooCoarse("y_max", "cutoff", values=np.zeros(j_max + 1), estimate=cutoff_mass)
     p = law.pmf_vector(j_max)
     j_idx = np.arange(1, j_max + 1, dtype=float)
     gen = np.zeros((j_max, j_max))
@@ -258,7 +259,7 @@ def dense_pi_quadrature(law, beta, j_max, y_max=None, steps=20000, tol=1e-6):
     estimate = float(np.max(np.abs(fine - coarse))) / 15.0
     pi_hat = np.concatenate(([0.0], fine))
     if estimate > tol:
-        raise StepTooCoarse("step doubling", values=pi_hat, estimate=estimate)
+        raise StepTooCoarse("steps", "step doubling", values=pi_hat, estimate=estimate)
     return pi_hat
 
 
@@ -320,6 +321,7 @@ class TestQuadrature:
             dense_pi_quadrature(law, 0.0, 30, **kwargs)
         with pytest.raises(StepTooCoarse) as err:
             pi_quadrature(law, 0.0, 30, **kwargs)
+        assert err.value.field == dense.value.field
         # rounding grows with the unstable modes, so the two routes agree to
         # about 1e-12 relative there
         assert err.value.estimate == pytest.approx(dense.value.estimate, rel=1e-9)

@@ -17,7 +17,7 @@ import pytest
 from prefattach import graph, verify
 from prefattach.branching import _PathBuffers
 from prefattach.errors import RangeError
-from prefattach.laws import deterministic
+from prefattach.laws import EdgeCountDistribution, deterministic
 from prefattach.streams import substream
 from prefattach.verify import ALL_CHECKS, CATALOGUE, DEFAULT_MASTER_SEED, VerifySession
 
@@ -385,7 +385,7 @@ def test_the_wait_bound_is_recorded_at_its_own_sigmas():
 
 
 def test_event_times_draw_no_one_event_embeddings(monkeypatch):
-    # the drift runs and one S_n/n run per case; the waits reuse the drift runs
+    # the drift runs only: the waits reuse them, and S_n is read off the X draws
     real = verify.run_embedding
     sizes = []
 
@@ -396,8 +396,7 @@ def test_event_times_draw_no_one_event_embeddings(monkeypatch):
     monkeypatch.setattr(verify, "run_embedding", counting)
     session = VerifySession(profile="quick")
     session.run(("event-time-asymptotics",))
-    row = verify._BY_NAME["event-time-asymptotics"]
-    assert len(sizes) == session.drift_reps + len(row.cases) == 22
+    assert len(sizes) == session.drift_reps == 20
     assert 1 not in sizes
 
 
@@ -412,14 +411,25 @@ class TestCasesAreData:
     @pytest.mark.parametrize("check", [c for c in CATALOGUE if c.cases], ids=lambda c: c.name)
     def test_a_check_samples_exactly_its_cases(self, monkeypatch, check):
         seen = set()
+        drawn = set()  # laws whose X's the check draws itself, which know no beta
+        depth = [0]  # recorded calls in progress
 
         def recording(real, case_of):
             def wrapper(*args, **kwargs):
                 law, beta = case_of(*args)
                 seen.add((law.label(), beta))
-                return real(*args, **kwargs)
+                depth[0] += 1
+                try:
+                    return real(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
 
             return wrapper
+
+        def sampling(law, *args, **kwargs):
+            if not depth[0]:
+                drawn.add(law.label())
+            return real_sample(law, *args, **kwargs)
 
         def of_model(model, *_):
             return model.edge_law, model.beta
@@ -436,6 +446,10 @@ class TestCasesAreData:
             monkeypatch.setattr(verify, name, recording(getattr(verify, name), case_of))
         draw = recording(_PathBuffers.draw, lambda _, initial, beta, law, *__: (law, beta))
         monkeypatch.setattr(_PathBuffers, "draw", draw)
+        real_sample = EdgeCountDistribution.sample
+        monkeypatch.setattr(EdgeCountDistribution, "sample", sampling)
         # a fresh session, so the check builds the shared artifacts it reads
         VerifySession(profile="quick").run((check.name,))
-        assert seen == {(law.label(), beta) for law, beta in check.cases}
+        cases = {(law.label(), beta) for law, beta in check.cases}
+        assert seen <= cases
+        assert {label for label, _ in cases - seen} <= drawn
