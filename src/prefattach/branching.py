@@ -12,7 +12,11 @@ Both representations are implemented and can be checked against each other.
 The event-clock construction couples a whole family of such processes to the
 growing graph: each vertex owns a process (started at its birth), all clocks
 run in parallel, and the k-th event overall reproduces the k-th attachment
-step of the discrete chain.
+step of the discrete chain.  ``run_embedding`` merges the clocks through a
+heap for short runs; from ``_ROUNDS_MIN_EVENTS`` events on it advances the
+family in rounds instead, every process whose clock falls before a horizon
+firing at once, and sorts the events afterwards.  The two draw the same law
+from different variates.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MAX_BETA, RangeError, checked_int, checked_real
-from .graph import _MAX_LABEL
+from .graph import _MAX_ENDPOINTS, _MAX_LABEL
 from .laws import EdgeCountDistribution, validate_edge_law
 
 
@@ -261,6 +265,14 @@ def simulate_mbpi(
     return JumpPath(initial=initial, times=times[order], values=initial + np.cumsum(jumps[order]))
 
 
+# run_embedding draws runs of this many events or more in rounds, shorter ones
+# from its heap.  Rounds overtake the heap between 500 and 1000 events (2
+# vCPUs); the cut sits just above 1024, the largest n that replicate batches,
+# so a batched replicate, which advances in lockstep as the heap does, still
+# equals run_embedding on its own generator.
+_ROUNDS_MIN_EVENTS = 1025
+
+
 @dataclass(frozen=True)
 class EmbeddingResult:
     """The event-clock family after n events.
@@ -292,14 +304,22 @@ def run_embedding(
     earliest clock fires, its owner gains X, and a new process of size X is
     born at that instant.  Reading off the owners and the X's reproduces the
     discrete chain's attachment steps, and the event times carry the
-    continuous-time information.  All n jumps and the 2n + 2 unit clocks are
-    drawn up front; a clock is scaled by its rate when it is pushed.  An n
-    whose labels n + 2 pass 2^31 - 1, the chain's limit, is refused before
-    anything is drawn.
+    continuous-time information.  Below ``_ROUNDS_MIN_EVENTS`` events the
+    clocks sit in a heap: all n jumps and the 2n + 2 unit clocks are drawn up
+    front, and a clock is scaled by its rate when it is pushed.  Longer runs
+    advance in rounds (``_run_rounds``), which draws the same law from other
+    variates.  An n whose labels n + 2 pass 2^31 - 1, or whose size total
+    2 + 2 (X_1 + ... + X_n) is expected within 10 % of 2^53, the chain's
+    limits, is refused before anything is drawn.
     """
     n = checked_int("n", n, 0, _MAX_LABEL - 2)
     law = validate_edge_law(edge_law)
     beta = checked_real("beta", beta, 0.0, MAX_BETA)
+    total = 2 + 2.2 * law.mean * n
+    if total >= _MAX_ENDPOINTS:
+        raise RangeError("n", f"{n} events expect a size total of ~{total:.3g}, past 2**53")
+    if n >= _ROUNDS_MIN_EVENTS:
+        return _run_rounds(law, beta, n, rng)
 
     xs = law.sample(rng, n)
     jumps = xs.tolist()
@@ -332,6 +352,102 @@ def run_embedding(
         chosen=np.array(chosen, dtype=np.int64),
         xs=xs,
         s_values=np.array(s_values, dtype=float),
+    )
+
+
+def _run_rounds(
+    law: EdgeCountDistribution,
+    beta: float,
+    n: int,
+    rng: np.random.Generator,
+) -> EmbeddingResult:
+    """``run_embedding``'s family of clocks, advanced in rounds up to a horizon.
+
+    Every process whose clock is at or before the horizon H fires once per
+    round: its owner gains an X drawn then, its next clock is
+    t + E / (size + beta), and a newborn of size X gets t + E' / (X + beta).
+    Rounds repeat until no clock is at or before H; while fewer than n events
+    exist, H grows from the count so far.  Each process evolves on its own and
+    every drawn clock is that process's true next event, so the events up to H
+    have the law of the heap construction's, found in another order.  They are
+    sorted (stably), cut at the n-th and relabelled in birth order.
+
+    H starts where the total rate S_0 e^{(2m + beta) t} expects n / 2 events
+    and then grows 1.1 times as far as the count so far says n needs, so a
+    run draws about 1.2 n to 1.3 n events on average, over two horizons.  H
+    also grows at least to the earliest clock: when 2m + beta dwarfs S_0
+    (a large x0), the expected count is carried by rare early events and
+    most runs wait far longer for their first.  Internal process p (from 0)
+    is born at internal event p - 2, so the process arrays and the event
+    arrays share one capacity.
+    """
+    rate = 2.0 * law.mean + beta
+    s0 = 2.0 + 2.0 * beta
+    horizon = math.log1p(rate * n / (2.0 * s0)) / rate
+    cap = n + n // 4 + 64
+    clock, weight = np.empty(cap + 2), np.empty(cap + 2)  # weight = size + beta
+    ev_t, ev_owner, ev_x = np.empty(cap), np.empty(cap, np.int64), np.empty(cap, np.int64)
+    weight[:2] = 1.0 + beta
+    clock[:2] = rng.standard_exponential(2) / weight[:2]
+    procs = 2
+    active = (clock[:2] <= horizon).nonzero()[0]
+    while True:
+        while active.shape[0]:
+            k = active.shape[0]
+            lo, procs = procs, procs + k
+            if procs > cap + 2:
+                cap = max(procs, 2 * cap)
+                clock, weight = (np.resize(a, cap + 2) for a in (clock, weight))
+                ev_t, ev_owner, ev_x = (np.resize(a, cap) for a in (ev_t, ev_owner, ev_x))
+            t = clock[active]
+            x = law.sample(rng, k)
+            units = rng.standard_exponential(2 * k)
+            grown = weight[active] + x
+            weight[active] = grown
+            refired = units[:k] / grown
+            refired += t
+            clock[active] = refired
+            born = weight[lo:procs]
+            np.add(x, beta, out=born)
+            born = units[k:] / born
+            born += t
+            clock[lo:procs] = born
+            ev_t[lo - 2 : procs - 2], ev_owner[lo - 2 : procs - 2], ev_x[lo - 2 : procs - 2] = (
+                t, active, x
+            )
+            active = np.concatenate(
+                (active[refired <= horizon], (born <= horizon).nonzero()[0] + lo)
+            )
+        events = procs - 2
+        if events >= n:
+            break
+        step = max(0.05, 1.1 * math.log((n + 2) / (events + 2))) / rate
+        horizon = max(horizon + step, clock[:procs].min())
+        active = (clock[:procs] <= horizon).nonzero()[0]
+
+    order = np.argsort(ev_t[:events], kind="stable")[:n]
+    # internal process p >= 2 gets label 3 + the time rank of its birth event
+    label = np.empty(procs, np.int64)
+    label[:2] = 1, 2
+    label[order + 2] = np.arange(3, n + 3)
+    taus = ev_t[order]
+    chosen = label[ev_owner[order]]
+    xs = ev_x[order]
+    sizes = np.bincount(chosen - 1, weights=xs, minlength=n + 2).astype(np.int64)
+    sizes[:2] += 1
+    sizes[2:] += xs
+    # S_k = 2 + 2 (X_1 + ... + X_k) + (k + 2) beta, as the heap sums it
+    size_sum = np.zeros(n + 1, np.int64)
+    np.cumsum(xs, out=size_sum[1:])
+    size_sum *= 2
+    size_sum += 2
+    return EmbeddingResult(
+        sizes=sizes,
+        start_times=np.concatenate((np.zeros(2), taus)),
+        taus=taus,
+        chosen=chosen,
+        xs=xs,
+        s_values=size_sum + np.arange(2, n + 3) * beta,
     )
 
 
@@ -436,8 +552,9 @@ def tau_diagnostics(
         raise RangeError(
             "s_values", f"need S_0..S_{n - 1} (or through S_n); got {s_values.shape[0]} values"
         )
-    if not (math.isfinite(m) and m > 0):
-        raise RangeError("m", f"mean edge count must be finite and positive, got {m}")
+    m = checked_real("m", m, None)
+    if m <= 0:
+        raise RangeError("m", f"mean edge count must be positive, got {m}")
     beta = checked_real("beta", beta, 0.0, MAX_BETA)
     alpha = 1.0 / (2.0 * m + beta)
     drift = np.cumsum(1.0 / s_values[:n])
@@ -486,8 +603,9 @@ def zeta_trajectory(path: JumpPath, m: float) -> ScaledTrajectory:
     The trailing window is the last quarter of the time horizon (by time,
     not by event count).
     """
-    if not (math.isfinite(m) and m > 0):
-        raise RangeError("m", f"growth rate m must be finite and positive, got {m}")
+    m = checked_real("m", m, None)
+    if m <= 0:
+        raise RangeError("m", f"growth rate m must be positive, got {m}")
     times = np.concatenate(([0.0], path.times))
     sizes = np.concatenate(([path.initial], path.values)).astype(float)
     scaled = np.empty_like(times)

@@ -25,6 +25,11 @@ class RangeError(Exception):
         self.message = message
         super().__init__(f"{field}: {message}")
 
+    def __reduce__(self):
+        # the default rebuilds from ``args``, the one joined string, and fails;
+        # a refusal raised in a worker process must reach the parent whole
+        return type(self), (self.field, self.message)
+
 
 def checked_int(field: str, value, lo: int | None, hi: int | None = None) -> int:
     """``value`` as an int in [lo, hi], else RangeError naming ``field``.
@@ -85,3 +90,6 @@ class StepTooCoarse(RangeError):
         self.values = values
         self.estimate = estimate
         super().__init__(field, message)
+
+    def __reduce__(self):
+        return type(self), (self.field, self.message, self.values, self.estimate)

@@ -112,8 +112,11 @@ def _probability(p) -> float:
 
 
 def geometric(q: float) -> EdgeCountDistribution:
-    """The geometric law on {1, 2, ...} with success probability q."""
-    q = float(q)
+    """The geometric law on {1, 2, ...} with success probability q.
+
+    A q outside (0, 1], a bool or a non-number raises RangeError naming ``q``.
+    """
+    q = checked_real("q", q, None)
     if not 0.0 < q <= 1.0:
         raise RangeError("q", f"geometric parameter must be in (0, 1], got {q!r}")
     return EdgeCountDistribution(kind="geometric", q=q, mean=1.0 / q)

@@ -10,7 +10,9 @@ Short replicates run in batches: a call batches when a batch of at most
 replicates.  A batch of chains is resolved in one pass of ``graph``, and a
 batch of embeddings advances in lockstep; each replicate still draws from its
 own generator, so its summary is bit-identical to a run on its own.  Other
-calls make one ``run_chain`` or ``run_embedding`` call per replicate.
+calls make one ``run_chain`` or ``run_embedding`` call per replicate.  Only
+n <= 1024 batches, which keeps batched embeddings below the n at which
+``run_embedding`` leaves its heap for rounds.
 """
 
 from __future__ import annotations

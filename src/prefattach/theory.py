@@ -38,7 +38,6 @@ coding of G and of the step, not the integral form itself.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,7 +63,8 @@ MAX_EXPLICIT_J = 1 << 20
 
 def theta(m: float, beta: float) -> float:
     """Growth exponent m / (2m + beta)."""
-    if not (math.isfinite(m) and m > 0):
+    m = checked_real("m", m, None)
+    if m <= 0:
         raise RangeError("m", f"mean edge count must be positive, got {m}")
     beta = checked_real("beta", beta, 0.0, MAX_BETA)
     return m / (2.0 * m + beta)
@@ -72,7 +72,8 @@ def theta(m: float, beta: float) -> float:
 
 def tail_exponent_theory(m: float, beta: float) -> float:
     """Decay exponent of the spectrum tail: pi_j ~ const * j^-(3 + beta/m)."""
-    if not (math.isfinite(m) and m > 0):
+    m = checked_real("m", m, None)
+    if m <= 0:
         raise RangeError("m", f"mean edge count must be positive, got {m}")
     beta = checked_real("beta", beta, 0.0, MAX_BETA)
     return 3.0 + beta / m

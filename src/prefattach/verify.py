@@ -529,8 +529,8 @@ class VerifySession:
         # (b) S_n / n near 2m + beta at the large scale, on substreams 999,
         # 9999, ...; det:1 is pinned (exact up to 2/n), a random law
         # exercises it with real randomness.  S_n = 2 + 2 (X_1 + ... + X_n)
-        # + (n + 2) beta depends on the X's alone, which run_embedding draws
-        # first, so summing them gives its S_n bit for bit.
+        # + (n + 2) beta depends on the X's alone, so n draws of X give its law
+        # without running an embedding.
         sn_tol = row.sn
         sn_gaps = {}
         for i, (sn_law, sn_beta) in enumerate(row.cases):

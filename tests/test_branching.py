@@ -7,11 +7,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from prefattach import branching
 from prefattach.analysis import embedding_equivalence_test
 from prefattach.branching import (
+    _ROUNDS_MIN_EVENTS,
     BranchingConfig,
     JumpPath,
     _PathBuffers,
+    _run_rounds,
     run_embedding,
     simulate_mbp,
     simulate_mbpi,
@@ -244,9 +247,9 @@ class TestEventTimeConstruction:
         )
         assert abs(taus.mean() - 0.5) < 3 * 0.5 / np.sqrt(reps)
 
-    def test_bookkeeping_identities_hold_exactly(self):
+    @pytest.mark.parametrize("n", [400, 3000], ids=["heap", "rounds"])
+    def test_bookkeeping_identities_hold_exactly(self, n):
         beta = 0.5  # dyadic keeps the float ledger exact
-        n = 400
         emb = run_embedding(explicit([0.5, 0.5]), beta, n, substream(43, 2))
         xs = emb.xs.astype(np.int64)
         assert emb.sizes.sum() == 2 + 2 * xs.sum()
@@ -256,6 +259,33 @@ class TestEventTimeConstruction:
         assert np.all(np.diff(emb.taus) > 0)
         assert np.all(emb.chosen >= 1)
         assert np.all(emb.chosen <= np.arange(2, n + 2))
+        # process j >= 3 is born at event j - 2 with size X_{j-2}, before any event it owns
+        assert np.array_equal(emb.start_times[2:], emb.taus)
+        assert np.all(emb.start_times[emb.chosen - 1] < emb.taus)
+        initial = np.concatenate(([1, 1], xs))
+        gained = np.bincount(emb.chosen - 1, weights=xs, minlength=n + 2)
+        assert np.array_equal(emb.sizes, initial + gained)
+
+    def test_rounds_jump_to_the_first_event_of_a_huge_edge_count(self):
+        # det:10^9 waits about 1 / S_0 for its first event, far past the
+        # horizon where its rate 2m + beta expects n / 2 events; growing the
+        # horizon by that rate alone would take about 10^8 steps to get there
+        rng = CountingGenerator(substream(43, 11))
+        emb = run_embedding(deterministic(10**9), 0.5, 3000, rng)
+        assert emb.sizes.sum() == 2 + 2 * 10**9 * 3000
+        assert rng.calls < 1000
+
+    def test_long_runs_draw_in_rounds_and_short_ones_from_the_heap(self, monkeypatch):
+        calls = []
+
+        def recording(law, beta, n, rng):
+            calls.append(n)
+            return _run_rounds(law, beta, n, rng)
+
+        monkeypatch.setattr(branching, "_run_rounds", recording)
+        for n in (_ROUNDS_MIN_EVENTS - 1, _ROUNDS_MIN_EVENTS):
+            run_embedding(deterministic(1), 0.0, n, substream(43, 10))
+        assert calls == [_ROUNDS_MIN_EVENTS]
 
     @pytest.mark.parametrize("law", [deterministic(1), geometric(0.5)])
     def test_sizes_match_the_chain_degrees_with_arrivals(self, law):

@@ -4,8 +4,10 @@ numpy TypeError and never silently truncated."""
 
 import math
 import os
+import pickle
 import tempfile
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,7 +32,13 @@ from prefattach.branching import (
 )
 from prefattach.cli import _config_from_args, build_parser
 from prefattach.config import parse_config
-from prefattach.errors import MAX_BETA, RangeError, checked_real
+from prefattach.errors import (
+    MAX_BETA,
+    RangeError,
+    StepTooCoarse,
+    checked_int,
+    checked_real,
+)
 from prefattach.graph import ModelConfig, run_chain
 from prefattach.laws import deterministic, explicit, geometric, validate_edge_law
 from prefattach.outputs import write_pi
@@ -104,6 +112,8 @@ CASES = [
         [10.5, True, 2**31 - 2, HUGE_N],
     ),
     ("run_embedding", "beta", lambda v: run_embedding(LAW, v, 5, _rng()), [True, *HUGE_BETAS]),
+    # X near 10^15: sizes would leave the exact float range, or the heap's int64
+    ("run_embedding", "n", lambda v: run_embedding(geometric(1e-15), 0.0, v, _rng()), [10, 2000]),
     ("simulate_mbpi", "horizon", lambda v: simulate_mbpi(BranchingConfig(LAW), v, _rng()), [True]),
     ("theta", "beta", lambda v: theta(1.0, v), [True, *HUGE_BETAS]),
     ("tail_exponent_theory", "beta", lambda v: tail_exponent_theory(1.0, v), [True, *HUGE_BETAS]),
@@ -209,7 +219,7 @@ CASES = [
     # Refusals that were classes of their own with no field, one row per site.
     ("deterministic", "x0", deterministic, [0, -3]),
     ("explicit", "probs", explicit, [[], [-0.5, 1.5], [0.5, 0.6]]),
-    ("geometric", "q", geometric, [0.0, 1.5, math.nan]),
+    ("geometric", "q", geometric, [0.0, 1.5, math.nan, True, "abc", "0.5", None]),
     (
         "validate_edge_law", "law", validate_edge_law,
         [
@@ -243,9 +253,19 @@ CASES = [
         "tau_diagnostics", "m", lambda v: tau_diagnostics([0.5, 0.7], [2.0, 4.0], v, 0.0),
         [0.0, -1.0, math.nan, math.inf],
     ),
-    ("zeta_trajectory", "m", lambda v: zeta_trajectory(_flat_path(), v), [0.0, math.nan, math.inf]),
-    ("theta", "m", lambda v: theta(v, 1.0), [0.0, math.nan]),
-    ("tail_exponent_theory", "m", lambda v: tail_exponent_theory(v, 1.0), [0.0, math.inf]),
+    (
+        "tau_diagnostics", "m", lambda v: tau_diagnostics([0.5, 0.7], [2.0, 4.0], v, 0.0),
+        [True, "1", None],
+    ),
+    (
+        "zeta_trajectory", "m", lambda v: zeta_trajectory(_flat_path(), v),
+        [0.0, math.nan, math.inf, True, "a", None],
+    ),
+    ("theta", "m", lambda v: theta(v, 1.0), [0.0, math.nan, True, "a", None]),
+    (
+        "tail_exponent_theory", "m", lambda v: tail_exponent_theory(v, 1.0),
+        [0.0, math.inf, True, "a", None],
+    ),
     ("empirical_distribution", "source", empirical_distribution, [{}, {1: 0}]),
     ("tail_fit", "j_min", lambda v: tail_fit(pi_recursive(LAW, 0.0, 40), v, 30), [0, -2]),
     ("tail_fit", "j_max", lambda v: tail_fit(pi_recursive(LAW, 0.0, 40), 3, v), [3, 2]),
@@ -328,3 +348,30 @@ def test_numeric_string_probabilities_stay_readable(law):
 )
 def test_seeds_and_indices_in_range_are_accepted(seed, index):
     assert 0 <= mix64(seed, index) == mix64(int(seed), int(index)) <= MAX_SEED
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        RangeError("run.n", "must be >= 0, got -1"),
+        StepTooCoarse("steps", "step doubling failed", np.array([0.25, 0.75]), 3e-7),
+    ],
+    ids=["RangeError", "StepTooCoarse"],
+)
+def test_refusals_survive_a_pickle_round_trip(error):
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert (copy.field, copy.message, str(copy)) == (error.field, error.message, str(error))
+    if isinstance(error, StepTooCoarse):
+        assert np.array_equal(copy.values, error.values)
+        assert copy.estimate == error.estimate
+
+
+def test_a_refusal_raised_in_a_worker_reaches_the_parent_naming_its_field():
+    # replicate's workers run in such a pool; their exceptions come back pickled
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(checked_int, "run.n", 2.5, 0)
+        with pytest.raises(RangeError) as err:
+            future.result(timeout=60)
+    assert err.value.field == "run.n"
+    assert err.value.message == "must be an integer, got 2.5"

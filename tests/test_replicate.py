@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from prefattach.branching import _run_lockstep, run_embedding
+from prefattach.branching import _ROUNDS_MIN_EVENTS, _run_lockstep, run_embedding
 from prefattach.cli import main
 from prefattach.errors import RangeError
 from prefattach.graph import ModelConfig, run_chain
@@ -258,6 +258,10 @@ class TestBatches:
     )
     def test_the_size_rule(self, n, replications, batch):
         assert _batch_size(n, replications) == batch
+
+    def test_no_batch_reaches_the_rounds(self):
+        # a batch advances in lockstep, which equals run_embedding's heap only
+        assert _batch_size(_ROUNDS_MIN_EVENTS, 10**9) == 1
 
     @pytest.mark.parametrize(("replications", "singles"), [(31, 31), (32, 0)])
     def test_only_small_calls_make_one_run_per_replicate(self, monkeypatch, replications, singles):
