@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import EmpiricalDistribution
 from .branching import TauDiagnostics
 from .errors import RangeError
-from .theory import LimitSpectrum, pi_explicit
+from .theory import LimitSpectrum, _pi_explicit_vector
 
 # Rows rendered per write: long tables stream in chunks of bounded memory.
 _CHUNK = 1 << 14
@@ -144,10 +144,14 @@ def write_pi(
     if quadrature.shape != spectrum.pi.shape:
         raise RangeError("quadrature", "quadrature and spectrum.pi differ in length")
 
+    closed = None
+    if explicit_x0 is not None:
+        closed = _pi_explicit_vector(explicit_x0, beta, spectrum.j_max)
+
     def columns(a, b):
         cols = [range(a, b), spectrum.pi[a:b].tolist(), quadrature[a:b].tolist()]
-        if explicit_x0 is not None:
-            cols.append([pi_explicit(explicit_x0, beta, j) for j in range(a, b)])
+        if closed is not None:
+            cols.append(closed[a:b].tolist())
         return cols
 
     explicit = ",%.12g" if explicit_x0 is not None else ","

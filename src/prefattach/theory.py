@@ -33,6 +33,10 @@ and the recursion is pi = -rate G^{-1} R(0), so the quadrature returns the
 recursion plus rate G^{-1} R(y_max), a term of the order of
 exp(-rate * y_max), whatever the step size.  Their agreement checks the
 coding of G and of the step, not the integral form itself.
+
+When every X is a multiple of g, so is every degree: P_j and pi_j vanish off
+the lattice gN, and the system splits into exact zeros and the j_max // g
+states j = g, 2g, ....  Both codings solve only those states (_lattice).
 """
 
 from __future__ import annotations
@@ -52,9 +56,10 @@ MIN_QUAD_STEPS = 1000  # fewest integration steps pi_quadrature accepts
 # It is the largest the package uses itself (moment-dichotomy at the full
 # profile).
 MAX_J_MAX = 5000
-# The quadrature's own cap: it holds up to five dense j_max x j_max float64 blocks and costs
-# O(j_max^3).  At the cap `theory` took 16.7 s (geom:0.5, beta 1) and 7.4 s (det:1), 196 MB,
-# on one BLAS thread of 2 vCPUs.  det:1 at 20,000 steps fails step doubling from 2500.
+# The quadrature's own cap: it holds up to five dense (j_max/g)^2 float64 blocks for a law on
+# the lattice gN and costs O((j_max/g)^3).  At the cap `theory` took 16.7 s (geom:0.5, beta 1)
+# and 7.4 s (det:1), 196 MB, on one BLAS thread of 2 vCPUs; det:4 at beta 0.5 took 0.46 s and
+# 43 MB.  det:1 at 20,000 steps fails step doubling from 2500.
 MAX_QUAD_J_MAX = 2000
 # Largest degree pi_explicit accepts, checked before its product table (one float per
 # multiple of x0 up to j, 8 MB at the cap) is built.
@@ -121,6 +126,24 @@ def pi_explicit(x0: int, beta: float, j: int) -> float:
     return (2.0 * x0 + beta) / ((l + 2.0) * x0 + 2.0 * beta) * float(products[l - 1])
 
 
+def _pi_explicit_vector(x0: int, beta: float, j_max: int) -> np.ndarray:
+    """pi_explicit(x0, beta, j) for j = 0..j_max, bit for bit, from one product table.
+
+    The table is built for the call and not cached: a prefix of np.cumprod
+    does not depend on the table's length.
+    """
+    x0 = checked_int("x0", x0, 1)
+    beta = checked_real("beta", beta, 0.0, MAX_BETA)
+    j_max = checked_int("j", j_max, None, MAX_EXPLICIT_J)
+    pi = np.zeros(j_max + 1)
+    top = j_max // x0
+    if top:
+        l = np.arange(1, top + 1)
+        ratio = (2.0 * x0 + beta) / ((l + 2.0) * x0 + 2.0 * beta)
+        pi[x0::x0] = ratio * _products.__wrapped__(x0, beta, top)
+    return pi
+
+
 @functools.lru_cache(maxsize=32)
 def _products(x0: int, beta: float, length: int) -> np.ndarray:
     """prod_{k=1}^{i} (k x0 + beta) / ((k + 2) x0 + 2 beta) for i < length, in np.prod's order."""
@@ -129,24 +152,56 @@ def _products(x0: int, beta: float, length: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0], ratios)))
 
 
+def _lattice(law: EdgeCountDistribution, j_max: int) -> tuple[int, np.ndarray]:
+    """The step g of the lattice gN that holds the law's mass at or below j_max,
+    and q with q[l] = p_{lg} for l = 0..j_max // g.
+
+    A degree is a sum of X draws, so the spectrum lives on gN too: g is x0 for a
+    det law, the gcd of the table's support for an explicit law and 1 for a
+    geometric one.  A law with no mass at or below j_max has no state there
+    (g = j_max + 1).
+    """
+    p = law.pmf_vector(j_max)
+    g = int(np.gcd.reduce(np.flatnonzero(p))) or j_max + 1
+    return g, p[::g]
+
+
 def pi_recursive(edge_law: EdgeCountDistribution, beta: float, j_max: int) -> LimitSpectrum:
-    """The spectrum via the lower-triangular Laplace recursion (exact)."""
+    """The spectrum via the lower-triangular Laplace recursion (exact).
+
+    The recursion runs over the degrees g, 2g, ... <= j_max of the law's
+    lattice (see _lattice); every other entry of ``pi`` is exactly 0.  When
+    the law has one support point at or below j_max (a det law), that point
+    is g, and each state's sum is one product, taken in plain floats rather
+    than by a dot product, with the same value.
+    """
     law = validate_edge_law(edge_law)
     j_max = checked_int("j_max", j_max, 1, MAX_J_MAX)
     beta = checked_real("beta", beta, 0.0, MAX_BETA)
     m = law.mean
     rate = 2.0 * m + beta
 
-    p = law.pmf_vector(j_max)
-    lap = p.tolist()  # entry j holds p_j until it is overwritten by L_j
-    rev = np.zeros(j_max + 1)  # rev[j_max - i] = (i + beta) L_i, so the sum reads forwards
-    for j in range(1, j_max + 1):
-        # p_j plus the sum over k of p_k (j - k + beta) L_{j-k}, empty at j = 1
-        inflow = lap[j] + float(np.dot(p[1:j], rev[j_max - j + 1 : j_max]))
-        lap[j] = inflow / (rate + j + beta)
-        rev[j_max - j] = (j + beta) * lap[j]
+    g, q = _lattice(law, j_max)
+    states = j_max // g
+    lap = q.tolist()  # entry l holds q_l until it is overwritten by L_{lg}
+    if np.count_nonzero(q) == 1:
+        # the one support point is g: the sum is q_1 ((l - 1) g + beta) L_{(l-1)g}
+        q1, prev = lap[1], 0.0
+        for l in range(1, states + 1):
+            j = l * g
+            lap[l] = (lap[l] + prev) / (rate + j + beta)
+            prev = q1 * ((j + beta) * lap[l])
+    else:
+        rev = np.zeros(states + 1)  # rev[states - i] = (ig + beta) L_{ig}: the sum reads forwards
+        for l in range(1, states + 1):
+            j = l * g
+            # q_l plus the sum over k of q_k ((l - k) g + beta) L_{(l-k)g}, empty at l = 1
+            inflow = lap[l] + float(np.dot(q[1:l], rev[states - l + 1 : states]))
+            lap[l] = inflow / (rate + j + beta)
+            rev[states - l] = (j + beta) * lap[l]
 
-    pi = rate * np.array(lap)
+    pi = np.zeros(j_max + 1)
+    pi[::g] = rate * np.array(lap)
     truncation = max(0.0, 1.0 - float(pi[1:].sum()))
     return LimitSpectrum(
         theta=theta(m, beta),
@@ -199,16 +254,23 @@ def pi_quadrature(
     damped occupation vector R and the running integral Q are advanced
     jointly with classical 4th-order steps of size y_max / steps; the same
     propagation at half the step feeds a step-doubling error estimate, and
-    the refined values are returned.  Raises StepTooCoarse naming ``y_max``
-    when the domain cutoff keeps >= tol of the mass (in particular for
-    y_max = 0) and naming ``steps`` when the error estimate exceeds tol or is
-    not a number, and RangeError for j_max above MAX_QUAD_J_MAX before
-    anything is allocated.
+    the refined values are returned.  The system is solved on the degrees g,
+    2g, ... <= j_max of the law's lattice (see _lattice), so its blocks have
+    order j_max // g, and every other entry is exactly 0.
+
+    Raises RangeError naming ``tol`` for a tol that is not a positive number,
+    StepTooCoarse naming ``y_max`` when the domain cutoff keeps >= tol of the
+    mass (in particular for y_max = 0) and naming ``steps`` when the error
+    estimate exceeds tol or is not a number, and RangeError for j_max above
+    MAX_QUAD_J_MAX before anything is allocated.
     """
     law = validate_edge_law(edge_law)
     j_max = checked_int("j_max", j_max, 1, MAX_QUAD_J_MAX)
     steps = checked_int("steps", steps, MIN_QUAD_STEPS)
     beta = checked_real("beta", beta, 0.0, MAX_BETA)
+    tol = checked_real("tol", tol, None)
+    if tol <= 0:
+        raise RangeError("tol", f"must be > 0, got {tol:g}")
     rate = 2.0 * law.mean + beta
     if y_max is None:
         y_max = -np.log(_Y_MAX_MASS) / rate
@@ -224,15 +286,19 @@ def pi_quadrature(
             estimate=cutoff_mass,
         )
 
-    p = law.pmf_vector(j_max)
-    col = np.arange(1, j_max + 1, dtype=float)
-    diag = np.diag_indices(j_max)
-    # Damped generator: dR_j/dy = -(rate + j + beta) R_j
-    #                             + sum_k (j - k + beta) p_k R_{j - k},
-    # so gen[i, c] = (c + 1 + beta) p[i - c] below the diagonal.  Row i of
-    # the window view reads p[i - c] for c <= i and the zero padding beyond.
+    g, q = _lattice(law, j_max)
+    states = j_max // g
+    pi_hat = np.zeros(j_max + 1)
+    if not states:
+        return pi_hat
+    col = np.arange(g, j_max + 1, g, dtype=float)  # the degree of each state
+    diag = np.diag_indices(states)
+    # Damped generator on the lattice: dR_j/dy = -(rate + j + beta) R_j
+    #                                  + sum_k (j - k + beta) p_k R_{j - k},
+    # so gen[i, c] = (col[c] + beta) q[i - c] below the diagonal.  Row i of
+    # the window view reads q[i - c] for c <= i and the zero padding beyond.
     window = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((np.zeros(j_max - 1), p[:j_max])), j_max
+        np.concatenate((np.zeros(states - 1), q[:states])), states
     )[:, ::-1]
     # The augmented system [R; Q], dQ/dy = rate * R, has the RK4 step [[S, 0], [B, I]], so
     # n steps from Q(0) = 0 give Q = B sum_{k<n} S^k R(0).  Only S is powered; S, B and
@@ -259,7 +325,7 @@ def pi_quadrature(
         del hg, term  # two blocks fewer while powering
         # Bits of n_steps lowest first; at bit i power = S^(2^i), v = sum_{k<2^i}
         # S^k R(0), and x sums S^k R(0) over k below the bits read so far.
-        v, x, k = p[1:], np.zeros(j_max), n_steps
+        v, x, k = q[1:], np.zeros(states), n_steps
         while k:
             if k & 1:
                 x = v + power @ x
@@ -272,7 +338,7 @@ def pi_quadrature(
     coarse = propagate(steps)
     fine = propagate(2 * steps)
     estimate = float(np.max(np.abs(fine - coarse))) / 15.0
-    pi_hat = np.concatenate(([0.0], fine))
+    pi_hat[g::g] = fine
     if not estimate <= tol:  # also a NaN estimate from an overflowing step
         raise StepTooCoarse(
             "steps",
@@ -287,11 +353,11 @@ def pi_quadrature(
 class MomentCurve:
     """Partial sums of j^s pi_j against the truncation cutoff.
 
-    ``partial_sums[j]`` = sum_{i <= j} i^s pi_i (entry 0 is 0).  The verdict
-    is "diverging" when the log-log slope of the increments over the trailing
-    decade is >= -1 (integral test) and "plateauing" otherwise;
-    ``last_decade_increase`` reports the fraction of the final level gained
-    over that decade.
+    ``partial_sums[j]`` = sum_{i <= j} i^s pi_i (entry 0 is 0); they are inf
+    where j^s passes the float range.  The verdict is "diverging" when the
+    log-log slope of the increments over the trailing decade is >= -1
+    (integral test) and "plateauing" otherwise; ``last_decade_increase``
+    reports the fraction of the final level gained over that decade.
     """
 
     s: float
@@ -307,22 +373,33 @@ def moment_profile(spectrum: LimitSpectrum, s_values: Sequence[float]) -> list[M
     if j_max < 10:
         raise RangeError("spectrum.j_max", "need j_max >= 10 for a trailing decade")
     j = np.arange(1, j_max + 1, dtype=float)
+    pi = spectrum.pi[1:]
+    support = pi > 0.0
+    log_j = np.log(j)
+    log_pi = np.log(pi, out=np.full(j_max, -np.inf), where=support)
+    start = max(1, j_max // 10)
+    window = slice(start - 1, j_max)  # j in [start, j_max], 0-based into inc
+    pos = support[window]
     curves = []
     for s in s_values:
         s = checked_real("s", s, None)
-        inc = j**s * spectrum.pi[1:]
+        with np.errstate(over="ignore"):  # j^s past the float range: inf, never inf * 0
+            inc = np.multiply(j**s, pi, out=np.zeros(j_max), where=support)
         sums = np.concatenate(([0.0], np.cumsum(inc)))
-        start = max(1, j_max // 10)
-        window = slice(start - 1, j_max)  # j in [start, j_max], 0-based into inc
-        pos = inc[window] > 0.0
+        # log(j^s pi_j): the increment's own log while it is a positive float, else
+        # s log j + log pi_j, which stays finite wherever pi_j > 0
+        finite = (inc > 0.0) & (inc < np.inf)
+        log_inc = np.log(inc, out=s * log_j + log_pi, where=finite)
         if int(pos.sum()) >= 2:
-            logs_j = np.log(j[window][pos])
-            logs_inc = np.log(inc[window][pos])
-            slope = float(np.polyfit(logs_j, logs_inc, 1)[0])
+            slope = float(np.polyfit(log_j[window][pos], log_inc[window][pos], 1)[0])
         else:
             slope = float("-inf")
         final = float(sums[-1])
-        gain = float((sums[-1] - sums[start]) / final) if final > 0 else 0.0
+        if final == np.inf:  # the same fraction from the increments over their largest
+            scaled = np.exp(log_inc - log_inc.max())
+            gain = float(scaled[start:].sum() / scaled.sum())
+        else:
+            gain = float((sums[-1] - sums[start]) / final) if final > 0 else 0.0
         curves.append(
             MomentCurve(
                 s=s,

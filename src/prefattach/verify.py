@@ -39,13 +39,13 @@ from .analysis import (
     uniformity_ks,
 )
 from .branching import _PathBuffers, run_embedding, tau_diagnostics
-from .errors import RangeError, checked_int, checked_real
+from .errors import RangeError, StepTooCoarse, checked_int, checked_real
 from .graph import ModelConfig, run_chain
 from .laws import EdgeCountDistribution, deterministic, explicit, geometric
 from .replicate import replicate
 from .streams import MAX_SEED, mix64, substream
-from .theory import moment_profile, pi_explicit, pi_quadrature, pi_recursive
-from .theory import tail_exponent_theory, theta
+from .theory import _pi_explicit_vector, moment_profile, pi_explicit, pi_quadrature
+from .theory import pi_recursive, tail_exponent_theory, theta
 
 DEFAULT_MASTER_SEED = 20260815
 
@@ -155,8 +155,11 @@ PROFILE_CHECKS = {
     "theory": tuple(c.name for c in CATALOGUE if c.theory),
 }
 PROFILES = tuple(PROFILE_CHECKS)
-# check_tail_exponent divides by these, so they must be > 0, not only >= 0.
-_DIVISOR_KEYS = ("tail-exponent", "tail-exponent.band_beta0", "tail-exponent.band_beta1")
+# Keys that must be > 0, not only >= 0: check_tail_exponent divides by the
+# tail-exponent ones, and dual-route-pi is the quadrature's own tolerance.
+_POSITIVE_KEYS = (
+    "tail-exponent", "tail-exponent.band_beta0", "tail-exponent.band_beta1", "dual-route-pi",
+)
 
 
 def validate_thresholds(thresholds: Mapping) -> dict[str, float]:
@@ -165,7 +168,7 @@ def validate_thresholds(thresholds: Mapping) -> dict[str, float]:
     Raises RangeError, naming the offending "thresholds.<key>", for an unknown
     check, an unknown parameter, a value that is not a number (a bool is
     not), one that is not finite or is negative, and 0 for a key the checks
-    divide by.
+    divide by or hand to the quadrature as its tolerance.
     """
     out = {}
     for key, value in thresholds.items():
@@ -182,7 +185,7 @@ def validate_thresholds(thresholds: Mapping) -> dict[str, float]:
         except (TypeError, ValueError):
             raise RangeError(field_path, f"not a number: {value!r}") from None
         number = checked_real(field_path, number)
-        if number == 0 and str(key) in _DIVISOR_KEYS:
+        if number == 0 and str(key) in _POSITIVE_KEYS:
             raise RangeError(field_path, "must be > 0")
         out[str(key)] = number
     return out
@@ -333,7 +336,7 @@ class VerifySession:
     def check_explicit_spectrum_crosscheck(self, row):
         routes = (
             (f"x0={x0},beta={beta:g}", pi_recursive(deterministic(x0), beta, 300).pi,
-             np.array([pi_explicit(x0, beta, j) for j in range(301)]))
+             _pi_explicit_vector(x0, beta, 300))
             for x0 in (1, 2, 3)
             for beta in (0.0, 0.5, 1.0, 3.0)
         )
@@ -342,13 +345,20 @@ class VerifySession:
     def check_dual_route_pi(self, row):
         tol = row.headline
         laws = [deterministic(1), deterministic(2), explicit([0.5, 0.5]), geometric(0.5)]
-        routes = (
-            (f"{law.label()},beta={beta:g}", pi_recursive(law, beta, 100).pi,
-             pi_quadrature(law, beta, 100, tol=tol))
-            for law in laws
-            for beta in (0.0, 1.0)
-        )
-        return _route_gaps(tol, 100, routes)
+        routes, refusals = [], {}
+        for law in laws:
+            for beta in (0.0, 1.0):
+                key = f"{law.label()},beta={beta:g}"
+                try:
+                    quad = pi_quadrature(law, beta, 100, tol=tol)
+                except StepTooCoarse as exc:  # a tol the quadrature cannot reach fails the check
+                    refusals[key] = str(exc)
+                    quad = exc.values
+                routes.append((key, pi_recursive(law, beta, 100).pi, quad))
+        value, tol, passed, detail = _route_gaps(tol, 100, routes)
+        if refusals:
+            detail["quadrature_refusals"] = refusals
+        return value, tol, passed and not refusals, detail
 
     def check_degree_lln(self, row):
         [(law, beta)] = row.cases

@@ -133,16 +133,11 @@ class TestVerify:
         printed = capsys.readouterr().out
         assert printed.count("PASS") == 4
 
-    def test_unreachable_threshold_turns_the_exit_code(self, tmp_path):
+    # a tolerance below the quadrature's reach fails the check, not the run
+    @pytest.mark.parametrize("item", ["explicit-spectrum-crosscheck=0", "dual-route-pi=1e-13"])
+    def test_unreachable_threshold_turns_the_exit_code(self, tmp_path, item):
         out = tmp_path / "res"
-        code = main(
-            [
-                "verify",
-                "--profile", "theory",
-                "--threshold", "explicit-spectrum-crosscheck=0",
-                "--out", str(out),
-            ]
-        )
+        code = main(["verify", "--profile", "theory", "--threshold", item, "--out", str(out)])
         assert code == 1
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is False
@@ -252,6 +247,12 @@ class TestUsageErrors:
             (["theory", "--config", {"bogus": 1}], "run.bogus"),
             (["verify", "--profile", "theory", "--config", {"thresholds": [1]}], "run.thresholds"),
             (["verify", "--profile", "theory", "--threshold", "foo"], "run.thresholds"),
+            # the quadrature's tolerance: refused up front, not by the quadrature naming y_max
+            (["verify", "--profile", "theory", "--threshold", "dual-route-pi=0"], "thresholds.dual-route-pi"),
+            (
+                ["verify", "--profile", "theory", "--threshold", "dual-route-pi=-1e-6"],
+                "thresholds.dual-route-pi",
+            ),
         ],
     )
     def test_refusals_name_their_field(self, tmp_path, monkeypatch, capsys, argv, field):

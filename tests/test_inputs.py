@@ -134,6 +134,10 @@ CASES = [
         [True, math.nan, math.inf],
     ),
     (
+        "pi_quadrature", "tol", lambda v: pi_quadrature(LAW, 0.0, 5, tol=v),
+        [0.0, -1.0, math.nan, math.inf, True, "a", None],
+    ),
+    (
         "tau_diagnostics", "beta", lambda v: tau_diagnostics([0.5, 0.7], [2.0, 4.0], 1.0, v),
         [math.nan, -1.0, True, *HUGE_BETAS],
     ),

@@ -16,6 +16,8 @@ from prefattach.theory import (
     MAX_J_MAX,
     MAX_QUAD_J_MAX,
     MIN_QUAD_STEPS,
+    _lattice,
+    _pi_explicit_vector,
     _products,
     _tril_matmul,
     moment_profile,
@@ -86,6 +88,13 @@ class TestClosedForm:
                 _products.cache_clear()
                 assert [j for j in order if pi_explicit(x0, beta, j) != direct[j]] == []
 
+    @pytest.mark.parametrize("x0", [1, 2, 3, 7])
+    @pytest.mark.parametrize("j_max", [1, 6, 300, 9000])
+    def test_the_vector_equals_one_call_per_degree(self, x0, j_max):
+        for beta in (0.0, 0.37, 1.0, 3.0):
+            closed = [pi_explicit(x0, beta, j) for j in range(j_max + 1)]
+            assert _pi_explicit_vector(x0, beta, j_max).tolist() == closed
+
     def test_product_tables_stay_bounded(self):
         _products.cache_clear()
         tracemalloc.start()
@@ -102,6 +111,10 @@ class TestClosedForm:
         # kept, and the products past 8192 factors are not kept at all
         assert _products.cache_info().currsize == 32
         assert held < 32 * 8192 * 8 + 2**16
+
+
+def _law_id(value):
+    return value.label() if hasattr(value, "label") else str(value)
 
 
 def loop_pi_recursive(law, beta, j_max):
@@ -159,10 +172,6 @@ class TestRecursion:
         # sum_{j>10} 4/(j(j+1)(j+2)) telescopes to 2/(11*12) = 1/66
         spec = pi_recursive(deterministic(1), 0.0, 10)
         assert spec.truncation_mass == pytest.approx(1 / 66, abs=1e-12)
-
-    def test_off_lattice_probabilities_are_exactly_zero(self):
-        spec = pi_recursive(deterministic(2), 0.0, 41)
-        assert np.all(spec.pi[1::2] == 0.0)
 
     def test_degenerate_truncation_is_rejected(self):
         with pytest.raises(RangeError):
@@ -265,8 +274,18 @@ def dense_pi_quadrature(law, beta, j_max, y_max=None, steps=20000, tol=1e-6):
 
 DUAL_ROUTE_LAWS = (
     deterministic(1), deterministic(2), explicit([0.5, 0.5]), geometric(0.5),
-    explicit([0.5, 0.3, 0.2]),
+    explicit([0.5, 0.3, 0.2]), deterministic(3), explicit([0, 0.5, 0, 0.5]),
 )
+
+# (law, lattice step): laws whose spectrum lives on gN with g > 1
+LATTICE_LAWS = [
+    (deterministic(2), 2), (deterministic(3), 3), (explicit([0, 0.5, 0, 0.5]), 2),
+    (explicit([0, 0, 0.4, 0, 0, 0.6]), 3),
+]
+ROUTES = {
+    "recursion": lambda law, beta, j_max: pi_recursive(law, beta, j_max).pi,
+    "quadrature": pi_quadrature,
+}
 
 
 class TestQuadrature:
@@ -279,7 +298,13 @@ class TestQuadrature:
         quad = pi_quadrature(law, beta, j_max)
         assert np.max(np.abs(quad - dense_pi_quadrature(law, beta, j_max))) <= 1e-15
 
-    def test_only_the_occupation_block_is_powered(self, monkeypatch):
+    @pytest.mark.parametrize(
+        ("law", "j_max", "states"),
+        [(geometric(0.5), 50, 50), (deterministic(2), 100, 50), (deterministic(3), 128, 42),
+         (deterministic(4), 500, 125)],
+        ids=["geom:0.5", "det:2", "det:3", "det:4"],
+    )
+    def test_only_the_occupation_block_is_powered(self, monkeypatch, law, j_max, states):
         sizes = []
 
         def counted(a, b, out=None):
@@ -287,12 +312,12 @@ class TestQuadrature:
             return _tril_matmul(a, b, out)
 
         monkeypatch.setattr(theory, "_tril_matmul", counted)
-        j_max = 50
-        assert j_max <= _TRIL_BLOCK  # multiplied whole, so no product recurses
-        pi_quadrature(geometric(0.5), 1.0, j_max)
+        assert states <= _TRIL_BLOCK  # multiplied whole, so no product recurses
+        pi_quadrature(law, 1.0, j_max)
         # 3 Taylor products and 14 squarings of S for the 20,000 coarse
-        # steps, then 3 and 15 for the 40,000 fine steps
-        assert sizes == [j_max] * 35
+        # steps, then 3 and 15 for the 40,000 fine steps, on the j_max // g
+        # states of the law's lattice
+        assert sizes == [states] * 35
 
     @pytest.mark.parametrize("n", [1, _TRIL_BLOCK, _TRIL_BLOCK + 1, 300])
     def test_triangular_product_equals_the_dense_product(self, n):
@@ -351,10 +376,31 @@ class TestQuadrature:
         quad = pi_quadrature(law, beta, 100, steps=MIN_QUAD_STEPS)
         assert np.max(np.abs(quad - pi_recursive(law, beta, 100).pi)) <= 1e-12
 
-    @pytest.mark.parametrize("j_max", [41, 201])
-    def test_quadrature_keeps_exact_lattice_zeros(self, j_max):
-        quad = pi_quadrature(deterministic(2), 0.0, j_max)
-        assert np.all(quad[1::2] == 0.0)
+    def test_the_cap_runs_on_the_lattice(self):
+        # 500 states: blocks of 2 MB, where j_max = 2000 states held five of 32 MB
+        law = deterministic(4)
+        tracemalloc.start()
+        try:
+            quad = pi_quadrature(law, 0.5, MAX_QUAD_J_MAX)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert np.max(np.abs(quad - pi_recursive(law, 0.5, MAX_QUAD_J_MAX).pi)) <= 1e-12
+        off = np.ones(MAX_QUAD_J_MAX + 1, dtype=bool)
+        off[::4] = False
+        assert np.all(quad[off] == 0.0)
+
+    @pytest.mark.parametrize(
+        ("kwargs", "field"),
+        # h (rate + 2000 + beta) = 2.8 lies just outside RK4's stability interval
+        [({"y_max": 0.0}, "y_max"), ({"y_max": 2000 * 2.8 / 2009.0, "steps": 2000}, "steps")],
+        ids=["zero-domain", "step-doubling"],
+    )
+    def test_the_cap_keeps_its_refusals(self, kwargs, field):
+        with pytest.raises(StepTooCoarse) as err:
+            pi_quadrature(deterministic(4), 0.5, MAX_QUAD_J_MAX, **kwargs)
+        assert err.value.field == field
 
     def test_zero_length_domain_is_too_coarse(self):
         with pytest.raises(StepTooCoarse) as err:
@@ -378,7 +424,82 @@ class TestQuadrature:
             pi_quadrature(deterministic(1), 0.0, 20, steps=500)
 
 
+class TestLattice:
+    @pytest.mark.parametrize(
+        ("law", "g"),
+        [
+            (deterministic(1), 1), (deterministic(4), 4), (geometric(0.5), 1),
+            (explicit([0.5, 0.3, 0.2]), 1), (explicit([0, 0.5, 0, 0.5]), 2),
+            (explicit([0, 0, 0.4, 0, 0, 0.6]), 3),
+        ],
+        ids=_law_id,
+    )
+    def test_the_lattice_is_the_gcd_of_the_support(self, law, g):
+        step, q = _lattice(law, 60)
+        assert step == g
+        assert np.array_equal(q, law.pmf_vector(60)[::g])
+
+    def test_the_lattice_reads_the_support_at_or_below_the_cutoff(self):
+        law = explicit([0, 0, 0.5, 0, 0, 0, 0, 0.5])  # support {3, 8}
+        assert _lattice(law, 7)[0] == 3
+        assert _lattice(law, 8)[0] == 1
+        # nothing at or below the cutoff: no state at all
+        assert _lattice(deterministic(300), 200)[0] > 200
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("j_max", [41, 201])
+    @pytest.mark.parametrize(("law", "g"), LATTICE_LAWS, ids=_law_id)
+    def test_off_lattice_entries_are_exactly_zero(self, route, law, g, j_max):
+        pi = ROUTES[route](law, 0.5, j_max)
+        off = np.ones(j_max + 1, dtype=bool)
+        off[::g] = False
+        assert np.all(pi[off] == 0.0)
+        assert np.all(pi[g::g] > 0.0)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_a_law_above_the_cutoff_gives_zeros(self, route):
+        pi = ROUTES[route](deterministic(300), 0.0, 200)
+        assert pi.shape == (201,) and np.all(pi == 0.0)
+
+
+def direct_moment_curve(spectrum, s):
+    """(partial sums, slope, last-decade gain) from j^s pi_j and its logs, taken as they are."""
+    j_max = spectrum.j_max
+    j = np.arange(1, j_max + 1, dtype=float)
+    inc = j**s * spectrum.pi[1:]
+    sums = np.concatenate(([0.0], np.cumsum(inc)))
+    start = max(1, j_max // 10)
+    window = slice(start - 1, j_max)
+    pos = inc[window] > 0.0
+    slope = float(np.polyfit(np.log(j[window][pos]), np.log(inc[window][pos]), 1)[0])
+    return sums, slope, float((sums[-1] - sums[start]) / sums[-1])
+
+
 class TestMomentSums:
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize(
+        ("law", "beta"), [(deterministic(1), 0.0), (deterministic(2), 0.5), (geometric(0.5), 1.0)],
+        ids=["det:1", "det:2", "geom:0.5"],
+    )
+    def test_curves_in_the_float_range_equal_the_direct_sums(self, law, beta, s):
+        spec = pi_recursive(law, beta, 1000)
+        curve = moment_profile(spec, [s])[0]
+        sums, slope, gain = direct_moment_curve(spec, s)
+        assert np.array_equal(curve.partial_sums, sums)
+        assert (curve.increment_slope, curve.last_decade_increase) == (slope, gain)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", [103.0, 400.0])
+    def test_a_moment_whose_powers_overflow_still_diverges(self, s):
+        # j^s passes the float range inside the trailing decade (at 103) or
+        # before it starts (at 400); the increments grow like j^(s - 3)
+        spec = pi_recursive(deterministic(1), 0.0, 1000)
+        curve = moment_profile(spec, [s])[0]
+        assert curve.verdict == "diverging"
+        assert curve.increment_slope == pytest.approx(s - 3.0, abs=0.05)
+        assert curve.last_decade_increase == pytest.approx(1.0, abs=1e-12)
+        assert curve.partial_sums[-1] == np.inf
+
     def test_zeroth_moment_plateaus_at_total_mass(self):
         spec = pi_recursive(deterministic(1), 0.0, 2000)
         curve = moment_profile(spec, [0.0])[0]

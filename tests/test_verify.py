@@ -121,6 +121,9 @@ def test_unknown_check_name_is_rejected():
         {"dual-route-pi": True},
         {"degree-lln.r1": False},
         {"dual-route-pi": np.True_},
+        # the quadrature's tolerance: 0 is refused here, before any check runs
+        {"dual-route-pi": 0},
+        {"dual-route-pi": "0.0"},
     ],
 )
 def test_bad_threshold_overrides_are_rejected(thresholds):
@@ -175,6 +178,21 @@ class TestTheoryProfile:
         report = session.run(names=("explicit-spectrum-crosscheck",))
         assert not report.passed
         assert report.checks[0].threshold == 0.0
+
+    @pytest.mark.parametrize("tol", [1e-13, 5e-324])
+    def test_a_tolerance_the_quadrature_cannot_reach_fails_dual_route_pi(self, tol):
+        session = VerifySession(profile="theory", thresholds={"dual-route-pi": tol})
+        [check] = session.run(names=("dual-route-pi",)).checks
+        assert not check.passed
+        refusals = check.detail["quadrature_refusals"]
+        assert sorted(refusals) == sorted(check.detail["per_combo_max_abs_gap"])
+        # the cutoff keeps 1e-12 of the mass, so the quadrature refuses its domain
+        assert all(r.startswith("y_max: domain [0, ") for r in refusals.values())
+        assert all(f"(tolerance {tol:g})" in r for r in refusals.values())
+
+    def test_the_default_tolerance_records_no_refusal(self):
+        [check] = VerifySession(profile="theory").run(names=("dual-route-pi",)).checks
+        assert check.passed and "quadrature_refusals" not in check.detail
 
     @pytest.mark.parametrize("name", ["explicit-spectrum-crosscheck", "dual-route-pi"])
     def test_dotted_threshold_overrides_reach_sub_parameters(self, name):
@@ -346,16 +364,17 @@ class TestNegativeControls:
 
     def test_a_nan_in_the_last_route_pair_turns_the_cross_route_checks_red(self, monkeypatch):
         # a NaN gap must fail its check, not drop out of the running maximum
-        explicit_pi, quadrature = verify.pi_explicit, verify.pi_quadrature
+        explicit_pi, quadrature = verify._pi_explicit_vector, verify.pi_quadrature
 
-        def nan_explicit(x0, beta, j):
-            return np.nan if x0 == 3 else explicit_pi(x0, beta, j)
+        def nan_explicit(x0, beta, j_max):
+            pi = explicit_pi(x0, beta, j_max)
+            return pi * np.nan if x0 == 3 else pi
 
         def nan_quadrature(law, beta, j_max, tol):
             pi = quadrature(law, beta, j_max, tol=tol)
             return pi * np.nan if law.label() == "geom:0.5" and beta == 1.0 else pi
 
-        monkeypatch.setattr(verify, "pi_explicit", nan_explicit)
+        monkeypatch.setattr(verify, "_pi_explicit_vector", nan_explicit)
         monkeypatch.setattr(verify, "pi_quadrature", nan_quadrature)
         names = ("explicit-spectrum-crosscheck", "dual-route-pi")
         assert [c.passed for c in VerifySession(profile="theory").run(names).checks] == [False] * 2
