@@ -103,14 +103,15 @@ class _PathBuffers:
     integers.  For a deterministic law X = x0 it holds initial + k x0 over its
     whole length, built once per (initial, x0), so such a path draws only its
     waits.  The arrays grow by an eighth when they must and are never shrunk,
-    so a run of similar paths allocates a few times at most.
+    so a run of similar paths allocates a few times at most; a caller that
+    knows a path's first block sizes them for it up front.
     """
 
-    def __init__(self):
-        self.times = np.empty(1)
-        self.sizes = np.empty(1)
+    def __init__(self, block: int = 0):
+        self.times = np.empty(block + 1)
+        self.sizes = np.empty(block + 1)
         self._table = None  # the (initial, x0) whose table ``sizes`` holds
-        self._work = np.empty(1)  # one block's exponentials
+        self._work = np.empty(max(block, 1))  # one block's exponentials
 
     def _reserve(self, length: int, keep: int, block: int) -> None:
         if length > self.times.shape[0]:
@@ -228,7 +229,7 @@ def simulate_mbpi(
         raise RangeError(
             "horizon", f"expects {expected:.3g} events, above the cap of {MAX_PATH_EVENTS}"
         )
-    buffers = _PathBuffers()
+    buffers = _PathBuffers(int(min(expected + _BLOCK_MARGIN, _BLOCK_CAP)))  # the first block
     if representation == "jump-chain":
         return buffers.path(initial, config.beta, law, horizon, rng)
     if representation != "superposition":
@@ -606,8 +607,10 @@ def zeta_trajectory(path: JumpPath, m: float) -> ScaledTrajectory:
     m = checked_real("m", m, None)
     if m <= 0:
         raise RangeError("m", f"growth rate m must be positive, got {m}")
-    times = np.concatenate(([0.0], path.times))
-    sizes = np.concatenate(([path.initial], path.values)).astype(float)
+    n = path.times.shape[0]
+    times, sizes = np.empty(n + 1), np.empty(n + 1)
+    times[0], sizes[0] = 0.0, path.initial
+    times[1:], sizes[1:] = path.times, path.values
     scaled = np.empty_like(times)
     osc = _tail_plateau(times, sizes, m, scaled, whole=True)
     return ScaledTrajectory(times=times, scaled=scaled, tail_oscillation=osc)

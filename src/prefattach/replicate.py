@@ -18,7 +18,6 @@ n <= 1024 batches, which keeps batched embeddings below the n at which
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,6 +148,9 @@ def replicate(
 
     workers = min(workers, len(jobs))
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(worker, jobs, chunksize=max(1, len(jobs) // (4 * workers)))
             results = [summary for chunk in chunks for summary in chunk]

@@ -37,11 +37,16 @@ coding of G and of the step, not the integral form itself.
 When every X is a multiple of g, so is every degree: P_j and pi_j vanish off
 the lattice gN, and the system splits into exact zeros and the j_max // g
 states j = g, 2g, ....  Both codings solve only those states (_lattice).
+
+One finite-t law sits here too: a det:x0 size process makes a negative
+binomial number of jumps by any time t (_negbin_cdf), which the scaled-size
+check tests its paths against.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -410,3 +415,25 @@ def moment_profile(spectrum: LimitSpectrum, s_values: Sequence[float]) -> list[M
             )
         )
     return curves
+
+
+def _negbin_cdf(c0: float, p: float, k_max: int) -> np.ndarray:
+    """P(K <= k) for k = 0..k_max, K ~ NegBin(c0, p):
+
+        P(K = k) = Gamma(c0 + k) / (Gamma(c0) k!) p^c0 (1 - p)^k.
+
+    The log-pmf starts at c0 log p and steps by log((c0 + k - 1)(1 - p) / k);
+    the CDF is the cumulative sum of its exponential, built in place in two
+    arrays.  A det:x0 size process started at D_0 makes
+    K(t) ~ NegBin((D_0 + beta) / x0, e^{-x0 t}) jumps by t.
+    """
+    steps = np.arange(1.0, k_max + 1)
+    np.divide(c0 - 1.0, steps, out=steps)  # (c0 + k - 1) / k - 1
+    np.log1p(steps, out=steps)
+    steps += math.log1p(-p)
+    cdf = np.empty(k_max + 1)
+    cdf[0] = c0 * math.log(p)
+    np.cumsum(steps, out=cdf[1:])
+    cdf[1:] += cdf[0]
+    np.exp(cdf, out=cdf)
+    return np.cumsum(cdf, out=cdf)

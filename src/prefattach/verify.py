@@ -18,6 +18,7 @@ is reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -45,7 +46,7 @@ from .laws import EdgeCountDistribution, deterministic, explicit, geometric
 from .replicate import replicate
 from .streams import MAX_SEED, mix64, substream
 from .theory import _pi_explicit_vector, moment_profile, pi_explicit, pi_quadrature
-from .theory import pi_recursive, tail_exponent_theory, theta
+from .theory import _negbin_cdf, pi_recursive, tail_exponent_theory, theta
 
 DEFAULT_MASTER_SEED = 20260815
 
@@ -139,10 +140,12 @@ CATALOGUE = (
         {"tau1_sigmas": 3.0, "drift_osc": 0.1, "sn": 0.05, "runtime": 300.0},
         cases=((deterministic(1), 0.0), (geometric(0.5), 1.0)),
     ),
+    # "law_ks" bounds sqrt(N) times the KS distance of each case's jump counts
+    # from their exact negative-binomial law; its cases must be det laws.
     Check(
         "scaled-size-limit",
         "scaled size D(t)e^{-mt} settles on a positive limit",
-        ">=", (0.90, 0.8), {"osc": 0.05},
+        ">=", (0.90, 0.8), {"osc": 0.05, "law_ks": 2.3},
         cases=((deterministic(1), 0.0), (deterministic(1), 1.0)),
     ),
 )
@@ -246,6 +249,19 @@ def _route_gaps(tol, j_max, routes):
     return worst, tol, worst <= tol, {"per_combo_max_abs_gap": per_combo, "j_max": j_max}
 
 
+def _jump_law_ks(jumps, x0, start, horizon, rng) -> float:
+    """sqrt(N) KS distance from uniform of N det:x0 size paths' jump counts by
+    ``horizon``, each path started at size + beta = ``start``.
+
+    The count K is NegBin(start / x0, e^{-x0 horizon}) exactly, and its
+    randomized PIT, on N uniforms drawn from ``rng``, is iid uniform.
+    """
+    cdf = _negbin_cdf(start / x0, math.exp(-x0 * horizon), int(jumps.max()))
+    below = np.where(jumps > 0, cdf[jumps - 1], 0.0)  # P(K < k)
+    pits = below + rng.random(jumps.shape[0]) * (cdf[jumps] - below)
+    return math.sqrt(jumps.shape[0]) * uniformity_ks(pits)
+
+
 class VerifySession:
     """Runs the acceptance checks at a profile's scale, sharing artifacts."""
 
@@ -280,7 +296,7 @@ class VerifySession:
         # S_n/n has sd 2 sqrt(Var X / n), 0.0115 for geom:0.5 at 6 * 10^4,
         # so the default "sn" bound stays above 4 sd at quick too.
         self.sn_n = 10**5 if full else 60_000
-        self.zeta_runs = 10**4 if full else 500
+        self.zeta_runs = 1000 if full else 150
         self.moment_j_max = 5000 if full else 2000
 
     # -- helpers ---------------------------------------------------------
@@ -575,11 +591,18 @@ class VerifySession:
         initial = 10  # start away from the zeta ~ 0 mass; see claim detail
         osc_tol = row.osc
         rate = row.headline
+        runs = self.zeta_runs
+        for law, _ in row.cases:
+            if law.kind != "deterministic":
+                raise RangeError(
+                    "scaled-size-limit", f"the jump-count law needs a det law, not {law.label()}"
+                )
         detail = {
-            "runs_per_beta": self.zeta_runs,
+            "runs_per_beta": runs,
             "horizon": horizon,
             "initial_size": initial,
             "osc_bound": osc_tol,
+            "law_ks_bound": row.law_ks,
             "note": (
                 "relative plateau oscillation scales like 1/sqrt(limit); the "
                 "fixed initial size keeps the limit away from 0 so the stated "
@@ -588,40 +611,44 @@ class VerifySession:
         }
         stop = threading.Event()
 
-        def fractions(i):
-            """(plateau pass fraction, positive fraction) over the runs of case i."""
+        def case(i):
+            """(plateau pass fraction, positive fraction, law KS) over the runs of case i."""
             law, beta = row.cases[i]
             paths = _PathBuffers()  # one set of arrays for every path of this case
             rng = self._rng(10 + i)
+            jumps = np.empty(runs, dtype=np.int64)
             hits = positive = 0
-            for _ in range(self.zeta_runs):
+            for r in range(runs):
                 if stop.is_set():
                     return None
-                n = paths.draw(initial, beta, law, horizon, rng)
+                jumps[r] = n = paths.draw(initial, beta, law, horizon, rng)
                 osc, last = paths.plateau(n, m=law.mean)
                 positive += last > 0
                 hits += osc < osc_tol
-            return hits / self.zeta_runs, positive / self.zeta_runs
+            law_ks = _jump_law_ks(jumps, law.x0, initial + beta, horizon, rng)
+            return hits / runs, positive / runs, law_ks
 
         # Each case draws from its own substream into its own buffers, and
         # numpy releases the GIL for nearly all of a path's work, so the
         # later cases run on a worker thread while this one runs the first.
         with ThreadPoolExecutor(max_workers=1) as pool:
-            later = [pool.submit(fractions, i) for i in range(1, len(row.cases))]
+            later = [pool.submit(case, i) for i in range(1, len(row.cases))]
             try:
-                counts = [fractions(0)] + [f.result() for f in later]
+                results = [case(0)] + [f.result() for f in later]
             finally:
                 stop.set()  # a worker still running after an error stops at its next path
         value = 1.0
-        all_positive = True
-        for (_, beta), (frac, pos_frac) in zip(row.cases, counts):
+        all_positive = law_holds = True
+        for (_, beta), (frac, pos_frac, law_ks) in zip(row.cases, results):
             detail[f"beta={beta:g}"] = {
                 "plateau_pass_fraction": frac,
                 "positive_fraction": pos_frac,
+                "law_ks": law_ks,
             }
             value = min(value, frac)
             all_positive = all_positive and pos_frac == 1.0
-        return value, rate, value >= rate and all_positive, detail
+            law_holds = law_holds and law_ks <= row.law_ks
+        return value, rate, value >= rate and all_positive and law_holds, detail
 
     # -- driver ------------------------------------------------------------
 

@@ -485,3 +485,22 @@ class TestPathBuffers:
             tracemalloc.stop()
         assert n > 20_000
         assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_a_det_public_path_builds_its_size_table_once(self, monkeypatch, beta):
+        # simulate_mbpi sizes its buffers for the path's first block, so a path
+        # that ends inside that block never regrows them or rebuilds the table
+        real, calls = branching._size_table, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(branching, "_size_table", counting)
+        cfg = BranchingConfig(edge_law=deterministic(2), beta=beta, initial=3)
+        simulate = simulate_mbpi if beta else simulate_mbp
+        events = 0
+        for k in range(20):
+            events += simulate(cfg, 1.0, substream(49, k)).values.size
+            assert len(calls) == k + 1
+        assert events > 100

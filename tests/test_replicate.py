@@ -1,7 +1,10 @@
 """Replication fan-out: determinism, pooling, and parallel equivalence."""
 
+import concurrent.futures
 import importlib
 import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
@@ -75,6 +78,16 @@ class TestDeterminism:
         serial = replicate(_model(), 8, task="simulate", master_seed=11, parallelism=1)
         parallel = replicate(_model(), 8, task="simulate", master_seed=11, parallelism=2)
         _assert_identical(serial, parallel)
+
+    def test_importing_the_package_leaves_the_process_pool_out(self):
+        # the pool pulls in multiprocessing, socket and selectors; only a
+        # replicate call with more than one worker imports it
+        probe = "import sys, prefattach; print('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_runs_are_stable_across_calls(self):
         a = replicate(_model(), 3, task="simulate", master_seed=5)
@@ -165,8 +178,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    module = importlib.import_module("prefattach.replicate")
-    monkeypatch.setattr(module, "ProcessPoolExecutor", SerialPool)
+    # replicate imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     return sizes
 

@@ -1,5 +1,6 @@
 """Limit spectrum: closed form, recursion, quadrature, and moment sums."""
 
+import math
 import random
 import tracemalloc
 
@@ -17,6 +18,7 @@ from prefattach.theory import (
     MAX_QUAD_J_MAX,
     MIN_QUAD_STEPS,
     _lattice,
+    _negbin_cdf,
     _pi_explicit_vector,
     _products,
     _tril_matmul,
@@ -520,3 +522,51 @@ class TestMomentSums:
         orders = [0.0, 1.0, 2.0, 2.5]
         verdicts = [c.verdict for c in moment_profile(spec, orders)]
         assert verdicts == ["plateauing", "plateauing", "diverging", "diverging"]
+
+
+def _negbin_pmf(c0, p, k):
+    """P(K = k) for K ~ NegBin(c0, p), straight from math.lgamma."""
+    log_pmf = math.lgamma(c0 + k) - math.lgamma(c0) - math.lgamma(k + 1)
+    return math.exp(log_pmf + c0 * math.log(p) + k * math.log1p(-p))
+
+
+class TestNegBin:
+    """The jump count of a det:x0 size process: NegBin((D_0 + beta) / x0, e^{-x0 t})."""
+
+    # the size check's two cases (c0 = 10, 11 at t = 8), a det:2 start, and
+    # small and fractional c0 with p far from 0
+    CASES = [
+        (10.0, math.exp(-8.0), 60_000),
+        (11.0, math.exp(-8.0), 60_000),
+        (5.5, math.exp(-3.0), 300),
+        (0.5, 0.3, 40),
+        (1.75, math.exp(-2.0), 80),
+    ]
+
+    @pytest.mark.parametrize(("c0", "p", "k_max"), CASES)
+    def test_the_cdf_sums_the_lgamma_pmf(self, c0, p, k_max):
+        cdf = _negbin_cdf(c0, p, k_max)
+        assert cdf.shape == (k_max + 1,)
+        partial = np.cumsum([_negbin_pmf(c0, p, k) for k in range(k_max + 1)])
+        for k in (0, 1, 2, k_max // 7, k_max // 3, k_max // 2, k_max):
+            assert cdf[k] == pytest.approx(partial[k], rel=1e-10, abs=1e-300), k
+
+    @pytest.mark.parametrize(("c0", "p", "k_max"), CASES)
+    def test_the_cdf_reaches_one_minus_the_tail(self, c0, p, k_max):
+        # the tail summed term by term far past k_max, where the terms vanish
+        cdf = _negbin_cdf(c0, p, k_max)
+        tail, k = 0.0, k_max + 1
+        while True:
+            term = _negbin_pmf(c0, p, k)
+            tail += term
+            if term < 1e-18 * max(tail, 1e-300) and k > 2 * k_max:
+                break
+            k += 1
+        assert cdf[-1] + tail == pytest.approx(1.0, abs=1e-11)
+        assert np.all(np.diff(cdf) >= 0.0)
+
+    def test_one_founder_gives_the_geometric_law(self):
+        # c0 = 1 is the Yule process from one individual: P(K <= k) = 1 - (1 - p)^(k + 1)
+        p = math.exp(-1.5)
+        k = np.arange(200)
+        assert np.allclose(_negbin_cdf(1.0, p, 199), 1.0 - (1.0 - p) ** (k + 1), rtol=0, atol=1e-14)

@@ -17,9 +17,12 @@ import pytest
 from prefattach import graph, verify
 from prefattach.branching import _PathBuffers
 from prefattach.errors import RangeError
-from prefattach.laws import EdgeCountDistribution, deterministic
+from prefattach.analysis import uniformity_ks
+from prefattach.laws import EdgeCountDistribution, deterministic, geometric
 from prefattach.streams import substream
+from prefattach.theory import _negbin_cdf
 from prefattach.verify import ALL_CHECKS, CATALOGUE, DEFAULT_MASTER_SEED, VerifySession
+from size_limit_power import FastClocks, case_readings
 
 # The quick report at the default seed with each check's elapsed_s dropped.
 # It pins every value of a refactor that must not move the random streams; a
@@ -53,6 +56,7 @@ REFERENCE_DEFAULTS = {
     "event-time-asymptotics.runtime": (300.0, 300.0),
     "scaled-size-limit": (0.90, 0.8),
     "scaled-size-limit.osc": (0.05, 0.05),
+    "scaled-size-limit.law_ks": (2.3, 2.3),
 }
 
 
@@ -240,23 +244,48 @@ def assert_same_document(got, want, where="report"):
 
 
 def serial_size_limit_detail(master, runs, osc_tol):
-    """The per-beta counts of ``scaled-size-limit`` from one loop after the
-    other, each on one _PathBuffers and substream(master, 10 + beta)."""
+    """The per-beta entries of ``scaled-size-limit`` from one loop after the
+    other, each on one _PathBuffers and substream(master, 10 + beta).  The
+    jump counts' randomized PIT under NegBin(10 + beta, e^{-8}) takes its
+    uniforms from the same substream, after the paths."""
     detail = {}
     for beta in (0.0, 1.0):
         paths = _PathBuffers()
         rng = substream(master, 10 + int(beta))
         hits = positive = 0
+        jumps = []
         for _ in range(runs):
             n = paths.draw(10, beta, deterministic(1), 8.0, rng)
             osc, last = paths.plateau(n, m=1.0)
             positive += last > 0
             hits += osc < osc_tol
+            jumps.append(n)
+        cdf = _negbin_cdf(10.0 + beta, math.exp(-8.0), max(jumps))
+        pits = [
+            (cdf[k - 1] if k else 0.0) + v * (cdf[k] - (cdf[k - 1] if k else 0.0))
+            for k, v in zip(jumps, rng.random(runs))
+        ]
         detail[f"beta={beta:g}"] = {
             "plateau_pass_fraction": hits / runs,
             "positive_fraction": positive / runs,
+            "law_ks": math.sqrt(runs) * uniformity_ks(np.array(pits)),
         }
     return detail
+
+
+def _size_limit_row(session, cases):
+    row = session._row(verify._BY_NAME["scaled-size-limit"])
+    row.cases = cases
+    return row
+
+
+def test_a_random_law_is_refused_by_the_size_check():
+    session = VerifySession(profile="quick")
+    row = _size_limit_row(session, ((deterministic(1), 0.0), (geometric(0.5), 1.0)))
+    with pytest.raises(RangeError) as err:
+        session.check_scaled_size_limit(row)
+    assert err.value.field == "scaled-size-limit"
+    assert "geom:0.5" in err.value.message
 
 
 class TestSizeLimitThreads:
@@ -279,6 +308,27 @@ class TestSizeLimitThreads:
         assert threads[0.0] != threads[1.0]
         assert {k: check.detail[k] for k in expected} == expected
         assert check.passed
+
+    def test_the_paths_are_the_first_of_the_earlier_streams(self):
+        # 500 paths a case on these substreams gave the quick profile's
+        # earlier plateau fractions, 0.984 and 0.996; the check's N paths
+        # are the first N of them
+        session = VerifySession(profile="quick")
+        session.zeta_runs = 500
+        (check,) = session.run(("scaled-size-limit",)).checks
+        fractions = [check.detail[f"beta={b}"]["plateau_pass_fraction"] for b in (0, 1)]
+        assert fractions == [0.984, 0.996]
+
+    def test_the_power_script_reads_what_the_check_reads(self):
+        session = VerifySession(profile="quick")
+        (check,) = session.run(("scaled-size-limit",)).checks
+        for i, beta in enumerate((0, 1)):
+            readings = case_readings(session.master_seed, i, 1.0, [50, session.zeta_runs], 0.05)
+            frac, positive, law_ks = readings[session.zeta_runs]
+            entry = check.detail[f"beta={beta}"]
+            assert (frac, positive, law_ks) == (
+                entry["plateau_pass_fraction"], entry["positive_fraction"] == 1.0, entry["law_ks"]
+            )
 
     @pytest.mark.parametrize("failing", [0.0, 1.0])
     def test_an_error_in_either_loop_surfaces(self, monkeypatch, failing):
@@ -304,7 +354,24 @@ class TestSizeLimitThreads:
 
 
 class TestNegativeControls:
-    """A check fed a deliberately wrong sampler goes red at the quick profile."""
+    """A check fed a deliberately wrong sampler goes red, at the quick profile
+    unless a test names another."""
+
+    @pytest.mark.parametrize(
+        ("profile", "factor"), [("full", 1.01), ("quick", 1.03)], ids=["full-1pc", "quick-3pc"]
+    )
+    def test_a_fast_clock_turns_the_size_law_red(self, profile, factor):
+        # The law condition alone turns the check red: the plateau passes a
+        # 1 % fast clock, and fails a 3 % one only because its drift,
+        # e^{0.03 t}, moves 6 % across the window against the 0.05 bound.
+        session = VerifySession(profile=profile)
+        session._rng = lambda stream: FastClocks(substream(session.master_seed, stream), factor)
+        row = _size_limit_row(session, verify._BY_NAME["scaled-size-limit"].cases[:1])
+        value, rate, passed, detail = session.check_scaled_size_limit(row)
+        assert detail["beta=0"]["law_ks"] > row.law_ks
+        assert not passed
+        if factor == 1.01:
+            assert value >= rate
 
     def test_size_limit_fails_on_paths_grown_at_half_the_rate(self, monkeypatch):
         real = _PathBuffers.draw
