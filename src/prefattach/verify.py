@@ -8,10 +8,15 @@ never from the sampler or the spectrum recursion it tests.  ``ALL_CHECKS``,
 the profiles and their check lists, and the accepted threshold keys all
 derive from the catalogue.
 
-VerifySession owns the expensive shared artifacts (the large chain run, the
-run ensembles) so checks can share them, and its ``run`` is the one runner:
-it calls each ``check_<name>`` with its row, times it, applies the
-catalogue's runtime bound and builds the CheckResult.  All randomness
+A check measures and the runner judges.  Each ``check_<name>`` returns its
+headline value and threshold, a list of named ``Condition`` records (a
+statistic, a comparison and a bound, for one case where the check runs
+several) and a detail payload of plain statistics; it never decides a
+verdict.  VerifySession owns the expensive shared artifacts (the large chain
+run, the run ensembles) so checks can share them, and its ``run`` is the one
+runner: it calls each ``check_<name>`` with its row, times it, and passes
+the check when the headline holds under the catalogue's comparison, every
+condition holds and the catalogue's runtime bound is met.  All randomness
 derives from one master seed through fixed substream indices, so a report
 is reproducible byte-for-byte.
 """
@@ -19,6 +24,7 @@ is reproducible byte-for-byte.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -100,9 +106,9 @@ CATALOGUE = (
         "<=", (0.01, 0.06), {"r1": (0.01, 0.04), "runtime": 60.0},
         cases=((deterministic(1), 0.0),),
     ),
-    # The headline key bounds the empirical slope gap; the reported value is
-    # the largest gap-to-band ratio, held to 1.  Each case's band is keyed by
-    # its beta.
+    # The headline key bounds the empirical slope gap, and each case's band,
+    # keyed by its beta, that case's theory slope gap; the reported value is
+    # the largest of these gap-to-bound ratios, held to 1.
     Check(
         "tail-exponent",
         "tail decay exponent matches 3 + beta/m",
@@ -194,6 +200,34 @@ def validate_thresholds(thresholds: Mapping) -> dict[str, float]:
     return out
 
 
+_OPERATORS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
+@dataclass(frozen=True)
+class Condition:
+    """One named bound a check's verdict needs besides its headline.
+
+    ``case`` is the ``_case`` label of the (law, beta) model the statistic
+    was measured on, or None for a check-wide statistic.  A NaN statistic
+    fails every comparison.
+    """
+
+    name: str
+    statistic: float
+    comparison: str
+    bound: float
+    case: str | None = None
+
+    @property
+    def holds(self) -> bool:
+        return bool(_OPERATORS[self.comparison](self.statistic, self.bound))
+
+
+def _case(law, beta) -> str:
+    """The one spelling of a (law, beta) case in a report."""
+    return f"{law.label()},beta={beta:g}"
+
+
 @dataclass
 class CheckResult:
     """One verified claim: measured value against its bound."""
@@ -243,10 +277,10 @@ def _json_safe(value):
 
 def _route_gaps(tol, j_max, routes):
     """A cross-route check's result: each (key, route A, route B) triple's
-    largest |A - B|, and the worst of them against ``tol`` (a NaN fails)."""
+    largest |A - B|, and the worst of them, a NaN included, against ``tol``."""
     per_combo = {key: float(np.max(np.abs(a - b))) for key, a, b in routes}
     worst = float(np.max(list(per_combo.values())))
-    return worst, tol, worst <= tol, {"per_combo_max_abs_gap": per_combo, "j_max": j_max}
+    return worst, tol, [], {"per_combo_max_abs_gap": per_combo, "j_max": j_max}
 
 
 def _jump_law_ks(jumps, x0, start, horizon, rng) -> float:
@@ -347,11 +381,11 @@ class VerifySession:
         return self._cache["ensemble"]
 
     # -- checks: each takes its catalogue row (see _row) and returns
-    # (value, threshold, passed, detail) -----------------------------------
+    # (value, threshold, conditions, detail); the runner judges them --------
 
     def check_explicit_spectrum_crosscheck(self, row):
         routes = (
-            (f"x0={x0},beta={beta:g}", pi_recursive(deterministic(x0), beta, 300).pi,
+            (_case(deterministic(x0), beta), pi_recursive(deterministic(x0), beta, 300).pi,
              _pi_explicit_vector(x0, beta, 300))
             for x0 in (1, 2, 3)
             for beta in (0.0, 0.5, 1.0, 3.0)
@@ -364,17 +398,18 @@ class VerifySession:
         routes, refusals = [], {}
         for law in laws:
             for beta in (0.0, 1.0):
-                key = f"{law.label()},beta={beta:g}"
+                key = _case(law, beta)
                 try:
                     quad = pi_quadrature(law, beta, 100, tol=tol)
                 except StepTooCoarse as exc:  # a tol the quadrature cannot reach fails the check
                     refusals[key] = str(exc)
                     quad = exc.values
                 routes.append((key, pi_recursive(law, beta, 100).pi, quad))
-        value, tol, passed, detail = _route_gaps(tol, 100, routes)
+        value, tol, _, detail = _route_gaps(tol, 100, routes)
         if refusals:
             detail["quadrature_refusals"] = refusals
-        return value, tol, passed and not refusals, detail
+        refused = Condition("quadrature_refusals", float(len(refusals)), "<=", 0.0)
+        return value, tol, [refused], detail
 
     def check_degree_lln(self, row):
         [(law, beta)] = row.cases
@@ -388,52 +423,36 @@ class VerifySession:
             emp = empirical_distribution(counts)
             tvs.append(distribution_distance(emp, spec).tv_core)
         r1_over_n = run.ledger.counts.get(1, 0) / n
-        r1_gap = abs(r1_over_n - pi_explicit(law.x0, beta, 1))
-        tv_tol = row.headline
-        r1_tol = row.r1
-        decreasing = all(a > b for a, b in zip(tvs, tvs[1:]))
-        passed = tvs[-1] <= tv_tol and r1_gap <= r1_tol and decreasing
-        return tvs[-1], tv_tol, passed, {
-            "tv_by_scale": dict(zip(map(str, scales), tvs)),
-            "tv_strictly_decreasing": decreasing,
-            "r1_over_n": r1_over_n,
-            "r1_gap": r1_gap,
-            "r1_tol": r1_tol,
-        }
+        return tvs[-1], row.headline, [
+            Condition("r1_gap", abs(r1_over_n - pi_explicit(law.x0, beta, 1)), "<=", row.r1),
+            # TV strictly decreasing over the scales: its largest step is down
+            Condition("tv_largest_step", float(np.max(np.diff(tvs))), "<", 0.0),
+        ], {"tv_by_scale": dict(zip(map(str, scales), tvs)), "r1_over_n": r1_over_n}
 
     def check_tail_exponent(self, row):
-        detail, ok, ratios = {}, True, []
+        conditions, detail = [], {}
         spectra = [pi_recursive(law, beta, 500) for law, beta in row.cases]
         for (law, beta), spec in zip(row.cases, spectra):
-            slope = -tail_exponent_theory(law.mean, beta)
-            band = getattr(row, f"band_beta{beta:g}")
             fitted = tail_fit(spec, 20, 500).slope
-            gap = abs(fitted - slope)
             detail[f"theory_slope_beta{beta:g}"] = fitted
-            detail[f"theory_band_beta{beta:g}"] = [slope - band, slope + band]
-            ok = ok and gap <= band
-            ratios.append(gap / band)
-        value = max(ratios)
+            band = getattr(row, f"band_beta{beta:g}")
+            gap = abs(fitted + tail_exponent_theory(law.mean, beta))  # the slope is -exponent
+            conditions.append(Condition("theory_gap", gap, "<=", band, _case(law, beta)))
 
         if self.profile != "theory":
             run = self.lln_run()
             emp = empirical_distribution(run.ledger.counts)
             emp_fit = tail_fit(emp, 3, 30)
             th_fit = tail_fit(spectra[0], 3, 30)  # lln_run's case
-            emp_tol = row.headline
             emp_gap = abs(emp_fit.slope - th_fit.slope)
-            detail.update(
-                {
-                    "empirical_slope": emp_fit.slope,
-                    "theory_slope_same_range": th_fit.slope,
-                    "empirical_gap": emp_gap,
-                    "empirical_tol": emp_tol,
-                    "empirical_bins": emp_fit.n_bins,
-                }
+            conditions.append(
+                Condition("empirical_gap", emp_gap, "<=", row.headline, _case(*row.cases[0]))
             )
-            ok = ok and emp_gap <= emp_tol
-            value = max(value, emp_gap / emp_tol)
-        return value, 1.0, ok, detail
+            detail.update(empirical_slope=emp_fit.slope, theory_slope_same_range=th_fit.slope,
+                          empirical_bins=emp_fit.n_bins)
+        # np.max, unlike max, keeps a NaN ratio wherever it falls
+        value = np.max([c.statistic / c.bound for c in conditions])
+        return value, 1.0, conditions, detail
 
     def check_moment_dichotomy(self, row):
         [(law, beta)] = row.cases
@@ -444,8 +463,7 @@ class VerifySession:
         curves = moment_profile(spec, s_values)
         got = tuple(c.verdict for c in curves)
         agree = sum(g == e for g, e in zip(got, expected)) / len(expected)
-        tol = row.headline
-        return agree, tol, agree >= tol, {
+        return agree, row.headline, [], {
             "j_max": self.moment_j_max,
             "verdicts": {
                 str(c.s): {
@@ -464,43 +482,37 @@ class VerifySession:
         agg = self.ensemble()
         osc_traj = row.trajectory_osc
         osc_max = row.max_osc
-        rate = row.headline
         traj_pass = max_pass = 0
-        levels_ok = True
-        worst_level = float("inf")
+        levels = []
         for rep in agg.replicates:
             tr = trajectory_limit_check(rep.steps, rep.probes[1], growth, threshold=osc_traj)
             mx = max_degree_check(rep.steps, rep.max_series, growth, threshold=osc_max)
             traj_pass += tr.verdict
             max_pass += mx.verdict
-            worst_level = min(worst_level, tr.level, mx.level)
-            levels_ok = levels_ok and tr.level > 0 and mx.level > 0
+            levels += (tr.level, mx.level)
         n_rep = len(agg.replicates)
         frac_traj = traj_pass / n_rep
         frac_max = max_pass / n_rep
-        value = min(frac_traj, frac_max)
-        return value, rate, value >= rate and levels_ok, {
+        # np.min, unlike min, keeps a NaN level wherever it falls
+        worst_level = Condition("worst_level", float(np.min(levels)), ">", 0.0)
+        return min(frac_traj, frac_max), row.headline, [worst_level], {
             "runs": n_rep,
             "n": self.ensemble_n,
             "trajectory_pass_fraction": frac_traj,
             "max_degree_pass_fraction": frac_max,
             "oscillation_bounds": [osc_traj, osc_max],
-            "all_levels_positive": levels_ok,
-            "worst_level": worst_level,
         }
 
     def check_index_freezing(self, row):
         # the ensemble runs growth-exponents' first case, which this row shares
         agg = self.ensemble()
-        rate = row.headline
         frozen = 0
         fractions = []
         for rep in agg.replicates:
             rep_frozen = freeze_detector(rep.steps, rep.argmax_series).frozen_fraction
             fractions.append(rep_frozen)
             frozen += rep_frozen >= 0.5
-        frac = frozen / len(agg.replicates)
-        return frac, rate, frac >= rate, {
+        return frozen / len(agg.replicates), row.headline, [], {
             "runs": len(agg.replicates),
             "median_frozen_fraction": float(np.median(fractions)),
         }
@@ -511,22 +523,15 @@ class VerifySession:
         chains = self._replicate(model, self.embed_eq_reps, "simulate", 8)
         embeds = self._replicate(model, self.embed_eq_reps, "embed", 88)
         result = embedding_equivalence_test(chains.pooled_counts, embeds.pooled_counts)
-        p_floor = row.headline
-        pvals = split_half_pvalues(
-            chains.pooled_counts, self.calib_trials, self._rng(888)
-        )
-        ks = uniformity_ks(pvals)
-        ks_tol = row.calibration_ks
-        passed = result.p_value > p_floor and ks <= ks_tol
-        return result.p_value, p_floor, passed, {
+        pvals = split_half_pvalues(chains.pooled_counts, self.calib_trials, self._rng(888))
+        calibration = Condition("calibration_ks", uniformity_ks(pvals), "<=", row.calibration_ks)
+        return result.p_value, row.headline, [calibration], {
             "chi_square": result.statistic,
             "dof": result.dof,
             "bins": len(result.bins),
             "replications": self.embed_eq_reps,
             "n": self.embed_eq_n,
             "calibration_trials": self.calib_trials,
-            "calibration_ks": ks,
-            "calibration_ks_tol": ks_tol,
         }
 
     def check_event_time_asymptotics(self, row):
@@ -547,50 +552,33 @@ class VerifySession:
             wait_sum += float(res.s_values[:-1] @ np.diff(res.taus, prepend=0.0))
         waits = self.drift_reps * self.drift_n
         wait_mean = wait_sum / waits
-        wait_gap = abs(wait_mean - 1.0)
         wait_tol = row.tau1_sigmas / np.sqrt(waits)
-        drift_frac = hits / self.drift_reps
-        drift_rate = row.headline
+        conditions = [Condition("wait_gap", abs(wait_mean - 1), "<=", wait_tol, _case(law, beta))]
 
         # (b) S_n / n near 2m + beta at the large scale, on substreams 999,
         # 9999, ...; det:1 is pinned (exact up to 2/n), a random law
         # exercises it with real randomness.  S_n = 2 + 2 (X_1 + ... + X_n)
         # + (n + 2) beta depends on the X's alone, so n draws of X give its law
         # without running an embedding.
-        sn_tol = row.sn
-        sn_gaps = {}
         for i, (sn_law, sn_beta) in enumerate(row.cases):
             xs = sn_law.sample(self._rng(10 ** (i + 3) - 1), self.sn_n)
             s_n = 2 + 2 * int(xs.sum()) + (self.sn_n + 2) * sn_beta
-            tag = sn_law.label().partition(":")[0] + str(sn_law.x0 or "")  # det1, geom
-            sn_gaps[f"sn_gap_{tag}_beta{sn_beta:g}"] = abs(
-                s_n / self.sn_n - (2.0 * sn_law.mean + sn_beta)
-            )
+            sn_gap = abs(s_n / self.sn_n - (2.0 * sn_law.mean + sn_beta))
+            conditions.append(Condition("sn_gap", sn_gap, "<=", row.sn, _case(sn_law, sn_beta)))
 
-        passed = (
-            wait_gap <= wait_tol
-            and drift_frac >= drift_rate
-            and all(gap <= sn_tol for gap in sn_gaps.values())
-        )
-        return drift_frac, drift_rate, passed, {
+        return hits / self.drift_reps, row.headline, conditions, {
             "wait_mean": wait_mean,
-            "wait_gap": wait_gap,
-            "wait_tol": wait_tol,
-            "wait_sigmas": row.tau1_sigmas,
             "waits": waits,
             "drift_runs": self.drift_reps,
             "drift_n": self.drift_n,
             "drift_osc_bound": osc_tol,
             "drift_median_osc": float(np.median(oscs)),
-            **sn_gaps,
-            "sn_tol": sn_tol,
         }
 
     def check_scaled_size_limit(self, row):
         horizon = 8.0
         initial = 10  # start away from the zeta ~ 0 mass; see claim detail
         osc_tol = row.osc
-        rate = row.headline
         runs = self.zeta_runs
         for law, _ in row.cases:
             if law.kind != "deterministic":
@@ -602,7 +590,6 @@ class VerifySession:
             "horizon": horizon,
             "initial_size": initial,
             "osc_bound": osc_tol,
-            "law_ks_bound": row.law_ks,
             "note": (
                 "relative plateau oscillation scales like 1/sqrt(limit); the "
                 "fixed initial size keeps the limit away from 0 so the stated "
@@ -637,27 +624,27 @@ class VerifySession:
                 results = [case(0)] + [f.result() for f in later]
             finally:
                 stop.set()  # a worker still running after an error stops at its next path
-        value = 1.0
-        all_positive = law_holds = True
-        for (_, beta), (frac, pos_frac, law_ks) in zip(row.cases, results):
-            detail[f"beta={beta:g}"] = {
-                "plateau_pass_fraction": frac,
-                "positive_fraction": pos_frac,
-                "law_ks": law_ks,
-            }
-            value = min(value, frac)
-            all_positive = all_positive and pos_frac == 1.0
-            law_holds = law_holds and law_ks <= row.law_ks
-        return value, rate, value >= rate and all_positive and law_holds, detail
+        conditions = []
+        for (law, beta), (frac, pos_frac, law_ks) in zip(row.cases, results):
+            label = _case(law, beta)
+            conditions += [
+                Condition("plateau_pass_fraction", frac, ">=", row.headline, label),
+                Condition("positive_fraction", pos_frac, ">=", 1.0, label),
+                Condition("law_ks", law_ks, "<=", row.law_ks, label),
+            ]
+        return np.min([frac for frac, _, _ in results]), row.headline, conditions, detail
 
     # -- driver ------------------------------------------------------------
 
     def run(self, names: tuple[str, ...] | None = None) -> ReportDocument:
         """Run the named checks (default: the profile's) in the given order.
 
-        The runner times each ``check_<name>`` call into ``elapsed_s``, holds
-        it to the "<name>.runtime" bound where the catalogue declares one,
-        and builds the JSON-safe CheckResult from the catalogue entry.
+        The runner times each ``check_<name>`` call into ``elapsed_s`` and
+        passes the check when its headline holds under the catalogue's
+        comparison, every condition it returns holds, and it meets the
+        "<name>.runtime" bound where the catalogue declares one.  It records
+        the conditions under ``detail["conditions"]`` and builds the
+        JSON-safe CheckResult from the catalogue entry.
         """
         results = []
         for name in names or PROFILE_CHECKS[self.profile]:
@@ -667,22 +654,18 @@ class VerifySession:
             row = self._row(check)
             t0 = time.perf_counter()
             method = getattr(self, "check_" + name.replace("-", "_"))
-            value, threshold, passed, detail = method(row)
+            value, threshold, conditions, detail = method(row)
             detail["elapsed_s"] = elapsed = time.perf_counter() - t0
+            detail["conditions"] = [{**asdict(c), "passed": c.holds} for c in conditions]
+            headline = Condition(name, value, check.comparison, threshold)
+            passed = headline.holds and all(c.holds for c in conditions)
             if "runtime" in check.params:
                 detail["runtime_bound_s"] = row.runtime
                 passed = passed and elapsed < row.runtime
-            results.append(
-                CheckResult(
-                    name,
-                    check.claim,
-                    float(value),
-                    float(threshold),
-                    check.comparison,
-                    bool(passed),
-                    _json_safe(detail),
-                )
-            )
+            results.append(CheckResult(
+                name, check.claim, float(value), float(threshold), check.comparison, passed,
+                _json_safe(detail),
+            ))
         return ReportDocument(
             config={
                 "profile": self.profile,

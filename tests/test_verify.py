@@ -5,6 +5,7 @@ here we exercise the machinery itself at the cheap profiles.
 """
 
 import dataclasses
+import inspect
 import json
 import math
 import re
@@ -72,10 +73,14 @@ def test_threshold_defaults_match_the_reference_table(profile, column):
 
 
 def test_every_catalogue_name_has_its_traced_method():
-    # An outside tracer wraps these methods by name.
+    # An outside tracer wraps these methods by name, and the benchmark calls
+    # the shared artifacts with no argument.
     names = {"check_" + c.replace("-", "_") for c in ALL_CHECKS}
     names |= {"lln_run", "ensemble", "run"}
     assert names <= set(vars(VerifySession))
+    session = VerifySession(profile="theory")
+    for artifact in ("lln_run", "ensemble"):
+        inspect.signature(getattr(session, artifact)).bind()  # no required argument
 
 
 def test_readme_check_table_lists_the_catalogue_in_order():
@@ -243,12 +248,27 @@ def assert_same_document(got, want, where="report"):
         assert type(got) is type(want) and got == want, (where, got, want)
 
 
-def serial_size_limit_detail(master, runs, osc_tol):
-    """The per-beta entries of ``scaled-size-limit`` from one loop after the
-    other, each on one _PathBuffers and substream(master, 10 + beta).  The
-    jump counts' randomized PIT under NegBin(10 + beta, e^{-8}) takes its
-    uniforms from the same substream, after the paths."""
-    detail = {}
+def conditions_of(check):
+    """A CheckResult's condition records, keyed (name, case)."""
+    return {(c["name"], c["case"]): c for c in check.detail["conditions"]}
+
+
+SIZE_READINGS = ("plateau_pass_fraction", "positive_fraction", "law_ks")
+
+
+def size_limit_readings(check):
+    """Each case's SIZE_READINGS statistics of a ``scaled-size-limit`` result."""
+    got = conditions_of(check)
+    cases = sorted({case for _, case in got})
+    return {case: tuple(got[name, case]["statistic"] for name in SIZE_READINGS) for case in cases}
+
+
+def serial_size_limit_readings(master, runs, osc_tol):
+    """What size_limit_readings reads, from one loop after the other, each on
+    one _PathBuffers and substream(master, 10 + beta).  The jump counts'
+    randomized PIT under NegBin(10 + beta, e^{-8}) takes its uniforms from
+    the same substream, after the paths."""
+    readings = {}
     for beta in (0.0, 1.0):
         paths = _PathBuffers()
         rng = substream(master, 10 + int(beta))
@@ -265,12 +285,10 @@ def serial_size_limit_detail(master, runs, osc_tol):
             (cdf[k - 1] if k else 0.0) + v * (cdf[k] - (cdf[k - 1] if k else 0.0))
             for k, v in zip(jumps, rng.random(runs))
         ]
-        detail[f"beta={beta:g}"] = {
-            "plateau_pass_fraction": hits / runs,
-            "positive_fraction": positive / runs,
-            "law_ks": math.sqrt(runs) * uniformity_ks(np.array(pits)),
-        }
-    return detail
+        readings[f"det:1,beta={beta:g}"] = (
+            hits / runs, positive / runs, math.sqrt(runs) * uniformity_ks(np.array(pits))
+        )
+    return readings
 
 
 def _size_limit_row(session, cases):
@@ -294,7 +312,7 @@ class TestSizeLimitThreads:
     def test_two_threads_give_the_serial_report(self, monkeypatch):
         session = VerifySession(profile="quick")
         osc_tol = session.defaults["scaled-size-limit.osc"]
-        expected = serial_size_limit_detail(session.master_seed, session.zeta_runs, osc_tol)
+        expected = serial_size_limit_readings(session.master_seed, session.zeta_runs, osc_tol)
         real = _PathBuffers.draw
         threads = {0.0: set(), 1.0: set()}
 
@@ -306,7 +324,7 @@ class TestSizeLimitThreads:
         (check,) = session.run(("scaled-size-limit",)).checks
         assert len(threads[0.0]) == len(threads[1.0]) == 1
         assert threads[0.0] != threads[1.0]
-        assert {k: check.detail[k] for k in expected} == expected
+        assert size_limit_readings(check) == expected
         assert check.passed
 
     def test_the_paths_are_the_first_of_the_earlier_streams(self):
@@ -316,19 +334,19 @@ class TestSizeLimitThreads:
         session = VerifySession(profile="quick")
         session.zeta_runs = 500
         (check,) = session.run(("scaled-size-limit",)).checks
-        fractions = [check.detail[f"beta={b}"]["plateau_pass_fraction"] for b in (0, 1)]
+        readings = size_limit_readings(check)
+        fractions = [readings[f"det:1,beta={b}"][0] for b in (0, 1)]
         assert fractions == [0.984, 0.996]
 
     def test_the_power_script_reads_what_the_check_reads(self):
         session = VerifySession(profile="quick")
         (check,) = session.run(("scaled-size-limit",)).checks
+        got = size_limit_readings(check)
         for i, beta in enumerate((0, 1)):
             readings = case_readings(session.master_seed, i, 1.0, [50, session.zeta_runs], 0.05)
             frac, positive, law_ks = readings[session.zeta_runs]
-            entry = check.detail[f"beta={beta}"]
-            assert (frac, positive, law_ks) == (
-                entry["plateau_pass_fraction"], entry["positive_fraction"] == 1.0, entry["law_ks"]
-            )
+            entry_frac, entry_positive, entry_law_ks = got[f"det:1,beta={beta}"]
+            assert (frac, positive, law_ks) == (entry_frac, entry_positive == 1.0, entry_law_ks)
 
     @pytest.mark.parametrize("failing", [0.0, 1.0])
     def test_an_error_in_either_loop_surfaces(self, monkeypatch, failing):
@@ -360,18 +378,21 @@ class TestNegativeControls:
     @pytest.mark.parametrize(
         ("profile", "factor"), [("full", 1.01), ("quick", 1.03)], ids=["full-1pc", "quick-3pc"]
     )
-    def test_a_fast_clock_turns_the_size_law_red(self, profile, factor):
+    def test_a_fast_clock_turns_the_size_law_red(self, monkeypatch, profile, factor):
         # The law condition alone turns the check red: the plateau passes a
         # 1 % fast clock, and fails a 3 % one only because its drift,
         # e^{0.03 t}, moves 6 % across the window against the 0.05 bound.
         session = VerifySession(profile=profile)
         session._rng = lambda stream: FastClocks(substream(session.master_seed, stream), factor)
-        row = _size_limit_row(session, verify._BY_NAME["scaled-size-limit"].cases[:1])
-        value, rate, passed, detail = session.check_scaled_size_limit(row)
-        assert detail["beta=0"]["law_ks"] > row.law_ks
-        assert not passed
+        entry = verify._BY_NAME["scaled-size-limit"]
+        first_case = dataclasses.replace(entry, cases=entry.cases[:1])
+        monkeypatch.setitem(verify._BY_NAME, entry.name, first_case)
+        (check,) = session.run((entry.name,)).checks
+        law = conditions_of(check)["law_ks", "det:1,beta=0"]
+        assert law["statistic"] > law["bound"] == session.defaults["scaled-size-limit.law_ks"]
+        assert not law["passed"] and not check.passed
         if factor == 1.01:
-            assert value >= rate
+            assert check.value >= check.threshold
 
     def test_size_limit_fails_on_paths_grown_at_half_the_rate(self, monkeypatch):
         real = _PathBuffers.draw
@@ -397,7 +418,8 @@ class TestNegativeControls:
         monkeypatch.setattr(verify, "run_embedding", slow_clocks)
         (check,) = VerifySession(profile="quick").run(("event-time-asymptotics",)).checks
         assert not check.passed
-        assert check.detail["wait_gap"] > check.detail["wait_tol"]
+        wait = conditions_of(check)["wait_gap", "det:1,beta=0"]
+        assert wait["statistic"] > wait["bound"]
         assert check.value < check.threshold
 
     def test_event_times_fail_when_the_waits_after_the_first_run_slow(self, monkeypatch):
@@ -413,7 +435,9 @@ class TestNegativeControls:
         monkeypatch.setattr(verify, "run_embedding", slow_later_waits)
         (check,) = VerifySession(profile="quick").run(("event-time-asymptotics",)).checks
         assert not check.passed
-        assert check.detail["wait_mean"] > 1.0 + check.detail["wait_tol"]
+        wait = conditions_of(check)["wait_gap", "det:1,beta=0"]
+        assert check.detail["wait_mean"] > 1.0 + wait["bound"]
+        assert not wait["passed"]
 
     def test_uniform_attachment_turns_the_degree_checks_red(self, monkeypatch):
         real = graph._draw_steps
@@ -446,6 +470,43 @@ class TestNegativeControls:
         names = ("explicit-spectrum-crosscheck", "dual-route-pi")
         assert [c.passed for c in VerifySession(profile="theory").run(names).checks] == [False] * 2
 
+    @pytest.mark.parametrize("profile", ["theory", "quick"])
+    def test_a_nan_slope_in_the_second_case_reaches_the_tail_headline(self, monkeypatch, profile):
+        # max() would keep the first case's ratio and drop the NaN after it
+        real = verify.tail_fit
+        theory_fits = []
+
+        def nan_second_case(source, j_min, j_max):
+            fit = real(source, j_min, j_max)
+            if j_min == 20:  # a theory-side fit, one per case in case order
+                theory_fits.append(fit)
+                if len(theory_fits) == 2:
+                    return dataclasses.replace(fit, slope=float("nan"))
+            return fit
+
+        monkeypatch.setattr(verify, "tail_fit", nan_second_case)
+        (check,) = VerifySession(profile=profile).run(("tail-exponent",)).checks
+        assert math.isnan(check.value)
+        assert not check.passed
+        assert not conditions_of(check)["theory_gap", "det:1,beta=1"]["passed"]
+
+    def test_a_nan_level_in_a_later_run_fails_growth_exponents(self, monkeypatch):
+        # min() would keep the levels before the NaN and drop it
+        real = verify.max_degree_check
+        calls = []
+
+        def nan_second_run(*args, **kwargs):
+            report = real(*args, **kwargs)
+            calls.append(report)
+            return dataclasses.replace(report, level=float("nan")) if len(calls) == 2 else report
+
+        monkeypatch.setattr(verify, "max_degree_check", nan_second_run)
+        (check,) = VerifySession(profile="quick").run(("growth-exponents",)).checks
+        assert check.value >= check.threshold  # the verdicts do not read the level
+        assert not check.passed
+        level = conditions_of(check)["worst_level", None]
+        assert math.isnan(level["statistic"]) and not level["passed"]
+
     def test_a_spectrum_at_the_wrong_offset_turns_the_theory_checks_red(self, monkeypatch):
         real = verify.pi_recursive
 
@@ -462,11 +523,71 @@ class TestNegativeControls:
         ]
 
 
+class TestRunnerJudges:
+    """The runner, not the check, turns the headline and conditions into a verdict."""
+
+    @pytest.mark.parametrize(
+        ("statistic", "passed"), [(0.5, True), (2.0, False), (float("nan"), False)],
+        ids=["holding", "failing", "nan"],
+    )
+    def test_one_condition_decides_a_check_whose_headline_holds(
+        self, monkeypatch, statistic, passed
+    ):
+        def judged(self, row):
+            conditions = [
+                verify.Condition("held", 0.5, "<=", 1.0),
+                verify.Condition("probe", statistic, "<=", 1.0, "det:1,beta=0"),
+            ]
+            return 1.0, row.headline, conditions, {}
+
+        monkeypatch.setattr(VerifySession, "check_moment_dichotomy", judged)
+        (check,) = VerifySession(profile="theory").run(("moment-dichotomy",)).checks
+        assert (check.value, check.threshold, check.comparison) == (1.0, 1.0, ">=")
+        assert check.passed is passed
+        got = conditions_of(check)
+        assert got["held", None]["passed"] is True
+        assert got["probe", "det:1,beta=0"]["passed"] is passed
+        json.dumps(check.to_json())
+
+    @pytest.mark.parametrize("comparison", sorted(verify._OPERATORS))
+    def test_a_nan_statistic_fails_every_comparison(self, comparison):
+        assert verify.Condition("x", 0.0, comparison, 0.0).holds is (comparison in ("<=", ">="))
+        assert verify.Condition("x", float("nan"), comparison, 0.0).holds is False
+
+
+# Each dotted sub-bound with the condition it bounds: its name, and its case
+# (None: every case of that name).
+SUB_BOUNDS = [
+    ("degree-lln.r1", "r1_gap", None),
+    ("tail-exponent.band_beta0", "theory_gap", "det:1,beta=0"),
+    ("tail-exponent.band_beta1", "theory_gap", "det:1,beta=1"),
+    ("embedding-equivalence.calibration_ks", "calibration_ks", None),
+    ("event-time-asymptotics.tau1_sigmas", "wait_gap", None),
+    ("event-time-asymptotics.sn", "sn_gap", None),
+    ("scaled-size-limit.law_ks", "law_ks", None),
+]
+
+
+@pytest.mark.parametrize(("key", "name", "case"), SUB_BOUNDS, ids=[k for k, _, _ in SUB_BOUNDS])
+def test_every_sub_bound_can_turn_its_check_red(key, name, case):
+    session = VerifySession(profile="quick", thresholds={key: 1e-9})
+    (check,) = session.run((key.partition(".")[0],)).checks
+    assert not check.passed
+    records = check.detail["conditions"]
+    bounded = {
+        (c["name"], c["case"]) for c in records if c["name"] == name and case in (None, c["case"])
+    }
+    assert bounded
+    assert {(c["name"], c["case"]) for c in records if not c["passed"]} == bounded
+
+
 def test_the_wait_bound_is_recorded_at_its_own_sigmas():
     session = VerifySession(profile="quick", thresholds={"event-time-asymptotics.tau1_sigmas": 2})
-    (check,) = session.run(("event-time-asymptotics",)).checks
-    assert check.detail["wait_sigmas"] == 2.0
-    assert check.detail["wait_tol"] == 2.0 / math.sqrt(check.detail["waits"])
+    report = session.run(("event-time-asymptotics",))
+    (check,) = report.checks
+    assert report.config["thresholds"]["event-time-asymptotics.tau1_sigmas"] == 2.0
+    waits = [c for c in check.detail["conditions"] if c["name"].startswith("wait")]
+    assert [c["bound"] for c in waits] == [2.0 / math.sqrt(check.detail["waits"])]
     assert "wait_tol_3sigma" not in check.detail
 
 
