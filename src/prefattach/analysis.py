@@ -270,53 +270,47 @@ def embedding_equivalence_test(
         raise RangeError("counts_a", "both pools are empty")
     a = np.array([counts_a.get(j, 0) for j in support], dtype=float)
     b = np.array([counts_b.get(j, 0) for j in support], dtype=float)
-    return _chi_square(support, a, b, "counts_a", "counts_b")
-
-
-def _chi_square(
-    support: list[int], a: np.ndarray, b: np.ndarray, field_a: str, field_b: str
-) -> ChiSquareResult:
-    """The test of ``embedding_equivalence_test`` on float counts a, b of
-    ``support``; a refusal names ``field_a`` or ``field_b``."""
     tot_a, tot_b = a.sum(), b.sum()
     if tot_a == 0 or tot_b == 0:
-        raise RangeError(field_a if tot_a == 0 else field_b, "one pool is empty")
-    pooled = (a + b) / (tot_a + tot_b)
-    a, b, pooled = a.tolist(), b.tolist(), pooled.tolist()  # fast to index, same values
+        raise RangeError("counts_a" if tot_a == 0 else "counts_b", "one pool is empty")
+    smaller = "counts_a" if tot_a <= tot_b else "counts_b"
+    starts, bins = _merge_bins(support, (a + b) / (tot_a + tot_b), min(tot_a, tot_b), smaller)
+    return _binned_test(starts, bins, a, b)
 
+
+def _merge_bins(support: list[int], pooled: np.ndarray, size: float, field: str):
+    """The bins of ``embedding_equivalence_test`` for pooled frequencies
+    ``pooled`` of ``support`` and ``size``, the smaller sample's size:
+    each bin's first index and its (lo, hi) degrees.  Fewer than two bins
+    raise RangeError naming ``field``."""
+    starts: list[int] = []
     bins: list[tuple[int, int]] = []
-    obs_a: list[float] = []
-    obs_b: list[float] = []
-    acc_a = acc_b = acc_p = 0.0
-    lo = support[0]
-    for idx, j in enumerate(support):
-        acc_a += a[idx]
-        acc_b += b[idx]
-        acc_p += pooled[idx]
-        if min(tot_a * acc_p, tot_b * acc_p) >= _MIN_EXPECTED:
-            bins.append((lo, j))
-            obs_a.append(acc_a)
-            obs_b.append(acc_b)
-            acc_a = acc_b = acc_p = 0.0
-            if idx + 1 < len(support):
-                lo = support[idx + 1]
-    if acc_p > 0.0 and bins:
-        # fold the short tail into the last bin
+    acc = 0.0
+    lo = 0
+    for idx, p in enumerate(pooled.tolist()):
+        acc += p
+        if size * acc >= _MIN_EXPECTED:
+            starts.append(lo)
+            bins.append((support[lo], support[idx]))
+            acc = 0.0
+            lo = idx + 1
+    if acc > 0.0 and bins:
+        # fold the short tail into the last bin, which reduceat runs to the end
         bins[-1] = (bins[-1][0], support[-1])
-        obs_a[-1] += acc_a
-        obs_b[-1] += acc_b
     if len(bins) < 2:
-        smaller = field_a if tot_a <= tot_b else field_b
-        raise RangeError(smaller, f"only {len(bins)} usable bin(s) after merging")
+        raise RangeError(field, f"only {len(bins)} usable bin(s) after merging")
+    return starts, tuple(bins)
 
-    oa = np.asarray(obs_a)
-    ob = np.asarray(obs_b)
+
+def _binned_test(starts: list[int], bins: tuple, a: np.ndarray, b: np.ndarray):
+    """The chi-square of counts a, b in the bins that begin at ``starts``."""
+    oa, ob = np.add.reduceat(a, starts), np.add.reduceat(b, starts)
+    tot_a, tot_b = oa.sum(), ob.sum()
     pool = (oa + ob) / (tot_a + tot_b)
     ea, eb = tot_a * pool, tot_b * pool
     statistic = float(np.sum((oa - ea) ** 2 / ea) + np.sum((ob - eb) ** 2 / eb))
     dof = len(bins) - 1
-    p = chi2_sf(statistic, dof)
-    return ChiSquareResult(statistic=statistic, dof=dof, p_value=p, bins=tuple(bins))
+    return ChiSquareResult(statistic, dof, chi2_sf(statistic, dof), bins)
 
 
 def split_half_pvalues(
@@ -331,7 +325,9 @@ def split_half_pvalues(
     two-sample chi-square on the halves.  Under this permutation null the
     test's p-values must be uniform, so the returned sample is a positive
     control of the statistic, binning, and dof bookkeeping.  The pool is
-    checked as by ``empirical_distribution``.
+    checked as by ``empirical_distribution``; its zero counts are dropped,
+    which changes no p-value.  Every split has the pool's frequencies and
+    the same two sizes, so the bins are merged once, from the pool.
     """
     n_trials = checked_int("n_trials", n_trials, 1)
     pooled_counts = _checked_counts(pooled_counts)
@@ -342,13 +338,12 @@ def split_half_pvalues(
     total = int(colors.sum())
     if total < 4:
         raise RangeError("pooled_counts", "need at least 4 pooled observations to split")
+    size_a = total // 2
+    starts, bins = _merge_bins(support, colors / total, size_a, "pooled_counts")
     pvals = np.empty(n_trials)
     for t in range(n_trials):
-        half_a = rng.multivariate_hypergeometric(colors, total // 2)
-        half_b = colors - half_a
-        pvals[t] = _chi_square(
-            support, half_a.astype(float), half_b.astype(float), "pooled_counts", "pooled_counts"
-        ).p_value
+        half_a = rng.multivariate_hypergeometric(colors, size_a)
+        pvals[t] = _binned_test(starts, bins, half_a, colors - half_a).p_value
     return pvals
 
 

@@ -1,11 +1,15 @@
 """Empirical summaries, convergence detectors, and two-sample comparison."""
 
+import copy
 import dataclasses
+import functools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from prefattach import analysis
 from prefattach.analysis import (
     chi2_sf,
     distribution_distance,
@@ -21,6 +25,7 @@ from prefattach.analysis import (
 from prefattach.errors import RangeError
 from prefattach.graph import ModelConfig, run_chain
 from prefattach.laws import deterministic, explicit
+from prefattach.replicate import replicate
 from prefattach.streams import substream
 from prefattach.theory import LimitSpectrum, pi_recursive
 
@@ -176,6 +181,59 @@ class TestDistributionDistance:
         assert report.remainder > 0  # degree-40 mass is outside the core
 
 
+def _folding_pool():
+    """In a split, degrees 5, 6 and 9 together fall short of a bin and fold
+    into the one before."""
+    return {1: 400, 2: 200, 3: 100, 4: 30, 5: 6, 6: 2, 9: 1}
+
+
+def _zero_count_pool():
+    return {1: 300, 2: 0, 3: 150, 4: 60, 5: 20, 7: 0, 8: 9}
+
+
+@functools.cache
+def _verify_scale_pool():
+    """The chains' pool of embedding-equivalence at the full profile's scale."""
+    model = ModelConfig(beta=0.0, edge_law=deterministic(1), n=200, record_stride=200)
+    return replicate(model, 2000, master_seed=79).pooled_counts
+
+
+def _odd_pool():
+    """Halves of 50 and 51: degree 1 expects 4.95 in the smaller and 5.05 in
+    the larger, so only the smaller size merges it with degree 2."""
+    return {1: 10, 2: 10, 3: 81}
+
+
+SPLIT_POOLS = {
+    "fold": _folding_pool,
+    "zero": _zero_count_pool,
+    "odd": _odd_pool,
+    "verify": _verify_scale_pool,
+}
+
+
+def _split_half_reference(pool, n_trials, rng):
+    """split_half_pvalues by embedding_equivalence_test: each trial draws the
+    split as it does and tests the two halves, zero counts included."""
+    support = sorted(j for j, c in pool.items() if c)
+    colors = np.array([pool[j] for j in support])
+    pvals = []
+    for _ in range(n_trials):
+        half_a = rng.multivariate_hypergeometric(colors, colors.sum() // 2)
+        a = dict.fromkeys(pool, 0) | dict(zip(support, half_a.tolist()))
+        b = dict.fromkeys(pool, 0) | dict(zip(support, (colors - half_a).tolist()))
+        pvals.append(embedding_equivalence_test(a, b).p_value)
+    return pvals
+
+
+def test_the_folding_pool_folds_in_a_split():
+    colors = np.array(list(_folding_pool().values()))
+    total = int(colors.sum())
+    # a half of 369 expects 369 * 9 / 739 < 5 in degrees 5..9, which fold into 4's bin
+    _, bins = analysis._merge_bins(list(_folding_pool()), colors / total, total // 2, "pool")
+    assert bins[-1] == (4, 9) and total // 2 * 9 / total < 5
+
+
 class TestTwoSampleComparison:
     def test_identical_pools_are_indistinguishable(self):
         counts = {1: 100, 2: 50, 3: 20}
@@ -199,6 +257,35 @@ class TestTwoSampleComparison:
         assert pvals.min() >= 0.0
         assert pvals.max() <= 1.0
         assert np.unique(np.round(pvals, 6)).size > 5
+
+    @pytest.mark.parametrize("pool_name", SPLIT_POOLS)
+    def test_split_halves_are_the_two_sample_test_of_each_split(self, pool_name):
+        pool = SPLIT_POOLS[pool_name]()
+        rng = substream(78, 0)
+        reference = copy.deepcopy(rng)
+        pvals = split_half_pvalues(pool, 20, rng)
+        assert pvals.tolist() == _split_half_reference(pool, 20, reference)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_split_halves_merge_the_bins_once(self):
+        with mock.patch.object(analysis, "_merge_bins", wraps=analysis._merge_bins) as merge:
+            split_half_pvalues(_folding_pool(), 25, substream(78, 1))
+        assert merge.call_count == 1
+
+    @pytest.mark.parametrize(
+        ("pool", "message"),
+        [
+            ({}, "empty pool"),
+            ({1: 0, 2: 0}, "empty pool"),
+            ({1: 3}, "need at least 4 pooled observations to split"),
+            ({1: 3, 2: 3}, "only 0 usable bin(s) after merging"),
+            ({1: 10, 2: 1}, "only 1 usable bin(s) after merging"),
+        ],
+    )
+    def test_split_half_refusals_name_the_pool(self, pool, message):
+        with pytest.raises(RangeError) as err:
+            split_half_pvalues(pool, 5, substream(78, 2))
+        assert (err.value.field, err.value.message) == ("pooled_counts", message)
 
     def test_uniform_draws_pass_the_uniformity_score(self):
         ks = uniformity_ks(substream(77, 0).random(500))

@@ -1,16 +1,19 @@
-"""The law of the two event-clock constructions.
+"""The law of the two event-clock constructions, and of the chain.
 
 ``run_embedding`` keeps its heap below ``_ROUNDS_MIN_EVENTS`` events and
 advances the clocks in rounds from there.  Both are tested against two exact
 finite-n laws for det laws (the n-th event time and process 1's size after n
 events) and against each other (a two-sample KS on six statistics at
-n = 2000).  Negative controls, wired in from the test side, show that the
-exact-law tests can go red.
+n = 2000).  The chain itself, batched replicates through ``graph._run_pass``,
+is tested against the second of these laws: vertex 1's degree after n steps
+has process 1's law after n events.  Negative controls, wired in from the
+test side, show that the exact-law tests can go red.
 
 sqrt(N) KS = 1.95 (one sample) and sqrt(NM / (N + M)) KS = 1.95 (two samples)
 are about p = 0.001.
 """
 
+import dataclasses
 import functools
 import math
 from unittest import mock
@@ -18,10 +21,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from prefattach import branching
+from prefattach import branching, graph
 from prefattach.analysis import uniformity_ks
 from prefattach.branching import _ROUNDS_MIN_EVENTS, _run_rounds, run_embedding
+from prefattach.graph import ModelConfig
 from prefattach.laws import EdgeCountDistribution, deterministic, geometric
+from prefattach.replicate import _batch_size, replicate
 from prefattach.streams import substream
 
 KS_BOUND = 1.95
@@ -179,6 +184,12 @@ def _d1_pits(d1, x0, beta, n, rng):
     return np.minimum(below[j] + rng.random(d1.shape[0]) * mass, 1.0)
 
 
+def _d1_ks(d1, x0, beta, n, rng):
+    """sqrt(N) KS of the randomized PITs of N observed D_1(n) values."""
+    pits = _d1_pits(d1, x0, beta, n, rng)
+    return math.sqrt(pits.shape[0]) * uniformity_ks(pits)
+
+
 class OneEdgeMore(EdgeCountDistribution):
     """det:x0 by its kind and mean, but every X drawn is x0 + 1."""
 
@@ -195,8 +206,7 @@ def test_process_one_follows_the_exact_finite_n_law(x0, beta, case):
     heap = np.array([run_embedding(law, beta, HEAP_N, rng).sizes[0] for _ in range(300)])
     rounds = _runs("rounds", case, CASES[case][3])[:, 2]
     for d1, n in ((heap, HEAP_N), (rounds, N)):
-        pits = _d1_pits(d1, x0, beta, n, rng)
-        assert math.sqrt(pits.shape[0]) * uniformity_ks(pits) < KS_BOUND, n
+        assert _d1_ks(d1, x0, beta, n, rng) < KS_BOUND, n
 
 
 @pytest.mark.parametrize("n", [HEAP_N, N], ids=["heap", "rounds"])
@@ -207,5 +217,41 @@ def test_one_edge_more_than_the_law_says_turns_the_oracle_red(n):
     law = OneEdgeMore(kind="deterministic", x0=x0, mean=float(x0))
     rng = substream(64, n)
     d1 = np.array([run_embedding(law, beta, n, rng).sizes[0] for _ in range(100)])
-    pits = _d1_pits(d1, x0, beta, n, rng)
-    assert math.sqrt(pits.shape[0]) * uniformity_ks(pits) > KS_BOUND
+    assert _d1_ks(d1, x0, beta, n, rng) > KS_BOUND
+
+
+# -- vertex 1 of the chain: the same exact law --------------------------------
+
+CHAIN_N = 1000  # steps per chain
+CHAIN_RUNS = 1000
+
+
+def _chain_d1(x0, beta, master_seed):
+    """Vertex 1's degree after CHAIN_N steps in CHAIN_RUNS chains."""
+    model = ModelConfig(
+        beta=beta, edge_law=deterministic(x0), n=CHAIN_N, probe_vertices=(1,), record_stride=CHAIN_N
+    )
+    agg = replicate(model, CHAIN_RUNS, master_seed=master_seed)
+    return np.array([rep.probes[1][-1] for rep in agg.replicates])
+
+
+@pytest.mark.parametrize(("x0", "beta"), [(1, 1.0), (2, 0.5)], ids=["det:1-1", "det:2-0.5"])
+def test_the_chain_follows_process_ones_exact_law(x0, beta):
+    # the chain gives vertex 1 at degree d the step with probability
+    # (d + beta) / W_k, as the embedding gives process 1 its event
+    assert _batch_size(CHAIN_N, CHAIN_RUNS) == 32  # batches share one graph._run_pass
+    d1 = _chain_d1(x0, beta, 65)
+    assert _d1_ks(d1, x0, beta, CHAIN_N, substream(66, x0)) < KS_BOUND
+
+
+def test_a_dropped_beta_mixture_turns_the_chain_law_red():
+    # Every step takes the endpoint route, as at beta = 0.  At det:2, beta =
+    # 0.5 this read only 2.4-3.7, so the control runs det:1 at beta = 1.
+    draw = graph._draw_steps
+
+    def endpoint_route_only(config, rng):
+        return draw(dataclasses.replace(config, beta=0.0), rng)
+
+    with mock.patch.object(graph, "_draw_steps", endpoint_route_only):
+        d1 = _chain_d1(1, 1.0, 67)
+    assert _d1_ks(d1, 1, 1.0, CHAIN_N, substream(66, 0)) > KS_BOUND

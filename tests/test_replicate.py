@@ -81,13 +81,17 @@ class TestDeterminism:
 
     def test_importing_the_package_leaves_the_process_pool_out(self):
         # the pool pulls in multiprocessing, socket and selectors; only a
-        # replicate call with more than one worker imports it
-        probe = "import sys, prefattach; print('multiprocessing' in sys.modules)"
+        # replicate call with more than one worker imports it.  The package
+        # needs numpy alone, so no scipy module may load either.
+        probe = (
+            "import sys, prefattach; print('multiprocessing' in sys.modules,"
+            " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "False []"
 
     def test_runs_are_stable_across_calls(self):
         a = replicate(_model(), 3, task="simulate", master_seed=5)
