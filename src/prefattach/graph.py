@@ -21,8 +21,11 @@ same target as that earlier step", a pointer resolved by pointer jumping.
 Short replicates share one such pass (``_run_pass``; ``run_chain`` is the pass
 for one replicate).  Each draws its steps from its own generator, and the
 pass packs replicate r's step k into the index r (n + 1) + k and its vertex v
-into the label r (n + 3) + v, so targets, degrees, probes and M_n/I_n are
-resolved once for the whole batch and unpacked row by row.
+into the label r (n + 3) + v.  One sort of the steps by (target, step) serves
+every reading, and no endpoint array is built: each vertex's attachments form
+one run, in time order, along which a cumulative sum gives its degree after
+each step.  A run's last entry at or before step s is its degree at s (final
+degrees, probes, snapshots); in step order these give M_n and I_n.
 """
 
 from __future__ import annotations
@@ -136,7 +139,8 @@ def _draw_steps(
         weight *= rng.random(n)
         uniform = weight >= before
         del weight
-    pick = rng.integers(0, np.where(uniform, vertices, before))
+    np.copyto(before, vertices, where=uniform)  # each pick's bound, by route
+    pick = rng.integers(0, before)
     return x, uniform, pick
 
 
@@ -188,58 +192,15 @@ def _resolve_targets(
     return targets
 
 
-def _probe_degrees(x: np.ndarray, targets: np.ndarray, v: int, steps: np.ndarray) -> np.ndarray:
-    """Degree of vertex v at the recorded steps, 0 before it is born.
+def _max_series(after: np.ndarray, targets: np.ndarray, at: np.ndarray):
+    """M_n and I_n at the packed recorded steps ``at``, one row per replicate.
 
-    ``x`` and ``targets`` hold one row per replicate; so does the result.
+    ``targets`` and ``after`` hold each step's target and its degree after it.
     """
-    batch, size = x.shape
-    label = np.arange(batch)[:, None] * (size + 2) + v
-    gain = np.where(targets == label, x, 0)  # x[0] = 1 is vertex 1's seed end
-    if v >= 2:
-        gain[:, v - 2] += x[:, v - 2]  # its ends as the new vertex of step v - 2
-    return np.cumsum(gain, axis=1)[:, steps]
-
-
-def _max_series(x: np.ndarray, targets: np.ndarray, steps: np.ndarray):
-    """M_n and I_n at the recorded steps.
-
-    ``x`` and ``targets`` hold one row per replicate; so do the results.
-    """
-    batch, size = x.shape
+    batch, size = targets.shape
     labels = size + 2
-    flat_x = x.ravel()
-    # Sort the steps by (target, step), packed as target << 32 | step: each
-    # vertex's attachments form one run, in time order.  A replicate's step 0
-    # (its seed edge) attaches to no one.
-    key = targets[:, 1:].astype(np.int64)
-    key <<= 32
-    key |= np.arange(batch * size).reshape(batch, size)[:, 1:]
-    key = key.ravel()
-    key.sort()
-    order = key & 0xFFFFFFFF
-    key >>= 32
-    first = np.flatnonzero(np.diff(key, prepend=0))
-    # Degree of the target just after each step: a cumulative sum of x along
-    # the run, started at the vertex's degree at birth and cut off from the
-    # previous run by subtracting its total.  Label r (n + 3) + v is born
-    # with degree 1 for v = 1 and x[r, v - 2] for v >= 2.
-    reached = flat_x[order]
-    birth = np.ones((batch, labels), dtype=x.dtype)
-    birth[:, 2:] = x
-    reached[first] += birth.ravel()[key[first]]
-    del key, birth
-    reached[first[1:]] -= np.add.reduceat(reached, first)[:-1]
-    np.cumsum(reached, out=reached)
-
-    after = np.empty((batch, size), dtype=np.int64)
-    after[:, 0] = 1  # step 0: vertex 1 holds the maximum, degree 1
-    after.ravel()[order] = reached
-    del order, reached
-
     peak = np.maximum.accumulate(after, axis=1)
     hits = np.flatnonzero(after == peak)
-    del after
     peak = peak.ravel()
     # I_n is the smallest label at the running maximum: a running minimum over
     # the steps whose target reaches the maximum, restarted whenever it rises
@@ -250,7 +211,6 @@ def _max_series(x: np.ndarray, targets: np.ndarray, steps: np.ndarray):
     level = np.cumsum(rise)
     offset = (level[-1] - level) * (batch * labels)
     best = np.minimum.accumulate(offset + targets.ravel()[hits]) - offset
-    at = np.arange(batch)[:, None] * size + steps
     argmax_series = best[np.searchsorted(hits, at, side="right") - 1]
     argmax_series -= np.arange(batch)[:, None] * labels
     return peak[at], argmax_series
@@ -281,34 +241,72 @@ def _run_pass(config: ModelConfig, seeds, snapshot_steps=()) -> _Pass:
     # one replicate's arrays are used as drawn, not copied
     x, uniform, pick = (parts[0] if batch == 1 else np.concatenate(parts) for parts in zip(*draws))
     del draws
-    targets = _resolve_targets(x, uniform, pick, batch)
+    targets = _resolve_targets(x, uniform, pick, batch).reshape(batch, n + 1)
     del uniform, pick
 
     steps = np.arange(0, n + 1, config.record_stride)
     if steps[-1] != n:
         steps = np.append(steps, n)
-    rows = x.reshape(batch, n + 1), targets.reshape(batch, n + 1)
-    probes = {v: _probe_degrees(*rows, v, steps) for v in config.probe_vertices}
-    max_series, argmax_series = _max_series(*rows, steps)
-    del rows
-
-    # Edge e is endpoint pair (2e, 2e + 1); the edges of steps 0..s fill a prefix.
-    ends = np.empty(2 * int(x.sum()), dtype=np.int64)
-    ends[0::2] = np.repeat(targets, x)
-    del targets
-    # step k of replicate r creates vertex k + 2, labelled r (n + 3) + k + 2
-    blocks = np.arange(batch, dtype=np.int32)[:, None] * np.int32(n + 3)
-    born = blocks + np.arange(2, n + 3, dtype=np.int32)
-    ends[1::2] = np.repeat(born.ravel(), x)
-    del born
-    snapshots = {
-        s: _degree_counts(np.bincount(ends[: 2 * int(x[: s + 1].sum())], minlength=s + 3)[1:])
-        for s in snapshot_steps
-        if 0 <= s <= n
-    }
+    at = np.arange(batch)[:, None] * (n + 1) + steps  # packed, one row per replicate
+    # Sort the steps by (target, step), packed as target << 32 | step: each
+    # vertex's attachments form one run, in time order.  A replicate's step 0
+    # (its seed edge) attaches to no one.
+    key = targets[:, 1:].astype(np.int64)
+    key <<= 32
+    key |= np.arange(batch * (n + 1)).reshape(batch, n + 1)[:, 1:]
+    key = key.ravel()
+    key.sort()
+    order = key.astype(np.int32)  # the low half
+    label = (key >> 32).astype(np.int32)
+    del key
+    # The target's degree just after each step: a cumulative sum of x along
+    # the run, started at the vertex's degree at birth and cut off from the
+    # previous run by subtracting its total.  Label r (n + 3) + v is born with
+    # degree 1 for v = 1 and x[r, v - 2] for v >= 2.
+    reached = x[order]
+    degrees = np.ones((batch, n + 3), dtype=x.dtype)  # made final below
+    degrees[:, 2:] = x.reshape(batch, n + 1)
     del x
-    degrees = np.bincount(ends, minlength=batch * (n + 3)).reshape(batch, n + 3)[:, 1:]
-    return _Pass(steps, degrees, probes, max_series, argmax_series, snapshots)
+    none = np.zeros(1, dtype=label.dtype)  # no vertex has label 0
+    first = np.flatnonzero(np.diff(label, prepend=none))
+    reached[first] += degrees.ravel()[label[first]]
+    reached[first[1:]] -= np.add.reduceat(reached, first)[:-1]
+    np.cumsum(reached, out=reached)
+
+    probes = {}
+    for v in config.probe_vertices:
+        # v's runs, one per replicate, each led by the replicate's step 0 with v's
+        # birth degree.  An entry's degree holds from the first recorded step at
+        # or after it to the next entry's (the few entries are searched among the
+        # many recorded steps, not the other way round).
+        mine = np.arange(batch, dtype=label.dtype) * (n + 3) + v
+        start = np.searchsorted(label, mine)
+        count = np.searchsorted(label, mine, side="right") - start
+        earlier = np.cumsum(count) - count  # v's attachments in the replicates before
+        run = np.arange(count.sum()) + np.repeat(start - earlier, count)
+        held = np.insert(reached[run], earlier, degrees[:, v])
+        since = np.searchsorted(at.ravel(), np.insert(order[run], earlier, at[:, 0]))
+        probes[v] = np.repeat(held, np.diff(since, append=at.size)).reshape(at.shape)
+        probes[v][:, : np.searchsorted(steps, v - 2)] = 0  # before step v - 2, its birth
+    snapshots = {}
+    for s in snapshot_steps:
+        if 0 <= s <= n:
+            # each run's last step up to s (replicate 0's steps come first)
+            upto = np.flatnonzero(order <= s)
+            last = upto[np.diff(label[upto], append=none) != 0]
+            at_s = degrees[0, : s + 3].copy()
+            at_s[label[last]] = reached[last]
+            snapshots[s] = _degree_counts(at_s[1:])
+    last = np.append(first, label.shape[0])[1:] - 1  # the untargeted keep their birth degree
+    degrees.ravel()[label[last]] = reached[last]
+    del label, first, last
+
+    after = np.empty((batch, n + 1), dtype=np.int64)
+    after[:, 0] = 1  # step 0: vertex 1 holds the maximum, degree 1
+    after.ravel()[order] = reached
+    del order, reached
+    max_series, argmax_series = _max_series(after, targets, at)
+    return _Pass(steps, degrees[:, 1:], probes, max_series, argmax_series, snapshots)
 
 
 def run_chain(config: ModelConfig, snapshot_steps: Iterable[int] = ()) -> RunResult:
