@@ -19,6 +19,7 @@ memory.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -244,6 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prefattach",

@@ -393,3 +393,21 @@ class TestFlagsPerSubcommand:
         assert main([command, f"--{key}", str(below), "--out", str(out)]) == 2
         assert f"run.{key}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParserCache:
+    """``build_parser`` is built once per process and shared by every ``main``."""
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_the_shared_parser_carries_nothing_between_calls(self):
+        parser = build_parser()
+        first = parser.parse_args(["verify", "--threshold", "dual-route-pi=1e-7"])
+        assert first.threshold == ["dual-route-pi=1e-7"]
+        assert parser.parse_args(["verify"]).threshold is None
+        parser.parse_args(["theory", "--law", "geom:0.5", "--jmax", "50"])
+        argv = ["analyze", "--n", "100", "--stride", "10"]
+        fresh = build_parser.__wrapped__()
+        assert fresh is not parser
+        assert vars(parser.parse_args(argv)) == vars(fresh.parse_args(argv))
